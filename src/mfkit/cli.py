@@ -384,16 +384,8 @@ def run(argv) -> int:
         return 0 if code == 0 else 2
     try:
         return args.func(args)
-    except _MathFailure as e:
-        print(f"check failed: {e}", file=sys.stderr)
-        return 1
-    except (NotAFactorization, NotAMorphism) as e:
-        print(f"check failed: {e}", file=sys.stderr)
-        return 1
-    except NotFoundWithinDegree as e:
-        print(f"check failed: {e}", file=sys.stderr)
-        return 1
-    except RuntimeError as e:
+    except (_MathFailure, NotAFactorization, NotAMorphism,
+            NotFoundWithinDegree, RuntimeError) as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as e:

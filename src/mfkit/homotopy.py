@@ -29,7 +29,7 @@ from .matfac import (
     ShapeMismatch,
     zero_morphism,
 )
-from .poly import Polynomial, _aligned
+from .poly import Polynomial
 
 
 class NotFoundWithinDegree(Exception):
@@ -173,7 +173,7 @@ def find_witness(
     nunknowns = len(index)
 
     def known(poly: Polynomial) -> dict:
-        return _aligned(poly, vars_m)
+        return poly.dense_terms(vars_m)
 
     # eq_terms: per matrix entry of each equation, a map
     #   result monomial -> {unknown -> coeff}
@@ -224,12 +224,8 @@ def find_witness(
         for i in range(ny):
             row = []
             for j in range(nxs):
-                terms = {}
-                for mo in monos:
-                    v = sol[index[(b, i, j, mo)]]
-                    if v:
-                        terms[mo] = v
-                row.append(Polynomial(vars_m, terms))
+                terms = {mo: sol[index[(b, i, j, mo)]] for mo in monos}
+                row.append(Polynomial.from_dense(vars_m, terms))
             out.append(tuple(row))
         return tuple(out)
 

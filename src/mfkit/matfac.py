@@ -279,16 +279,21 @@ def parse_factorization(text: str) -> MatrixFactorization:
     names = doc["vars"]
     if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
         raise ValueError("'vars' must be a list of variable names")
-    registry = list(names)
+    if len(set(names)) != len(names):
+        raise ValueError(f"'vars' repeats a name: {names}")
+
+    def parse_entry(text, label):
+        if not isinstance(text, str):
+            raise ValueError(
+                f"expected a polynomial string in '{label}', got {text!r}")
+        return parse_poly(text, names)
 
     def parse_matrix(rows, label):
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError(f"'{label}' must be a list of rows")
-        return [
-            [parse_poly(e, registry) for e in row] for row in rows
-        ]
+        return [[parse_entry(e, label) for e in row] for row in rows]
 
-    potential = parse_poly(doc["potential"], registry)
+    potential = parse_entry(doc["potential"], "potential")
     p = parse_matrix(doc["P"], "P")
     q = parse_matrix(doc["Q"], "Q")
     declared = tuple(Variable(n) for n in names)

@@ -1,17 +1,21 @@
 """Exact multivariate polynomial arithmetic over Q, with doubled variables.
 
-A polynomial is stored sparsely as a map from exponent vectors to nonzero
-`Fraction` coefficients.  The exponent vector is aligned to the polynomial's
-own variable registry: a sorted tuple of `Variable`s, where a variable is a
-base name plus a prime level (``x`` vs ``x'``).  Canonical form is strict --
-the registry contains only variables that actually occur, exponent vectors
-carry no trailing zeros, and no zero coefficient is ever stored -- so two
+A polynomial is stored sparsely as a map from monomials to nonzero
+`Fraction` coefficients.  A monomial names its own variables: it is a tuple
+of ``(Variable, exponent)`` pairs with every exponent >= 1, sorted by
+variable, and ``()`` is the constant monomial.  A variable is a base name
+plus a prime level (``x`` vs ``x'``).  No zero exponent and no zero
+coefficient is ever stored, so the form is unique by construction -- two
 equal polynomials are structurally identical, which the byte-exact printing
-contract relies on.
+contract relies on -- and operands over different variables need no
+alignment: a sum merges two term maps, a product merges monomials.  ``vars``,
+the sorted variables that occur, is derived from the terms.  Disjointness
+checks, where they matter, live at the matrix-factorization level.
 
-Arithmetic between polynomials over different registries silently merges the
-registries (a sorted union with exponent realignment); disjointness checks,
-where they matter, live at the matrix-factorization level, not here.
+Term order is observable in three places only: the printer, ``divide_exact``
+(which takes leading terms) and the unknown order of the homotopy solver.
+Each converts terms to dense exponent vectors over sorted variables with
+``Polynomial.dense_terms`` and orders those graded-lex.
 
 Besides ring operations this module provides:
 
@@ -32,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -82,50 +86,27 @@ def _check_coeff(c) -> Fraction:
     return Fraction(c)
 
 
-def _canonical(vars_t, terms):
-    """Normalize (vars, terms) to the unique canonical representation."""
-    vars_t = tuple(vars_t)
-    if len(set(vars_t)) != len(vars_t):
-        raise ValueError("duplicate variables in registry")
-    nv = len(vars_t)
-    # Accumulate with padded keys first; inputs may mix trimmed/untrimmed.
-    acc: dict = {}
-    for mono, c in terms.items():
-        c = _check_coeff(c)
-        if not c:
-            continue
-        mono = tuple(mono)
-        if len(mono) > nv:
-            raise ValueError("exponent vector longer than registry")
-        if any(e < 0 for e in mono):
-            raise ValueError("negative exponent")
-        padded = mono + (0,) * (nv - len(mono))
-        acc[padded] = acc.get(padded, Fraction(0)) + c
-    acc = {m: c for m, c in acc.items() if c}
-    # Shrink the registry to the variables actually used, sorted.
-    used = sorted(
-        {vars_t[pos] for m in acc for pos, e in enumerate(m) if e}
-    )
-    idx = {v: i for i, v in enumerate(vars_t)}
-    new_positions = [idx[v] for v in used]
-    out: dict = {}
-    for m, c in acc.items():
-        new = tuple(m[p] for p in new_positions)
-        while new and new[-1] == 0:
-            new = new[:-1]
-        out[new] = c
-    return tuple(used), out
+def _mono_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two monomials: exponents of shared variables add."""
+    if not a:
+        return b
+    if not b:
+        return a
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
 
 
 class Polynomial:
-    """Immutable sparse polynomial in canonical form."""
+    """Immutable sparse polynomial: ``terms`` maps monomials to coefficients."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, vars: Iterable[Variable] = (), terms: Mapping = None):
-        cvars, cterms = _canonical(vars, terms or {})
-        object.__setattr__(self, "vars", cvars)
-        object.__setattr__(self, "terms", cterms)
+    def __init__(self, terms: Mapping = None):
+        """Keys must be monomials and values Fractions; zeros are dropped."""
+        object.__setattr__(
+            self, "terms", {m: c for m, c in (terms or {}).items() if c})
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -138,13 +119,38 @@ class Polynomial:
 
     @staticmethod
     def const(c: Scalar) -> "Polynomial":
-        return Polynomial((), {(): _check_coeff(c)})
+        return Polynomial({(): _check_coeff(c)})
 
     @staticmethod
     def var(v: Variable) -> "Polynomial":
-        return Polynomial((v,), {(1,): Fraction(1)})
+        return Polynomial({((v, 1),): Fraction(1)})
+
+    @staticmethod
+    def from_dense(variables: tuple, terms: Mapping) -> "Polynomial":
+        """Inverse of ``dense_terms`` over the same sorted ``variables``."""
+        return Polynomial({
+            tuple((v, e) for v, e in zip(variables, vec) if e): c
+            for vec, c in terms.items()
+        })
 
     # -- structure ---------------------------------------------------------
+
+    @property
+    def vars(self) -> tuple:
+        """The variables that occur, sorted."""
+        return tuple(sorted({v for m in self.terms for v, _ in m}))
+
+    def dense_terms(self, variables: tuple) -> dict:
+        """``terms`` keyed by exponent vectors over ``variables``, a sorted
+        tuple containing ``vars``; graded-lex order compares these vectors."""
+        index = {v: i for i, v in enumerate(variables)}
+        out = {}
+        for mono, c in self.terms.items():
+            vec = [0] * len(variables)
+            for v, e in mono:
+                vec[index[v]] = e
+            out[tuple(vec)] = c
+        return out
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -154,14 +160,14 @@ class Polynomial:
             other = Polynomial.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
+        return max((sum(e for _, e in m) for m in self.terms), default=-1)
 
     def constant_value(self) -> Fraction:
         """The coefficient of the empty monomial."""
@@ -170,18 +176,16 @@ class Polynomial:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
-        other = as_poly(other)
-        vars_m = tuple(sorted(set(self.vars) | set(other.vars)))
-        acc = _aligned(self, vars_m)
-        for m, c in _aligned(other, vars_m).items():
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return Polynomial(vars_m, acc)
+        acc = dict(self.terms)
+        for m, c in as_poly(other).terms.items():
+            acc[m] = acc.get(m, 0) + c
+        return Polynomial(acc)
 
     def __radd__(self, other) -> "Polynomial":
         return self.__add__(other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.vars, {m: -c for m, c in self.terms.items()})
+        return Polynomial({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self.__add__(-as_poly(other))
@@ -192,17 +196,14 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             c = _check_coeff(other)
-            return Polynomial(self.vars, {m: cc * c for m, cc in self.terms.items()})
+            return Polynomial({m: cc * c for m, cc in self.terms.items()})
         other = as_poly(other)
-        vars_m = tuple(sorted(set(self.vars) | set(other.vars)))
-        ta = _aligned(self, vars_m)
-        tb = _aligned(other, vars_m)
         acc: dict = {}
-        for m1, c1 in ta.items():
-            for m2, c2 in tb.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(vars_m, acc)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = _mono_mul(m1, m2)
+                acc[m] = acc.get(m, 0) + c1 * c2
+        return Polynomial(acc)
 
     def __rmul__(self, other) -> "Polynomial":
         return self.__mul__(other)
@@ -236,35 +237,8 @@ def as_poly(x) -> Polynomial:
     raise TypeError(f"cannot treat {type(x).__name__} as a polynomial")
 
 
-def _aligned(p: Polynomial, vars_m) -> dict:
-    """Re-key p.terms to full-length exponent vectors over vars_m ⊇ p.vars."""
-    idx = {v: i for i, v in enumerate(vars_m)}
-    n = len(vars_m)
-    out = {}
-    for mono, c in p.terms.items():
-        new = [0] * n
-        for pos, e in enumerate(mono):
-            if e:
-                new[idx[p.vars[pos]]] = e
-        out[tuple(new)] = c
-    return out
-
-
 def _grlex(m) -> tuple:
     return (sum(m), m)
-
-
-def arith(op: str, a: Polynomial, b=None) -> Polynomial:
-    """Dispatcher form of the ring operations: add | neg | mul | scalar_mul."""
-    if op == "add":
-        return a + b
-    if op == "neg":
-        return -a
-    if op == "mul":
-        return a * b
-    if op == "scalar_mul":
-        return a * _check_coeff(b)
-    raise ValueError(f"unknown arith op {op!r}")
 
 
 def substitute(f: Polynomial, mapping: Mapping[Variable, object]) -> Polynomial:
@@ -273,13 +247,10 @@ def substitute(f: Polynomial, mapping: Mapping[Variable, object]) -> Polynomial:
     out = Polynomial.zero()
     for mono, c in f.terms.items():
         acc = Polynomial.const(c)
-        for pos, e in enumerate(mono):
-            if not e:
-                continue
-            v = f.vars[pos]
+        for v, e in mono:
             base = subs.get(v)
             if base is None:
-                acc = acc * Polynomial((v,), {(e,): Fraction(1)})
+                acc = acc * Polynomial({((v, e),): Fraction(1)})
             else:
                 acc = acc * base ** e
         out = out + acc
@@ -291,8 +262,8 @@ def divide_exact(num: Polynomial, den: Polynomial) -> Polynomial:
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
     vars_m = tuple(sorted(set(num.vars) | set(den.vars)))
-    nt = {m: c for m, c in _aligned(num, vars_m).items()}
-    dt = _aligned(den, vars_m)
+    nt = num.dense_terms(vars_m)
+    dt = den.dense_terms(vars_m)
     dlead = max(dt, key=_grlex)
     dc = dt[dlead]
     q: dict = {}
@@ -315,12 +286,13 @@ def divide_exact(num: Polynomial, den: Polynomial) -> Polynomial:
             r[lead] = c
             del nt[lead]
     if r:
-        raise InexactDivision(Polynomial(vars_m, r), Polynomial(vars_m, q))
-    return Polynomial(vars_m, q)
+        raise InexactDivision(Polynomial.from_dense(vars_m, r),
+                              Polynomial.from_dense(vars_m, q))
+    return Polynomial.from_dense(vars_m, q)
 
 
 def unprimed_vars(f: Polynomial) -> tuple:
-    """The sorted prime-level-0 variables of f's registry."""
+    """The sorted prime-level-0 variables that occur in f."""
     return tuple(v for v in f.vars if v.prime_level == 0)
 
 
@@ -360,34 +332,13 @@ def derivative(f: Polynomial, v: Variable) -> Polynomial:
     Coincides with the difference quotient collapsed to the diagonal
     x' = x (a property test pins the two against each other).
     """
-    if v not in f.vars:
-        return Polynomial.zero()
-    pos = f.vars.index(v)
     acc = {}
     for mono, c in f.terms.items():
-        if pos >= len(mono) or mono[pos] == 0:
-            continue
-        new = list(mono)
-        new[pos] -= 1
-        key = tuple(new)
-        acc[key] = acc.get(key, Fraction(0)) + c * mono[pos]
-    return Polynomial(f.vars, acc)
-
-
-@dataclass(frozen=True)
-class DiffQuotientResult:
-    """A difference quotient together with the index it was taken at.
-
-    Invariant: (x_i - x_i') * quotient == (t_1..t_{i-1} f) - (t_1..t_i f).
-    """
-
-    quotient: Polynomial
-    index: int
-
-    @staticmethod
-    def compute(f: Polynomial, i: int, xvars=None) -> "DiffQuotientResult":
-        return DiffQuotientResult(diff_quotient(f, i, xvars), i)
-
+        for pos, (u, e) in enumerate(mono):
+            if u == v:
+                lowered = ((u, e - 1),) if e > 1 else ()
+                acc[mono[:pos] + lowered + mono[pos + 1:]] = c * e
+    return Polynomial(acc)
 
 # -- parsing ---------------------------------------------------------------
 
@@ -429,16 +380,16 @@ def _tokenize(text: str):
     return toks
 
 
-def _declared_checker(registry):
+def _declared_checker(declared):
     exact = set()
     bases = set()
-    for item in registry:
+    for item in declared:
         if isinstance(item, Variable):
             exact.add(item)
         elif isinstance(item, str):
             bases.add(item)
         else:
-            raise TypeError("registry entries must be Variable or str")
+            raise TypeError("declared entries must be Variable or str")
     def ok(v: Variable) -> bool:
         return v in exact or (v.name in bases and v.prime_level <= 1)
     return ok
@@ -529,16 +480,20 @@ class _Parser:
         return Fraction(numerator)
 
 
-def parse_poly(text: str, registry) -> Polynomial:
+def parse_poly(text: str, declared) -> Polynomial:
     """Parse the expression grammar; every variable must be declared.
 
-    ``registry`` is an iterable of Variables and/or base-name strings; a
+    ``declared`` is an iterable of Variables and/or base-name strings; a
     string declares the unprimed variable and implicitly admits its primed
     twin (prime level 1).
     """
     toks = _tokenize(text)
-    parser = _Parser(toks, len(text), _declared_checker(registry))
-    result = parser.parse_expr()
+    parser = _Parser(toks, len(text), _declared_checker(declared))
+    try:
+        result = parser.parse_expr()
+    except RecursionError:
+        pos = parser._peek()[2]
+        raise PolyParseError("expression nested too deeply", pos) from None
     parser.expect_end()
     return result
 
@@ -559,20 +514,15 @@ def poly_to_str(f: Polynomial) -> str:
     """
     if not f.terms:
         return "0"
-    n = len(f.vars)
-
-    def key(m):
-        return (sum(m), m + (0,) * (n - len(m)))
-
+    variables = f.vars
+    dense = f.dense_terms(variables)
     parts = []
-    for idx, mono in enumerate(sorted(f.terms, key=key, reverse=True)):
-        c = f.terms[mono]
+    for idx, mono in enumerate(sorted(dense, key=_grlex, reverse=True)):
+        c = dense[mono]
         factors = []
-        for pos, e in enumerate(mono):
-            if e == 0:
-                continue
-            v = str(f.vars[pos])
-            factors.append(v if e == 1 else f"{v}^{e}")
+        for v, e in zip(variables, mono):
+            if e:
+                factors.append(str(v) if e == 1 else f"{v}^{e}")
         varpart = "*".join(factors)
         mag = abs(c)
         if varpart and mag == 1:

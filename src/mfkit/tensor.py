@@ -55,9 +55,6 @@ class Variant(enum.Enum):
                          f"{[v.value for v in cls]}")
 
 
-VariantTag = Variant
-
-
 def _require_disjoint(x: MatrixFactorization, y: MatrixFactorization) -> None:
     shared = set(x.vars) & set(y.vars)
     if shared:

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -99,6 +100,25 @@ def test_unit_command(files, capsys):
 
 def test_unit_bad_potential(files, capsys):
     assert run(["unit", "--potential", "x +", "--vars", "x"]) == 2
+
+
+def test_unit_deeply_nested_potential_is_a_parse_error(capsys):
+    nested = "(" * 2000 + "x" + ")" * 2000
+    assert run(["unit", "--potential", nested, "--vars", "x"]) == 2
+    assert capsys.readouterr().err.startswith("error: expression nested too deeply")
+
+
+@pytest.mark.parametrize("doc", [
+    {"vars": ["x"], "potential": "x", "P": [[1]], "Q": [["x"]]},
+    {"vars": ["x"], "potential": 0, "P": [["0"]], "Q": [["0"]]},
+    {"vars": ["x", "x"], "potential": "x", "P": [["1"]], "Q": [["x"]]},
+], ids=["non_string_entry", "non_string_potential", "repeated_vars"])
+def test_validate_rejects_malformed_document(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_unitor_right(files, capsys):

@@ -47,6 +47,11 @@ def polys(draw, variables=(X, Y), max_deg=3):
 def test_print_canonical_order():
     f = PX + PY ** 2 + 3
     assert poly_to_str(f) == "y^2 + x + 3"
+    # graded-lex over dense exponent vectors, not over (variable, exponent)
+    # pairs, which would put y^2 before x*z and x'^2 before x*y'
+    assert poly_to_str(PY ** 2 + PX * PZ) == "x*z + y^2"
+    text = "x*y' + x'^2 + y"
+    assert poly_to_str(parse_poly(text, ["x", "y"])) == text
 
 
 def test_print_leading_negative_keeps_factor():
@@ -181,6 +186,20 @@ def test_equality_with_numbers():
     assert Polynomial.const(3) == 3
     assert Polynomial.const(Fraction(1, 2)) == Fraction(1, 2)
     assert PX != 3
+
+
+def test_float_scalars_are_refused():
+    with pytest.raises(TypeError):
+        Polynomial.const(0.5)
+    with pytest.raises(TypeError):
+        PX * 0.5
+    with pytest.raises(TypeError):
+        PX + 0.5
+
+
+def test_vars_are_the_variables_that_occur():
+    assert (PX * PZ + PY).vars == (X, Y, Z)
+    assert ((PX + PY) - PY).vars == (X,)
 
 
 def test_hash_follows_equality():
