@@ -9,12 +9,18 @@ lambda = (lambda0: X_even -> Y_odd, lambda1: X_odd -> Y_even) with
 `check_witness` evaluates both residuals exactly.  `find_witness` searches
 for lambda with entries of bounded total degree: each candidate entry is a
 linear combination of all monomials up to the bound with unknown rational
-coefficients, the two equations become an exact linear system, and the
-system is solved by deterministic Gauss-Jordan elimination over Fraction
-(pivot = first nonzero in fixed unknown order; free unknowns pinned to 0).
-A found witness is re-checked before it is returned.  `NotFoundWithinDegree`
-only ever means "no witness with entries of this degree" -- nothing about
-higher degrees.
+coefficients, and the two equations become an exact linear system over
+Fraction.  An unknown is the tuple (b, i, j, k): the coefficient of the k-th
+monomial, in graded-lex order, of entry [i][j] of lambda_b.  Each equation
+row stays sparse, {unknown: coeff} with its right-hand side, from assembly
+to solution.  The solve is a reduced row echelon form whose pivot is always
+the smallest unknown of a row, with free unknowns pinned to 0.  That form is
+unique, so the witness does not depend on row order and its printed bytes
+are stable; a cheaper pivot choice (Markowitz) would change which unknowns
+are free, and so the witness.  A found witness is re-checked before it is
+returned.  `NotFoundWithinDegree` only ever means "no witness with entries
+of this degree" -- nothing about higher degrees; it names the system's size,
+its rank and the first inconsistent equation.
 """
 
 from __future__ import annotations
@@ -29,15 +35,15 @@ from .matfac import (
     ShapeMismatch,
     zero_morphism,
 )
-from .poly import Polynomial
+from .poly import Polynomial, poly_to_str
 
 
 class NotFoundWithinDegree(Exception):
-    def __init__(self, max_degree: int):
+    def __init__(self, max_degree: int, detail: str):
         self.max_degree = max_degree
         super().__init__(
             f"no homotopy witness with entry degree <= {max_degree} "
-            "(no claim about higher degrees)"
+            f"(no claim about higher degrees): {detail}"
         )
 
 
@@ -102,51 +108,47 @@ def _monomials_up_to(nvars: int, degree: int) -> list:
     return monos
 
 
+def _sub_scaled(row: list, f: Fraction, other: list) -> None:
+    """``row -= f * other`` in place; a row is ``[{unknown: coeff}, rhs]``."""
+    coeffs = row[0]
+    for u, c in other[0].items():
+        v = coeffs.pop(u, 0) - f * c
+        if v:
+            coeffs[u] = v
+    row[1] -= f * other[1]
+
+
 def _solve_gauss_jordan(rows, nunknowns: int):
-    """Exact solve; returns a full solution vector with free unknowns = 0,
-    or None when the system is inconsistent."""
-    rows = [r for r in rows if any(r[0]) or r[1]]
-    rank = 0
-    pivot_cols = []
-    for col in range(nunknowns):
-        piv = None
-        for k in range(rank, len(rows)):
-            if rows[k][0][col]:
-                piv = k
-                break
-        if piv is None:
+    """Exact sparse solve of ``rows``, a list of ``({unknown: coeff}, rhs)``;
+    an unknown that no row names is free.  The elimination does not need
+    ``nunknowns``, the size of the system; ``bench/tracer.py`` reads it here.
+
+    Returns ``(solution, rank, bad)``.  ``solution`` maps each pivot unknown
+    to its value (free unknowns are 0) and ``bad`` is None; or the system is
+    inconsistent, ``solution`` is None and ``bad`` is the index of the first
+    row that reduces to ``0 = rhs != 0``, with ``rank`` the rank before it.
+    """
+    pivots = {}  # pivot unknown -> normalized row, free of other pivots
+    for n, (coeffs, rhs) in enumerate(rows):
+        row = [{u: c for u, c in coeffs.items() if c}, rhs]
+        for u in [u for u in row[0] if u in pivots]:
+            _sub_scaled(row, row[0][u], pivots[u])
+        if not row[0]:
+            if row[1]:
+                return None, len(pivots), n
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        coeffs, rhs = rows[rank]
-        inv = Fraction(1) / coeffs[col]
-        coeffs = [c * inv for c in coeffs]
-        rhs = rhs * inv
-        rows[rank] = (coeffs, rhs)
-        for k in range(len(rows)):
-            if k == rank or not rows[k][0][col]:
-                continue
-            f = rows[k][0][col]
-            rows[k] = (
-                [a - f * b for a, b in zip(rows[k][0], coeffs)],
-                rows[k][1] - f * rhs,
-            )
-        pivot_cols.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    for coeffs, rhs in rows[rank:]:
-        if rhs and not any(coeffs):
-            return None
-    # Inconsistency can also hide in unreduced rows below the rank when we
-    # broke early; re-scan everything against the solution instead.
-    sol = [Fraction(0)] * nunknowns
-    for r, col in enumerate(pivot_cols):
-        sol[col] = rows[r][1]
-    for coeffs, rhs in rows:
-        acc = sum((c * s for c, s in zip(coeffs, sol) if c), Fraction(0))
-        if acc != rhs:
-            return None
-    return sol
+        p = min(row[0])
+        inv = Fraction(1) / row[0][p]
+        row = [{u: c * inv for u, c in row[0].items()}, row[1] * inv]
+        for other in pivots.values():
+            if p in other[0]:
+                _sub_scaled(other, other[0][p], row)
+        pivots[p] = row
+    sol = {p: rhs for p, (_, rhs) in pivots.items()}
+    for n, (coeffs, rhs) in enumerate(rows):
+        if sum(c * sol.get(u, 0) for u, c in coeffs.items()) != rhs:
+            raise RuntimeError(f"internal: solution fails equation {n}")
+    return sol, len(pivots), None
 
 
 def find_witness(
@@ -163,38 +165,28 @@ def find_witness(
     vars_m = tuple(sorted(set(x.vars) | set(y.vars)))
     monos = _monomials_up_to(len(vars_m), max_degree)
     ny, nxs = y.size, x.size
-
-    index = {}
-    for b in (0, 1):
-        for i in range(ny):
-            for j in range(nxs):
-                for mo in monos:
-                    index[(b, i, j, mo)] = len(index)
-    nunknowns = len(index)
+    nunknowns = 2 * ny * nxs * len(monos)
 
     def known(poly: Polynomial) -> dict:
         return poly.dense_terms(vars_m)
 
-    # eq_terms: per matrix entry of each equation, a map
-    #   result monomial -> {unknown -> coeff}
-    def accumulate(eq, kpoly, b, ur, uc, left: bool):
-        # left: known * unknown(b, ur, uc); else unknown * known.
+    def accumulate(eq, kpoly, b, ur, uc):
+        """Add kpoly times the unknown entry (b, ur, uc) to eq, a map
+        result monomial -> {unknown (b, ur, uc, k): coeff}."""
         for km, kc in known(kpoly).items():
-            for mo in monos:
+            for k, mo in enumerate(monos):
                 res = tuple(a + c for a, c in zip(km, mo))
-                eq.setdefault(res, {})
-                idx = index[(b, ur, uc, mo)]
-                eq[res][idx] = eq[res].get(idx, Fraction(0)) + kc
+                terms = eq.setdefault(res, {})
+                terms[(b, ur, uc, k)] = terms.get((b, ur, uc, k), 0) + kc
 
     rows = []
+    where = []  # per row: (part, i, j, result monomial), for diagnostics
 
-    def emit(eq, rhs_poly):
+    def emit(eq, rhs_poly, part, i, j):
         rhs = known(rhs_poly)
-        for res in set(eq) | set(rhs):
-            coeffs = [Fraction(0)] * nunknowns
-            for idx, c in eq.get(res, {}).items():
-                coeffs[idx] = c
-            rows.append((coeffs, rhs.get(res, Fraction(0))))
+        for res in sorted(set(eq) | set(rhs)):
+            rows.append((eq.get(res, {}), rhs.get(res, Fraction(0))))
+            where.append((part, i, j, res))
 
     d_alpha = mx.sub(psi.alpha, phi.alpha)
     d_beta = mx.sub(psi.beta, phi.beta)
@@ -203,31 +195,31 @@ def find_witness(
             # even equation entry (i, j): sum_k qY[i,k] l0[k,j] + l1[i,k] pX[k,j]
             eq = {}
             for k in range(ny):
-                accumulate(eq, y.q[i][k], 0, k, j, left=True)
+                accumulate(eq, y.q[i][k], 0, k, j)
             for k in range(nxs):
-                accumulate(eq, x.p[k][j], 1, i, k, left=False)
-            emit(eq, d_alpha[i][j])
+                accumulate(eq, x.p[k][j], 1, i, k)
+            emit(eq, d_alpha[i][j], "even", i, j)
             # odd equation entry (i, j): sum_k pY[i,k] l1[k,j] + l0[i,k] qX[k,j]
             eq = {}
             for k in range(ny):
-                accumulate(eq, y.p[i][k], 1, k, j, left=True)
+                accumulate(eq, y.p[i][k], 1, k, j)
             for k in range(nxs):
-                accumulate(eq, x.q[k][j], 0, i, k, left=False)
-            emit(eq, d_beta[i][j])
+                accumulate(eq, x.q[k][j], 0, i, k)
+            emit(eq, d_beta[i][j], "odd", i, j)
 
-    sol = _solve_gauss_jordan(rows, nunknowns)
+    sol, rank, bad = _solve_gauss_jordan(rows, nunknowns)
     if sol is None:
-        raise NotFoundWithinDegree(max_degree)
+        part, i, j, res = where[bad]
+        mono = poly_to_str(Polynomial.from_dense(vars_m, {res: Fraction(1)}))
+        raise NotFoundWithinDegree(max_degree, (
+            f"{nunknowns} unknowns, {len(rows)} equations, rank {rank} at the "
+            f"first inconsistent equation, {part} entry [{i}][{j}], monomial {mono}"))
 
     def rebuild(b):
-        out = []
-        for i in range(ny):
-            row = []
-            for j in range(nxs):
-                terms = {mo: sol[index[(b, i, j, mo)]] for mo in monos}
-                row.append(Polynomial.from_dense(vars_m, terms))
-            out.append(tuple(row))
-        return tuple(out)
+        return tuple(tuple(
+            Polynomial.from_dense(vars_m, {mo: sol.get((b, i, j, k), 0)
+                                           for k, mo in enumerate(monos)})
+            for j in range(nxs)) for i in range(ny))
 
     witness = HomotopyWitness(
         lambda0=rebuild(0), lambda1=rebuild(1), max_degree=max_degree

@@ -352,6 +352,10 @@ class UndeclaredVariable(PolyParseError):
     pass
 
 
+# ``**`` multiplies once per unit of exponent, so the parser refuses larger
+# exponents rather than run for a time proportional to them.
+MAX_EXPONENT = 1000
+
 _TOKEN_RE = re.compile(
     r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*'*)|(?P<op>[-+*^()/])"
 )
@@ -437,7 +441,11 @@ class _Parser:
             kind, val, pos = self._next()
             if kind != "num":
                 raise PolyParseError("expected natural number after '^'", pos)
-            node = node ** int(val)
+            e = int(val)
+            if e > MAX_EXPONENT:
+                raise PolyParseError(
+                    f"exponent {e} is above the limit {MAX_EXPONENT}", pos)
+            node = node ** e
         return node
 
     def parse_base(self) -> Polynomial:

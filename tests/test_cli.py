@@ -108,6 +108,13 @@ def test_unit_deeply_nested_potential_is_a_parse_error(capsys):
     assert capsys.readouterr().err.startswith("error: expression nested too deeply")
 
 
+def test_unit_huge_exponent_is_a_parse_error(capsys):
+    assert run(["unit", "--potential", "x^1000000000", "--vars", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: exponent 1000000000 is above the limit")
+
+
 @pytest.mark.parametrize("doc", [
     {"vars": ["x"], "potential": "x", "P": [[1]], "Q": [["x"]]},
     {"vars": ["x"], "potential": 0, "P": [["0"]], "Q": [["0"]]},
@@ -160,7 +167,10 @@ def test_homotopy_not_found(files, capsys):
     code = run(["homotopy", "--max-degree", "2", files["m"],
                 "--phi", "id", "--psi", "zero"])
     assert code == 1
-    assert "no homotopy witness" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no homotopy witness" in captured.err
+    assert "first inconsistent equation, even entry [0][0], monomial 1" in captured.err
 
 
 def test_homotopy_two_files(files, capsys):

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from mfkit import matrices as mx
+from mfkit.cli import run
 from mfkit.homotopy import (
     HomotopyWitness,
     NotFoundWithinDegree,
+    _solve_gauss_jordan,
     check_witness,
     find_witness,
     is_null_homotopic,
@@ -18,13 +20,15 @@ from mfkit.matfac import (
     make_factorization,
     scalar_morphism,
     validate_morphism,
+    serialize_factorization,
     zero_morphism,
     Morphism,
 )
-from mfkit.poly import Polynomial
+from mfkit.poly import Polynomial, derivative
+from mfkit.tensor import Variant, yoshino
 from mfkit.unit import unitor_right
 
-from conftest import PX, PZ, X, Z, rand_poly
+from conftest import PX, PY, PZ, X, Y, Z, rand_poly
 
 R = make_factorization([[1]], [[PX]], PX)
 M = make_factorization([[0, PX], [PX ** 2, 0]], [[0, PX], [PX ** 2, 0]],
@@ -130,6 +134,20 @@ def test_identity_on_nontrivial_pair_not_found():
     assert "no claim" in str(err.value)
 
 
+def test_not_found_names_the_system_and_first_inconsistent_equation():
+    # Two constant unknowns l0, l1; the even entry reads x*l0 + l1*x = x^2 + x.
+    # Its x term, l0 + l1 = 1, has rank 1; its x^2 term, 0 = 1, fails.
+    a = make_factorization([[PX]], [[PX]], PX ** 2)
+    phi = scalar_morphism(PX ** 2 + PX, a)
+    with pytest.raises(NotFoundWithinDegree) as err:
+        find_witness(a, a, zero_morphism(a), phi, 0)
+    assert str(err.value) == (
+        "no homotopy witness with entry degree <= 0 (no claim about higher "
+        "degrees): 2 unknowns, 4 equations, rank 1 at the first inconsistent "
+        "equation, even entry [0][0], monomial x^2"
+    )
+
+
 def test_is_null_homotopic_returns_flag_and_witness():
     found, w = is_null_homotopic(M, M, identity_morphism(M), 2)
     assert not found
@@ -218,3 +236,155 @@ def test_witness_stable_under_null_homotopic_shift():
             w, HomotopyWitness(lambda0=mu0, lambda1=mu1, max_degree=0)
         )
         assert check_witness(M, M, phi, shifted, w_shift).ok
+
+
+# ---------------------------------------------------------------------------
+# the sparse solver, on hand-written and seeded random systems
+
+
+def satisfies(rows, sol):
+    return all(
+        sum(c * sol.get(u, 0) for u, c in coeffs.items()) == rhs
+        for coeffs, rhs in rows
+    )
+
+
+def test_solver_inconsistency_after_the_rank_is_reached():
+    rows = [({0: 1}, 1), ({0: 1}, 2)]
+    assert _solve_gauss_jordan(rows, 1) == (None, 1, 1)
+
+
+def test_solver_dependent_duplicate_rows():
+    rows = [({0: 1, 1: 1}, 2), ({0: 1, 1: 1}, 2), ({0: 2, 1: 2}, 4)]
+    assert _solve_gauss_jordan(rows, 2) == ({0: 2}, 1, None)
+
+
+def test_solver_underdetermined_pivots_leftmost_free_unknowns_zero():
+    rows = [({0: 1, 1: 1}, 2), ({1: 1, 2: 1}, 3)]
+    assert _solve_gauss_jordan(rows, 3) == ({0: -1, 1: 3}, 2, None)
+
+
+def test_solver_ignores_zero_coefficients():
+    rows = [({0: 0, 1: 2}, 4), ({}, 0)]
+    assert _solve_gauss_jordan(rows, 2) == ({1: 2}, 1, None)
+
+
+def random_system(rng, nunknowns, nrows):
+    """Sparse rows with rhs = A*s for a random s: consistent by design."""
+    s = {u: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for u in range(nunknowns)}
+    rows = []
+    for _ in range(nrows):
+        coeffs = {u: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+                  for u in rng.sample(range(nunknowns), rng.randint(1, min(4, nunknowns)))}
+        rows.append((coeffs, sum(c * s[u] for u, c in coeffs.items())))
+    return rows
+
+
+def combination(rng, rows):
+    """A random combination of two or three of the rows, as one row."""
+    coeffs, rhs = {}, Fraction(0)
+    for c, r in rng.sample(rows, min(len(rows), rng.randint(2, 3))):
+        f = Fraction(rng.choice([-2, -1, 1, 3]))
+        for u, a in c.items():
+            coeffs[u] = coeffs.get(u, 0) + f * a
+        rhs += f * r
+    return coeffs, rhs
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_solver_random_consistent_systems(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 14)
+    rows = random_system(rng, n, rng.randint(2, 18))
+    rows.append(combination(rng, rows))
+    sol, rank, bad = _solve_gauss_jordan(rows, n)
+    assert bad is None and satisfies(rows, sol)
+    assert rank == len(sol) <= n
+    # the reduced form is unique, so the row order does not matter
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    assert _solve_gauss_jordan(shuffled, n) == (sol, rank, None)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_solver_random_inconsistent_systems(seed):
+    rng = random.Random(100 + seed)
+    n = rng.randint(3, 14)
+    rows = random_system(rng, n, rng.randint(2, 18))
+    coeffs, rhs = combination(rng, rows)
+    rows.insert(rng.randint(0, len(rows)), (coeffs, rhs + rng.choice([-1, 1, Fraction(1, 2)])))
+    sol, _, bad = _solve_gauss_jordan(rows, n)
+    assert sol is None and bad is not None
+
+
+# ---------------------------------------------------------------------------
+# pinned witness bytes: the solver's pivot rule fixes the printed witness
+
+
+def test_readme_homotopy_witness_text(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(serialize_factorization(M))
+    assert run(["homotopy", str(path), "--phi", "scalar:x", "--psi", "zero",
+                "--max-degree", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "witness found (entry degree <= 2); re-check: ok\n"
+        "lambda0:\n"
+        "  [  0   0 ]\n"
+        "  [ -1   0 ]\n"
+        "lambda1:\n"
+        "  [  0   0 ]\n"
+        "  [ -1   0 ]\n"
+    )
+
+
+def test_size4_jacobian_witness_text():
+    u, v = PX + PY, PX * PX - 2 * PY
+    zero = Polynomial.zero()
+    anti = [[zero, u], [v, zero]]
+    a = make_factorization(anti, anti, u * v)
+    b = make_factorization([[PZ - 1]], [[Fraction(1, 2) * PZ ** 2]],
+                           (PZ - 1) * Fraction(1, 2) * PZ ** 2)
+    x4 = yoshino(a, b, Variant.STANDARD)
+    phi = scalar_morphism(derivative(x4.potential, X), x4)
+    w = find_witness(x4, x4, phi, zero_morphism(x4), 2)
+    text = [[str(e) for e in row] for row in w.lambda0 + w.lambda1]
+    block = [["0", "-1", "0", "0"], ["-2*x", "0", "0", "0"],
+             ["0", "0", "0", "-1"], ["0", "0", "-2*x", "0"]]
+    assert text == block + block
+
+
+# ---------------------------------------------------------------------------
+# Jacobian null-homotopy oracle: d(PQ) = d(w) makes (d_v P, d_v Q) a witness
+# for d_v w * id ~ 0 (Dyckerhoff, Compact generators in categories of matrix
+# factorizations, 2011).
+
+
+def random_rank1(rng, v):
+    u = rand_poly(rng, (v,), nonzero=True)
+    w = rand_poly(rng, (v,), nonzero=True)
+    return make_factorization([[u]], [[w]], u * w)
+
+
+def random_product(rng, size):
+    variants = list(Variant)
+    x = yoshino(random_rank1(rng, X), random_rank1(rng, Y), rng.choice(variants))
+    if size == 4:
+        x = yoshino(x, random_rank1(rng, Z), rng.choice(variants))
+    return x
+
+
+@pytest.mark.parametrize("size", [2, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_jacobian_null_homotopy_oracle(size, seed):
+    x = random_product(random.Random(1000 * size + seed), size)
+    assert x.size == size
+    zero = zero_morphism(x)
+    for v in x.vars:
+        phi = scalar_morphism(derivative(x.potential, v), x)
+        dp = mx.from_rows([[derivative(e, v) for e in row] for row in x.p])
+        dq = mx.from_rows([[derivative(e, v) for e in row] for row in x.q])
+        degree = max(0, max(e.degree() for m in (dp, dq) for row in m for e in row))
+        oracle = HomotopyWitness(lambda0=dp, lambda1=dq, max_degree=degree)
+        assert check_witness(x, x, zero, phi, oracle).ok
+        w = find_witness(x, x, zero, phi, degree)
+        assert check_witness(x, x, zero, phi, w).ok

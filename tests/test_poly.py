@@ -103,6 +103,14 @@ def test_parse_error_carries_position():
     assert err.value.position is not None
 
 
+def test_parse_caps_the_exponent():
+    assert parse_poly("x^1000", ["x"]) == PX ** 1000
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("y + x^1001", ["x", "y"])
+    assert err.value.position == 6
+    assert "1001" in str(err.value)
+
+
 def test_parse_rejects_zero_denominator():
     with pytest.raises(PolyParseError):
         parse_poly("1/0", ["x"])
