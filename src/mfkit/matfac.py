@@ -88,12 +88,12 @@ def _collect_vars(mats, potential, extra):
 
 
 def _check_product(name: str, prod, potential: Polynomial, n: int) -> None:
+    zero = Polynomial.zero()
     for i in range(n):
         for j in range(n):
-            expected = potential if i == j else Polynomial.zero()
-            residual = prod[i][j] - expected
-            if residual:
-                raise NotAFactorization(name, i, j, residual)
+            expected = potential if i == j else zero
+            if prod[i][j] != expected:
+                raise NotAFactorization(name, i, j, prod[i][j] - expected)
 
 
 def make_factorization(p, q, potential, extra_vars=None) -> MatrixFactorization:

@@ -1,9 +1,15 @@
-"""Dense matrices of polynomials, as immutable tuples of tuples.
+"""Matrices of polynomials, as immutable tuples of tuples.
 
 Plumbing for the factorization modules: exact products, Kronecker products
 in row-major block orientation ((A kron B)[i*m+r, j*m+s] = A[i,j]*B[r,s]),
-block assembly, and entrywise substitution.  Block ranks stay small (<= 2^6)
-so nothing here tries to be clever.
+block assembly, and entrywise substitution.
+
+The matrices the constructions build -- Kronecker-with-identity blocks,
+Koszul differentials, unitor chunks -- are mostly zeros, so the kernels skip
+zero entries: ``mul`` multiplies only nonzero pairs, and ``kron``, ``add``,
+``neg`` and ``scale`` put one shared zero polynomial wherever the result
+entry is zero by construction.  Polynomials are immutable and their form is
+unique, so the results equal the entry-by-entry ones exactly.
 """
 
 from __future__ import annotations
@@ -44,8 +50,10 @@ def scalar_matrix(n: int, c) -> Matrix:
 def add(a: Matrix, b: Matrix) -> Matrix:
     if shape(a) != shape(b):
         raise ValueError(f"shape mismatch {shape(a)} vs {shape(b)}")
+    z = Polynomial.zero()
     return tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+        tuple(x + y if x and y else x or y or z for x, y in zip(ra, rb))
+        for ra, rb in zip(a, b)
     )
 
 
@@ -54,12 +62,14 @@ def sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in a)
+    z = Polynomial.zero()
+    return tuple(tuple(-x if x else z for x in row) for row in a)
 
 
 def scale(a: Matrix, c) -> Matrix:
     c = as_poly(c)
-    return tuple(tuple(x * c for x in row) for row in a)
+    z = Polynomial.zero()
+    return tuple(tuple(x * c if x else z for x in row) for row in a)
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
@@ -67,28 +77,26 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"cannot multiply {shape(a)} by {shape(b)}")
-    bt = tuple(zip(*b)) if b else ()
+    z = Polynomial.zero()
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
-        out.append(
-            tuple(
-                sum((x * y for x, y in zip(row, col)), Polynomial.zero())
-                for col in bt
-            )
-        )
+        acc = [z] * cb
+        for x, b_row in zip(row, b_nonzero):
+            if x:
+                for j, y in b_row:
+                    acc[j] = acc[j] + x * y
+        out.append(tuple(acc))
     return tuple(out)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    out = []
-    for i in range(ra):
-        for r in range(rb):
-            out.append(
-                tuple(a[i][j] * b[r][s] for j in range(ca) for s in range(cb))
-            )
-    return tuple(out)
+    z = Polynomial.zero()
+    return tuple(
+        tuple(x * y if x and y else z for x in row_a for y in row_b)
+        for row_a in a
+        for row_b in b
+    )
 
 
 def block(rows_of_blocks) -> Matrix:

@@ -355,6 +355,10 @@ class UndeclaredVariable(PolyParseError):
 # ``**`` multiplies once per unit of exponent, so the parser refuses larger
 # exponents rather than run for a time proportional to them.
 MAX_EXPONENT = 1000
+# Longer number tokens are refused at their position; below the interpreter's
+# own limit on int/str conversion (4300 digits by default), so the outcome
+# does not depend on it.
+MAX_DIGITS = 4000
 
 _TOKEN_RE = re.compile(
     r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*'*)|(?P<op>[-+*^()/])"
@@ -441,7 +445,7 @@ class _Parser:
             kind, val, pos = self._next()
             if kind != "num":
                 raise PolyParseError("expected natural number after '^'", pos)
-            e = int(val)
+            e = self._number(val, pos)
             if e > MAX_EXPONENT:
                 raise PolyParseError(
                     f"exponent {e} is above the limit {MAX_EXPONENT}", pos)
@@ -456,10 +460,10 @@ class _Parser:
             if kind2 != "num":
                 raise PolyParseError("expected number after sign", pos2)
             self._next()
-            return Polynomial.const(-self._rational(int(val2), pos2))
+            return Polynomial.const(-self._rational(val2, pos2))
         if kind == "num":
             self._next()
-            return Polynomial.const(self._rational(int(val), pos))
+            return Polynomial.const(self._rational(val, pos))
         if kind == "name":
             self._next()
             v = Variable(val[0], val[1])
@@ -475,13 +479,23 @@ class _Parser:
             return node
         raise PolyParseError("expected a polynomial term", pos)
 
-    def _rational(self, numerator: int, pos: int) -> Fraction:
+    @staticmethod
+    def _number(token: str, pos: int) -> int:
+        """The value of a number token, refused above ``MAX_DIGITS`` digits."""
+        if len(token) > MAX_DIGITS:
+            raise PolyParseError(
+                f"number of {len(token)} digits is above the limit of "
+                f"{MAX_DIGITS} digits", pos)
+        return int(token)
+
+    def _rational(self, token: str, pos: int) -> Fraction:
+        numerator = self._number(token, pos)
         if self._peek()[0] == "/":
             self._next()
             kind, val, pos2 = self._next()
             if kind != "num":
                 raise PolyParseError("malformed rational", pos2)
-            den = int(val)
+            den = self._number(val, pos2)
             if den == 0:
                 raise PolyParseError("malformed rational (zero denominator)", pos2)
             return Fraction(numerator, den)

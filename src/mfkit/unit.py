@@ -7,7 +7,14 @@ acts on the exterior algebra over n generators: the differential is
 
 (see `exterior.koszul_diff`); reading off matrices in the subset bases
 ordered by (length, lex) -- empty word first -- gives a factorization of
-f(x) - f(x') with block rank 2^(n-1).
+f(x) - f(x') with block rank 2^(n-1).  `koszul_unit` writes those matrices
+straight from the word index maps: on a basis word, generator i either
+deletes itself (sign (-1)^pos, pos its 0-based position; coefficient
+x_i - x_i') or inserts itself (sign (-1)^#below, the count of word indices
+below i; coefficient d_i(f)).  So every column has exactly n nonzero
+entries, each a sign times one of the x_i - x_i' or the n difference
+quotients, all computed once per call.  `exterior.koszul_diff` stays as the
+oracle the tests compare it with.
 
 The right unitor for X (a factorization of g(z) - f(x)) is built by gluing
 that unit onto X:
@@ -51,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import matrices as mx
-from .exterior import ExtElement, even_words, koszul_diff, odd_words, theta_words
+from .exterior import even_words, odd_words, theta_words
 from .matfac import (
     MatrixFactorization,
     Morphism,
@@ -60,7 +67,14 @@ from .matfac import (
     make_factorization,
     make_morphism,
 )
-from .poly import Polynomial, Variable, derivative, substitute, unprimed_vars
+from .poly import (
+    Polynomial,
+    Variable,
+    derivative,
+    diff_quotient,
+    substitute,
+    unprimed_vars,
+)
 from .tensor import Variant, identify_vars, rename_vars, yoshino
 
 
@@ -81,7 +95,15 @@ class UnitFactorization:
 
 
 def koszul_unit(f: Polynomial, xvars=None) -> UnitFactorization:
-    """Matrices of the unit differential of f over doubled variables."""
+    """Matrices of the unit differential of f over doubled variables.
+
+    Column w of p (even word w -> odd words) and of q (odd -> even) holds the
+    image of w under the differential, written directly: for each generator
+    i, a deletion entry (-1)^pos * (x_i - x_i') at w minus i when i is in w,
+    otherwise an insertion entry (-1)^#below * d_i(f) at w plus i.  The
+    x_i - x_i' and the n difference quotients are computed once, and
+    ``exterior.koszul_diff`` applied to w gives the same column.
+    """
     xs = tuple(xvars) if xvars is not None else unprimed_vars(f)
     n = len(xs)
     if n < 1:
@@ -94,16 +116,34 @@ def koszul_unit(f: Polynomial, xvars=None) -> UnitFactorization:
         raise ValueError("potential uses variables outside the given list")
     ev = tuple(even_words(n))
     od = tuple(odd_words(n))
+    # (+, -) pairs of the deletion and insertion coefficients of generator i.
+    lin = []
+    dq = []
+    for i, x in enumerate(xs, start=1):
+        li = Polynomial.var(x) - Polynomial.var(x.primed())
+        di = diff_quotient(f, i, xs)
+        lin.append((li, -li))
+        dq.append((di, -di))
 
-    def column(word, out_words):
-        image = koszul_diff(f, ExtElement.word(n, word), xs)
-        return [image.coeff(w) for w in out_words]
+    def matrix(in_words, out_words):
+        row_of = {w: r for r, w in enumerate(out_words)}
+        z = Polynomial.zero()
+        out = [[z] * len(in_words) for _ in out_words]
+        for col, w in enumerate(in_words):
+            for i in range(1, n + 1):
+                if i in w:
+                    pos = w.index(i)
+                    image = w[:pos] + w[pos + 1:]
+                    entry = lin[i - 1][pos % 2]
+                else:
+                    below = sum(1 for j in w if j < i)
+                    image = w[:below] + (i,) + w[below:]
+                    entry = dq[i - 1][below % 2]
+                out[row_of[image]][col] = entry
+        return out
 
-    # p: even -> odd (columns = images of even basis words)
-    p_cols = [column(w, od) for w in ev]
-    q_cols = [column(w, ev) for w in od]
-    p = [[p_cols[j][i] for j in range(len(ev))] for i in range(len(od))]
-    q = [[q_cols[j][i] for j in range(len(od))] for i in range(len(ev))]
+    p = matrix(ev, od)
+    q = matrix(od, ev)
     primed = tuple(v.primed() for v in xs)
     potential = f - substitute(f, {v: Polynomial.var(v.primed()) for v in xs})
     mf = make_factorization(p, q, potential, extra_vars=xs + primed)

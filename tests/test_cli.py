@@ -115,6 +115,14 @@ def test_unit_huge_exponent_is_a_parse_error(capsys):
     assert captured.err.startswith("error: exponent 1000000000 is above the limit")
 
 
+@pytest.mark.parametrize("potential", ["5" * 5000 + "*x^3", "x^" + "5" * 5000])
+def test_unit_oversized_number_is_a_parse_error(capsys, potential):
+    assert run(["unit", "--potential", potential, "--vars", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: number of 5000 digits is above the limit")
+
+
 @pytest.mark.parametrize("doc", [
     {"vars": ["x"], "potential": "x", "P": [[1]], "Q": [["x"]]},
     {"vars": ["x"], "potential": 0, "P": [["0"]], "Q": [["0"]]},

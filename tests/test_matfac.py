@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,7 +23,8 @@ from mfkit.matfac import (
     validate_morphism,
     zero_morphism,
 )
-from mfkit.poly import Polynomial, Variable
+from mfkit.poly import Polynomial, Variable, poly_to_str
+from mfkit.tensor import yoshino
 
 from conftest import PX, PY, X, Y, rand_factorization, rand_poly
 
@@ -58,6 +60,34 @@ def test_rejects_wrong_potential():
     assert (e.which, e.row, e.col) == ("P*Q", 0, 0)
     assert e.residual == PX - PX ** 2
     assert "deviates" in str(e)
+
+
+def _size8_product():
+    a = make_factorization(M_BLOCKS, M_BLOCKS, PX ** 3)
+    half = PY * Fraction(2, 3)
+    b = make_factorization([[0, PY], [half, 0]], [[0, PY], [half, 0]], PY * half)
+    return yoshino(a, b)
+
+
+@pytest.mark.parametrize("matrix, row, col, want", [
+    ("P", 5, 2, ("P*Q", 5, 0, "1/2*x^2*y")),
+    ("Q", 5, 2, ("P*Q", 0, 2, "1/2*y^2")),
+    ("P", 0, 2, ("P*Q", 0, 0, "1/2*x^2*y")),
+    ("Q", 7, 7, ("P*Q", 2, 7, "1/2*y^2")),
+])
+def test_check_names_first_failing_entry(matrix, row, col, want):
+    # One corrupted entry breaks a whole row or column of the product; the
+    # error names the first broken entry in row-major order.
+    z = _size8_product()
+    assert z.size == 8
+    p, q = [list(r) for r in z.p], [list(r) for r in z.q]
+    corrupted = p if matrix == "P" else q
+    corrupted[row][col] = corrupted[row][col] + PY * Fraction(1, 2)
+    with pytest.raises(NotAFactorization) as err:
+        make_factorization(p, q, z.potential)
+    e = err.value
+    assert (e.which, e.row, e.col, poly_to_str(e.residual)) == want
+    assert str(e) == f"({want[0]})[{want[1]}][{want[2]}] deviates from the potential by {want[3]}"
 
 
 def test_rejects_one_sided_product():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfkit.poly import (
+    MAX_DIGITS,
     InexactDivision,
     PolyParseError,
     Polynomial,
@@ -109,6 +110,25 @@ def test_parse_caps_the_exponent():
         parse_poly("y + x^1001", ["x", "y"])
     assert err.value.position == 6
     assert "1001" in str(err.value)
+
+
+@pytest.mark.parametrize("template, position", [
+    ("{big}*x^3", 0),
+    ("x^{big}", 2),
+    ("-{big}", 1),
+    ("x + 1/{big}", 6),
+    ("({big} + x)", 1),
+])
+def test_parse_refuses_oversized_number_literals(template, position):
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(template.replace("{big}", "1" * 5000), ["x"])
+    assert err.value.position == position
+    assert f"5000 digits is above the limit of {MAX_DIGITS}" in str(err.value)
+
+
+def test_parse_accepts_numbers_up_to_the_digit_limit():
+    big = 10 ** MAX_DIGITS - 1
+    assert parse_poly(f"{big}*x + 1/{big}", ["x"]) == PX * big + Fraction(1, big)
 
 
 def test_parse_rejects_zero_denominator():

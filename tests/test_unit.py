@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from mfkit import matrices as mx
+from mfkit.exterior import ExtElement, koszul_diff
 from mfkit.matfac import (
     NotAMorphism,
     compose_morphisms,
@@ -69,6 +72,29 @@ def test_pi_row_annihilates_collapsed_differential(f, xs):
     collapse = {v.primed(): Polynomial.var(v) for v in xs}
     q_bar = mx.subs_matrix(u.mf.q, collapse)
     assert mx.is_zero(mx.mul(pi_row(u), q_bar))
+
+
+def _cubic_sum(n):
+    xs = tuple(Variable(f"x{i}") for i in range(1, n + 1))
+    f = Polynomial.zero()
+    for i, v in enumerate(xs, start=1):
+        f = f + Polynomial.var(v) ** 3 * Fraction(2 * i - 1, i + 1)
+    return f, xs
+
+
+@pytest.mark.parametrize("f, xs", [_cubic_sum(n) for n in range(1, 6)] + [
+    (PX ** 2 * PY - PY * PZ ** 2 + PZ ** 3 * Fraction(1, 3), (X, Y, Z)),
+], ids=[f"cubic-n{n}" for n in range(1, 6)] + ["mixed"])
+def test_unit_matrices_match_koszul_diff(f, xs):
+    # Entry [r][c] of p (q) is the coefficient of odd (even) word r in the
+    # Koszul differential of even (odd) word c.
+    u = koszul_unit(f, xs)
+    for mat, words_in, words_out in ((u.mf.p, u.basis_even, u.basis_odd),
+                                     (u.mf.q, u.basis_odd, u.basis_even)):
+        for c, w in enumerate(words_in):
+            image = koszul_diff(f, ExtElement.word(u.n, w), xs)
+            assert [mat[r][c] for r in range(len(words_out))] == [
+                image.coeff(v) for v in words_out]
 
 
 def test_pi_row_shape():
