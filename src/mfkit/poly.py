@@ -522,7 +522,15 @@ def parse_poly(text: str, declared) -> Polynomial:
 
 # -- printing --------------------------------------------------------------
 
+# Printed numbers keep to the parser's digit limit, so every printed
+# document re-parses and no conversion meets the interpreter's own limit.
+_DIGIT_BOUND = 10 ** MAX_DIGITS
+
+
 def _fmt_fraction(c: Fraction) -> str:
+    if abs(c.numerator) >= _DIGIT_BOUND or c.denominator >= _DIGIT_BOUND:
+        raise ValueError(
+            f"cannot print a coefficient above mfkit's limit of {MAX_DIGITS} digits")
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"

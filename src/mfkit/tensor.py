@@ -14,8 +14,9 @@ standard pair by rotating P's blocks anticlockwise and Q's clockwise once,
 twice, three times (a property test pins that down).
 
 Variables of the two factors must be disjoint; ``rename_vars`` makes them so
-(injectively), while ``identify_vars`` substitutes non-injectively and is
-the gluing step used by the unitor construction.
+(injectively), while ``identify_vars`` substitutes non-injectively (the
+tests glue a unitor's collapsed product with it, as an oracle for the
+direct construction in ``unit``).
 """
 
 from __future__ import annotations
@@ -55,21 +56,21 @@ class Variant(enum.Enum):
                          f"{[v.value for v in cls]}")
 
 
-def _require_disjoint(x: MatrixFactorization, y: MatrixFactorization) -> None:
-    shared = set(x.vars) & set(y.vars)
+def _require_disjoint(xvars, yvars) -> None:
+    shared = set(xvars) & set(yvars)
     if shared:
         raise VariableOverlap(
             "variable sets overlap: " + ", ".join(str(v) for v in sorted(shared))
         )
 
 
-def _kron_blocks(x: MatrixFactorization, y: MatrixFactorization):
-    i_n = mx.identity(x.size)
-    i_m = mx.identity(y.size)
-    a = mx.kron(x.p, i_m)
-    b = mx.kron(i_n, y.p)
-    c = mx.kron(x.q, i_m)
-    d = mx.kron(i_n, y.q)
+def _kron_blocks(xp, xq, yp, yq):
+    i_n = mx.identity(len(xp))
+    i_m = mx.identity(len(yp))
+    a = mx.kron(xp, i_m)
+    b = mx.kron(i_n, yp)
+    c = mx.kron(xq, i_m)
+    d = mx.kron(i_n, yq)
     return a, b, c, d
 
 
@@ -92,8 +93,8 @@ def yoshino(
     variant: Variant = Variant.STANDARD,
 ) -> MatrixFactorization:
     """The tensor product factorization of f + g in the chosen layout."""
-    _require_disjoint(x, y)
-    p_blocks, q_blocks = _layout(variant, *_kron_blocks(x, y))
+    _require_disjoint(x.vars, y.vars)
+    p_blocks, q_blocks = _layout(variant, *_kron_blocks(x.p, x.q, y.p, y.q))
     return make_factorization(
         mx.block(p_blocks),
         mx.block(q_blocks),
@@ -124,7 +125,7 @@ def tensor_morphisms(b: Morphism, a: Morphism) -> Morphism:
     """
     for xa in (a.source, a.target):
         for xb in (b.source, b.target):
-            _require_disjoint(xa, xb)
+            _require_disjoint(xa.vars, xb.vars)
     src = yoshino(a.source, b.source)
     tgt = yoshino(a.target, b.target)
     z_r = mx.zeros(a.target.size * b.target.size, a.source.size * b.source.size)

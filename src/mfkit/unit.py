@@ -16,16 +16,22 @@ entries, each a sign times one of the x_i - x_i' or the n difference
 quotients, all computed once per call.  `exterior.koszul_diff` stays as the
 oracle the tests compare it with.
 
-The right unitor for X (a factorization of g(z) - f(x)) is built by gluing
-that unit onto X:
+The right unitor for X (a factorization of g(z) - f(x)) is built on the
+collapsed product Z of X with that unit, the unit restricted to the
+diagonal x' = x:
 
-1.  rename the unit's unprimed variables to fresh middles, take the standard
-    tensor product with X, then identify middle -> x and x' -> x (the
-    "collapse"); the potential returns to g - f;
-2.  swap the two matrices of the collapsed pair (a grading shift), so that
+1.  on the diagonal the contraction coefficients x_i - x_i' vanish and the
+    difference quotients become the partials d_i(f), so the collapsed unit
+    K has the same word maps with deletion entries 0 and insertion entries
+    +-d_i(f); Z is the standard tensor layout of X with K (potential g - f),
+    written directly and checked once;
+2.  the two matrices of that layout are swapped (a grading shift), so that
     the X tensor empty-word slice sits in the even half.  The even part is
     then [X^1*D^1 | X^0*D^0] and the odd part [X^0*D^1 | X^1*D^0], where
-    D^0/D^1 are the unit's parities;
+    D^0/D^1 are the unit's parities.  The tests keep the gluing chain this
+    replaces as Z's oracle: rename the unit's unprimed variables to fresh
+    middles, take the standard tensor product with X, identify middle -> x
+    and x' -> x, and swap;
 3.  rho projects the second chunks onto the empty-word coordinate -- a chain
     map because the collapsed unit differential has no output along the
     empty word (contraction coefficients die on the diagonal, wedge raises
@@ -47,9 +53,10 @@ that unit onto X:
 Even words contribute to the X-parity-preserving chunks, odd words to the
 parity-swapping ones.  Both rho and psi are validated eagerly, and
 rho . psi = id is asserted before a bundle is returned.  The left unitor
-mirrors the construction with the unit taken in the z-variables and glued
-along z' -> z, then middle -> z; the correction sign flips because the
-z-derivative of the potential has the opposite sign.
+mirrors the construction with the unit taken in the z-variables, collapsed
+on z' = z; the correction sign flips because the z-derivative of the
+potential has the opposite sign.  X may not use a primed generator variable
+(x' on the right, z' on the left): that is ``tensor.VariableOverlap``.
 """
 
 from __future__ import annotations
@@ -69,13 +76,12 @@ from .matfac import (
 )
 from .poly import (
     Polynomial,
-    Variable,
     derivative,
     diff_quotient,
     substitute,
     unprimed_vars,
 )
-from .tensor import Variant, identify_vars, rename_vars, yoshino
+from .tensor import Variant, _kron_blocks, _layout, _require_disjoint
 
 
 @dataclass(frozen=True)
@@ -94,15 +100,36 @@ class UnitFactorization:
         return len(self.basis_even)
 
 
+def _word_matrix(in_words, out_words, lin, dq):
+    """The unit differential from ``in_words`` to ``out_words`` by the word
+    maps above; ``lin[i-1]`` and ``dq[i-1]`` are the (+, -) pairs of
+    generator i's deletion and insertion coefficients."""
+    n = len(lin)
+    row_of = {w: r for r, w in enumerate(out_words)}
+    z = Polynomial.zero()
+    out = [[z] * len(in_words) for _ in out_words]
+    for col, w in enumerate(in_words):
+        for i in range(1, n + 1):
+            if i in w:
+                pos = w.index(i)
+                image = w[:pos] + w[pos + 1:]
+                entry = lin[i - 1][pos % 2]
+            else:
+                below = sum(1 for j in w if j < i)
+                image = w[:below] + (i,) + w[below:]
+                entry = dq[i - 1][below % 2]
+            out[row_of[image]][col] = entry
+    return out
+
+
 def koszul_unit(f: Polynomial, xvars=None) -> UnitFactorization:
     """Matrices of the unit differential of f over doubled variables.
 
     Column w of p (even word w -> odd words) and of q (odd -> even) holds the
-    image of w under the differential, written directly: for each generator
-    i, a deletion entry (-1)^pos * (x_i - x_i') at w minus i when i is in w,
-    otherwise an insertion entry (-1)^#below * d_i(f) at w plus i.  The
-    x_i - x_i' and the n difference quotients are computed once, and
-    ``exterior.koszul_diff`` applied to w gives the same column.
+    image of w under the differential, written by ``_word_matrix`` with
+    deletion coefficients x_i - x_i' and insertion coefficients d_i(f), each
+    computed once; ``exterior.koszul_diff`` applied to w gives the same
+    column.
     """
     xs = tuple(xvars) if xvars is not None else unprimed_vars(f)
     n = len(xs)
@@ -124,26 +151,8 @@ def koszul_unit(f: Polynomial, xvars=None) -> UnitFactorization:
         di = diff_quotient(f, i, xs)
         lin.append((li, -li))
         dq.append((di, -di))
-
-    def matrix(in_words, out_words):
-        row_of = {w: r for r, w in enumerate(out_words)}
-        z = Polynomial.zero()
-        out = [[z] * len(in_words) for _ in out_words]
-        for col, w in enumerate(in_words):
-            for i in range(1, n + 1):
-                if i in w:
-                    pos = w.index(i)
-                    image = w[:pos] + w[pos + 1:]
-                    entry = lin[i - 1][pos % 2]
-                else:
-                    below = sum(1 for j in w if j < i)
-                    image = w[:below] + (i,) + w[below:]
-                    entry = dq[i - 1][below % 2]
-                out[row_of[image]][col] = entry
-        return out
-
-    p = matrix(ev, od)
-    q = matrix(od, ev)
+    p = _word_matrix(ev, od, lin, dq)
+    q = _word_matrix(od, ev, lin, dq)
     primed = tuple(v.primed() for v in xs)
     potential = f - substitute(f, {v: Polynomial.var(v.primed()) for v in xs})
     mf = make_factorization(p, q, potential, extra_vars=xs + primed)
@@ -174,18 +183,6 @@ class UnitorBundle:
     unit: UnitFactorization
 
 
-def _fresh_middles(taken_names, fvars):
-    mids = []
-    taken = set(taken_names)
-    for v in fvars:
-        name = v.name + "_mid"
-        while name in taken:
-            name += "_"
-        taken.add(name)
-        mids.append(Variable(name))
-    return tuple(mids)
-
-
 def _correction_components(x: MatrixFactorization, gen_vars, sign: int):
     """C[(word, eps)] per the recursion in the module docstring."""
     n = len(gen_vars)
@@ -212,52 +209,44 @@ def _correction_components(x: MatrixFactorization, gen_vars, sign: int):
     return comp
 
 
-def _psi_chunk(comp, words, eps: int, r: int, m: int):
-    """Stack components against the given word basis into an rm x r block."""
-    acc = mx.zeros(r * m, r)
-    for wi, w in enumerate(words):
-        c = comp[(w, eps)]
-        if mx.is_zero(c):
-            continue
-        e_col = tuple((Polynomial.const(1),) if i == wi else (Polynomial.zero(),)
-                      for i in range(m))
-        acc = mx.add(acc, mx.kron(c, e_col))
-    return acc
+def _psi_chunk(comp, words, eps: int, r: int):
+    """Stack the components at the m ``words`` into an rm x r block: row
+    i*m + wi is row i of the component at word ``words[wi]``."""
+    return tuple(comp[(w, eps)][i] for i in range(r) for w in words)
 
 
 def _build_bundle(x: MatrixFactorization, f: Polynomial, fvars, side: str):
     fvars = tuple(fvars) if fvars is not None else unprimed_vars(f)
     unit = koszul_unit(f, fvars)
     n, m, r = unit.n, unit.rank, x.size
+    _require_disjoint(x.vars, [v.primed() for v in fvars])
 
-    taken = {v.name for v in x.vars} | {v.name for v in unit.mf.vars}
-    mids = _fresh_middles(taken, fvars)
-    delta_mid = rename_vars(unit.mf, dict(zip(fvars, mids)))
-
-    z0 = yoshino(x, delta_mid, Variant.STANDARD)
-    mid_to_x = dict(zip(mids, fvars))
-    primed_to_x = {v.primed(): v for v in fvars}
-    if side == "right":
-        z1 = identify_vars(z0, mid_to_x)      # glue the unit's target slot
-        z2 = identify_vars(z1, primed_to_x)   # collapse the leftover copy
-    else:
-        z1 = identify_vars(z0, primed_to_x)   # glue the unit's source slot
-        z2 = identify_vars(z1, mid_to_x)
+    # The unit on the diagonal x' = x: contraction coefficients vanish and
+    # the difference quotients become the partials of f.
+    zero = Polynomial.zero()
+    dq = []
+    for v in fvars:
+        d = derivative(f, v)
+        dq.append((d, -d))
+    lin = [(zero, zero)] * n
+    kp = _word_matrix(unit.basis_even, unit.basis_odd, lin, dq)
+    kq = _word_matrix(unit.basis_odd, unit.basis_even, lin, dq)
+    p_blocks, q_blocks = _layout(Variant.STANDARD, *_kron_blocks(x.p, x.q, kp, kq))
     # Grading shift: swap the two matrices so the empty-word slice is even.
-    z = make_factorization(z2.q, z2.p, z2.potential, extra_vars=z2.vars)
+    z = make_factorization(mx.block(q_blocks), mx.block(p_blocks), x.potential,
+                           extra_vars=x.vars + fvars)
 
-    e_row = mx.from_rows([[1] + [0] * (m - 1)])
-    proj = mx.block([[mx.zeros(r, r * m), mx.kron(mx.identity(r), e_row)]])
+    proj = mx.block([[mx.zeros(r, r * m), mx.kron(mx.identity(r), pi_row(unit))]])
     rho = make_morphism(alpha=proj, beta=proj, source=z, target=x)
 
     comp = _correction_components(x, fvars, -1 if side == "right" else 1)
     alpha_psi = mx.block([
-        [_psi_chunk(comp, unit.basis_odd, 0, r, m)],
-        [_psi_chunk(comp, unit.basis_even, 0, r, m)],
+        [_psi_chunk(comp, unit.basis_odd, 0, r)],
+        [_psi_chunk(comp, unit.basis_even, 0, r)],
     ])
     beta_psi = mx.block([
-        [_psi_chunk(comp, unit.basis_odd, 1, r, m)],
-        [_psi_chunk(comp, unit.basis_even, 1, r, m)],
+        [_psi_chunk(comp, unit.basis_odd, 1, r)],
+        [_psi_chunk(comp, unit.basis_even, 1, r)],
     ])
     psi = make_morphism(alpha=alpha_psi, beta=beta_psi, source=x, target=z)
 

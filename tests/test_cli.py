@@ -123,6 +123,16 @@ def test_unit_oversized_number_is_a_parse_error(capsys, potential):
     assert captured.err.startswith("error: number of 5000 digits is above the limit")
 
 
+def test_unit_oversized_printed_coefficient_is_refused(capsys):
+    # Each literal is accepted; the squared coefficient has 6000 digits.
+    potential = "(" + "7" * 3000 + "*x)^2*x"
+    assert run(["unit", "--potential", potential, "--vars", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: cannot print a coefficient above mfkit's limit of 4000 digits\n")
+
+
 @pytest.mark.parametrize("doc", [
     {"vars": ["x"], "potential": "x", "P": [[1]], "Q": [["x"]]},
     {"vars": ["x"], "potential": 0, "P": [["0"]], "Q": [["0"]]},

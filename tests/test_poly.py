@@ -131,6 +131,20 @@ def test_parse_accepts_numbers_up_to_the_digit_limit():
     assert parse_poly(f"{big}*x + 1/{big}", ["x"]) == PX * big + Fraction(1, big)
 
 
+def test_print_round_trips_numbers_up_to_the_digit_limit():
+    big = 10 ** MAX_DIGITS - 1
+    f = PX * big - Fraction(1, big)
+    assert parse_poly(poly_to_str(f), ["x"]) == f
+
+
+@pytest.mark.parametrize("coeff", [
+    10 ** MAX_DIGITS, -10 ** MAX_DIGITS, Fraction(1, 10 ** MAX_DIGITS),
+], ids=["numerator", "negative", "denominator"])
+def test_print_refuses_numbers_above_the_digit_limit(coeff):
+    with pytest.raises(ValueError, match=f"limit of {MAX_DIGITS} digits"):
+        poly_to_str(PX * coeff + 1)
+
+
 def test_parse_rejects_zero_denominator():
     with pytest.raises(PolyParseError):
         parse_poly("1/0", ["x"])

@@ -12,11 +12,13 @@ from mfkit.matfac import (
     make_factorization,
     make_morphism,
     scalar_morphism,
+    serialize_factorization,
     validate_morphism,
 )
 from mfkit.poly import Polynomial, Variable, substitute, t_shift
-from mfkit.tensor import yoshino
+from mfkit.tensor import VariableOverlap, identify_vars, rename_vars, yoshino
 from mfkit.unit import (
+    _correction_components,
     koszul_unit,
     naturality_check,
     pi_row,
@@ -231,6 +233,125 @@ def test_unitor_includes_its_unit():
     b = unitor_right(X_RANK1, PX, (X,))
     assert b.unit.f == PX
     assert b.unit.rank == 1
+
+
+# ---------------------------------------------------------------------------
+# the collapsed product against the gluing chain
+
+
+def _glued_bundle(x, f, fvars, side):
+    """Z, rho's block and psi's blocks built the long way, as the oracle.
+
+    Z: rename the unit's unprimed variables to fresh middles, take the
+    standard tensor product with X, identify middle -> generator and
+    primed -> generator (in that order on the right, reversed on the left)
+    and swap the two matrices.  psi: each component C_W placed in the
+    word-W slot by a Kronecker product with a unit column, summed.
+    """
+    u = koszul_unit(f, fvars)
+    mids = tuple(Variable(v.name + "_mid") for v in fvars)
+    assert not set(mids) & set(x.vars)
+    z0 = yoshino(x, rename_vars(u.mf, dict(zip(fvars, mids))))
+    mid_to_gen = dict(zip(mids, fvars))
+    primed_to_gen = {v.primed(): v for v in fvars}
+    steps = [mid_to_gen, primed_to_gen]
+    if side == "left":
+        steps.reverse()
+    z2 = identify_vars(identify_vars(z0, steps[0]), steps[1])
+    z = make_factorization(z2.q, z2.p, z2.potential, extra_vars=z2.vars)
+
+    r, m = x.size, u.rank
+    e_row = mx.from_rows([[1] + [0] * (m - 1)])
+    proj = mx.block([[mx.zeros(r, r * m), mx.kron(mx.identity(r), e_row)]])
+
+    comp = _correction_components(x, fvars, -1 if side == "right" else 1)
+
+    def chunk(words, eps):
+        acc = mx.zeros(r * m, r)
+        for wi, w in enumerate(words):
+            e_col = mx.from_rows([[1 if i == wi else 0] for i in range(m)])
+            acc = mx.add(acc, mx.kron(comp[(w, eps)], e_col))
+        return acc
+
+    psi_alpha, psi_beta = (
+        mx.block([[chunk(u.basis_odd, eps)], [chunk(u.basis_even, eps)]])
+        for eps in (0, 1))
+    return z, proj, psi_alpha, psi_beta
+
+
+def _ws(n):
+    return tuple(Variable(f"w{i}") for i in range(1, n + 1))
+
+
+def _sum_of_cubes(vs, weights=None):
+    f = Polynomial.zero()
+    for i, v in enumerate(vs):
+        w = weights[i] if weights else 1
+        f = f + Polynomial.var(v) ** 3 * w
+    return f
+
+
+def _oracle_cases():
+    """(id, X, f, fvars, g, gvars): X factors g(w) - f(x), rank 1, 2, 4."""
+    cases = []
+    pots = [(f"cubic-n{n}", xs, _sum_of_cubes(xs, [Fraction(2 * i + 1, i + 2)
+                                                   for i in range(n)]))
+            for n, xs in ((1, (X,)), (2, (X, Y)), (3, (X, Y, Z)))]
+    pots.append(("mixed", (X, Y), PX ** 2 * PY - PY ** 3 + PX ** 3 * Fraction(1, 3)))
+    for name, xs, f in pots:
+        ws = _ws(len(xs))
+        g = _sum_of_cubes(ws) - Polynomial.var(ws[0]) * Fraction(1, 2)
+        one = make_factorization([[1]], [[g - f]], g - f)
+        two = yoshino(make_factorization([[1]], [[g]], g),
+                      make_factorization([[-f]], [[1]], -f))
+        cases.append((f"{name}-rank1", one, f, xs, g, ws))
+        cases.append((f"{name}-rank2", two, f, xs, g, ws))
+    # X = tensor of the pairs (w_i - x_i, w_i^2 + w_i x_i + x_i^2).
+    for n in (1, 2, 3):
+        xs, ws = (X, Y, Z)[:n], _ws(n)
+        x = None
+        for v, w in zip(xs, ws):
+            pv, pw = Polynomial.var(v), Polynomial.var(w)
+            pair = make_factorization([[pw - pv]], [[pw ** 2 + pw * pv + pv ** 2]],
+                                      pw ** 3 - pv ** 3)
+            x = pair if x is None else yoshino(x, pair)
+        cases.append((f"pairs-n{n}", x, _sum_of_cubes(xs), xs, _sum_of_cubes(ws), ws))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("x, f, fvars, g, gvars",
+                         [c[1:] for c in ORACLE_CASES],
+                         ids=[c[0] for c in ORACLE_CASES])
+def test_unitor_matches_gluing_chain(x, f, fvars, g, gvars, side):
+    if side == "right":
+        b = unitor_right(x, f, fvars)
+        z, proj, psi_alpha, psi_beta = _glued_bundle(x, f, fvars, "right")
+    else:
+        b = unitor_left(x, g, gvars)
+        z, proj, psi_alpha, psi_beta = _glued_bundle(x, g, gvars, "left")
+    assert serialize_factorization(b.z) == serialize_factorization(z)
+    assert (b.z.p, b.z.q, b.z.potential, b.z.vars) == (z.p, z.q, z.potential, z.vars)
+    assert b.rho.alpha == proj and b.rho.beta == proj
+    assert b.psi.alpha == psi_alpha
+    assert b.psi.beta == psi_beta
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_unitor_refuses_primed_generator_like_the_chain(side):
+    gen = X if side == "right" else Z
+    # X factors z - x' (right) or z' - x (left): it uses the primed generator.
+    bad = PZ - XP if side == "right" else Polynomial.var(Z.primed()) - PX
+    x = make_factorization([[1]], [[bad]], bad)
+    build = unitor_right if side == "right" else unitor_left
+    with pytest.raises(VariableOverlap) as direct:
+        build(x, Polynomial.var(gen), (gen,))
+    with pytest.raises(VariableOverlap) as glued:
+        _glued_bundle(x, Polynomial.var(gen), (gen,), side)
+    assert str(direct.value) == str(glued.value) == f"variable sets overlap: {gen}'"
 
 
 # ---------------------------------------------------------------------------
