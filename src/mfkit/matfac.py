@@ -69,7 +69,7 @@ class MatrixFactorization:
     q: tuple  # odd -> even
     potential: Polynomial
     size: int
-    vars: tuple  # declared registry, sorted Variables
+    vars: tuple  # sorted Variables: those in the entries plus extra_vars
 
     def __repr__(self) -> str:
         return (
@@ -99,8 +99,8 @@ def _check_product(name: str, prod, potential: Polynomial, n: int) -> None:
 def make_factorization(p, q, potential, extra_vars=None) -> MatrixFactorization:
     """Validate and build: p*q == q*p == potential*I, exactly.
 
-    ``extra_vars`` may declare registry variables that do not occur in any
-    entry (a zero block keeps its variables declared this way).
+    ``extra_vars`` may declare variables that do not occur in any entry (a
+    zero block keeps its variables declared this way); they join ``vars``.
     """
     p = mx.from_rows(p)
     q = mx.from_rows(q)

@@ -1,10 +1,14 @@
 """Exact multivariate polynomial arithmetic over Q, with doubled variables.
 
 A polynomial is stored sparsely as a map from monomials to nonzero
-`Fraction` coefficients.  A monomial names its own variables: it is a tuple
-of ``(Variable, exponent)`` pairs with every exponent >= 1, sorted by
-variable, and ``()`` is the constant monomial.  A variable is a base name
-plus a prime level (``x`` vs ``x'``).  No zero exponent and no zero
+coefficients, each an ``int`` or a ``Fraction``.  Constants, variables, the
+parser and exact division store an integral coefficient as an ``int``, and
+sums and products of ints stay ints, so integral terms do not pay for
+``Fraction`` arithmetic.  A monomial names its own variables: it is a tuple of
+``(Variable, exponent)`` pairs with every exponent >= 1, sorted by variable,
+and ``()`` is the constant monomial.  A variable is a base name plus a prime
+level (``x`` vs ``x'``), stored as the plain pair ``(name, prime_level)`` so
+that hashing and comparing monomials runs in C.  No zero exponent and no zero
 coefficient is ever stored, so the form is unique by construction -- two
 equal polynomials are structurally identical, which the byte-exact printing
 contract relies on -- and operands over different variables need no
@@ -34,29 +38,38 @@ Besides ring operations this module provides:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
 
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-@dataclass(frozen=True, order=True)
-class Variable:
+
+class Variable(tuple):
     """A polynomial variable: base name plus prime level (x, x', x'', ...).
 
-    Ordering is by (name, prime_level); the monomial order and therefore
-    every printed artifact depends on it.
+    A ``Variable`` is the 2-tuple ``(name, prime_level)``, so it hashes,
+    compares and orders as that tuple, all in C.  Ordering is by
+    (name, prime_level); the monomial order and therefore every printed
+    artifact depends on it.
     """
 
-    name: str
-    prime_level: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", self.name):
-            raise ValueError(f"bad variable name {self.name!r}")
-        if self.prime_level < 0:
+    def __new__(cls, name: str, prime_level: int = 0) -> "Variable":
+        if not _NAME_RE.fullmatch(name):
+            raise ValueError(f"bad variable name {name!r}")
+        if prime_level < 0:
             raise ValueError("prime_level must be >= 0")
+        return tuple.__new__(cls, (name, prime_level))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    name = property(itemgetter(0), doc="The base name.")
+    prime_level = property(itemgetter(1), doc="The number of primes.")
 
     def primed(self) -> "Variable":
         return Variable(self.name, self.prime_level + 1)
@@ -80,10 +93,18 @@ class InexactDivision(ArithmeticError):
         super().__init__(f"division leaves remainder {remainder}")
 
 
-def _check_coeff(c) -> Fraction:
+def _integral_as_int(c: Fraction) -> Scalar:
+    """``c`` itself, or its numerator when its denominator is 1."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _check_coeff(c) -> Scalar:
+    """An exact coefficient: an ``int`` when integral, else a ``Fraction``."""
+    if type(c) is int:
+        return c
     if isinstance(c, float):
         raise TypeError("float coefficients are not supported; use Fraction")
-    return Fraction(c)
+    return _integral_as_int(Fraction(c))
 
 
 def _mono_mul(a: tuple, b: tuple) -> tuple:
@@ -104,7 +125,8 @@ class Polynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping = None):
-        """Keys must be monomials and values Fractions; zeros are dropped."""
+        """Keys must be monomials and values ints or Fractions; zeros are
+        dropped."""
         object.__setattr__(
             self, "terms", {m: c for m, c in (terms or {}).items() if c})
 
@@ -123,7 +145,7 @@ class Polynomial:
 
     @staticmethod
     def var(v: Variable) -> "Polynomial":
-        return Polynomial({((v, 1),): Fraction(1)})
+        return Polynomial({((v, 1),): 1})
 
     @staticmethod
     def from_dense(variables: tuple, terms: Mapping) -> "Polynomial":
@@ -169,9 +191,9 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e for _, e in m) for m in self.terms), default=-1)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         """The coefficient of the empty monomial."""
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     # -- ring operations ---------------------------------------------------
 
@@ -250,7 +272,7 @@ def substitute(f: Polynomial, mapping: Mapping[Variable, object]) -> Polynomial:
         for v, e in mono:
             base = subs.get(v)
             if base is None:
-                acc = acc * Polynomial({((v, e),): Fraction(1)})
+                acc = acc * Polynomial({((v, e),): 1})
             else:
                 acc = acc * base ** e
         out = out + acc
@@ -273,11 +295,12 @@ def divide_exact(num: Polynomial, den: Polynomial) -> Polynomial:
         c = nt[lead]
         if all(le >= de for le, de in zip(lead, dlead)):
             qm = tuple(le - de for le, de in zip(lead, dlead))
-            qc = c / dc
+            # Through Fraction: int / int would give a float.
+            qc = _integral_as_int(Fraction(c, dc))
             q[qm] = qc
             for dm, dcc in dt.items():
                 m = tuple(a + b for a, b in zip(qm, dm))
-                newc = nt.get(m, Fraction(0)) - qc * dcc
+                newc = nt.get(m, 0) - qc * dcc
                 if newc:
                     nt[m] = newc
                 else:
@@ -488,7 +511,7 @@ class _Parser:
                 f"{MAX_DIGITS} digits", pos)
         return int(token)
 
-    def _rational(self, token: str, pos: int) -> Fraction:
+    def _rational(self, token: str, pos: int) -> Scalar:
         numerator = self._number(token, pos)
         if self._peek()[0] == "/":
             self._next()
@@ -498,8 +521,8 @@ class _Parser:
             den = self._number(val, pos2)
             if den == 0:
                 raise PolyParseError("malformed rational (zero denominator)", pos2)
-            return Fraction(numerator, den)
-        return Fraction(numerator)
+            return _integral_as_int(Fraction(numerator, den))
+        return numerator
 
 
 def parse_poly(text: str, declared) -> Polynomial:
@@ -527,7 +550,7 @@ def parse_poly(text: str, declared) -> Polynomial:
 _DIGIT_BOUND = 10 ** MAX_DIGITS
 
 
-def _fmt_fraction(c: Fraction) -> str:
+def _fmt_fraction(c: Scalar) -> str:
     if abs(c.numerator) >= _DIGIT_BOUND or c.denominator >= _DIGIT_BOUND:
         raise ValueError(
             f"cannot print a coefficient above mfkit's limit of {MAX_DIGITS} digits")

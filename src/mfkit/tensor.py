@@ -155,11 +155,14 @@ def rename_vars(x: MatrixFactorization, var_map) -> MatrixFactorization:
     for v, w in var_map.items():
         if not isinstance(v, Variable) or not isinstance(w, Variable):
             raise TypeError("rename map must send Variable to Variable")
-    total = {v: var_map.get(v, v) for v in x.vars}
-    image = list(total.values())
-    if len(set(image)) != len(image):
-        raise NonInjectiveRename("rename map collides on the registry")
-    return _substituted(x, var_map, tuple(sorted(set(image))))
+    preimages = {}
+    for v in x.vars:
+        preimages.setdefault(var_map.get(v, v), []).append(v)
+    clashes = [f"{', '.join(map(str, vs))} -> {w}"
+               for w, vs in preimages.items() if len(vs) > 1]
+    if clashes:
+        raise NonInjectiveRename("rename map is not injective: " + "; ".join(clashes))
+    return _substituted(x, var_map, tuple(sorted(preimages)))
 
 
 def identify_vars(x: MatrixFactorization, var_map) -> MatrixFactorization:

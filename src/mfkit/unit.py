@@ -215,7 +215,9 @@ def _psi_chunk(comp, words, eps: int, r: int):
     return tuple(comp[(w, eps)][i] for i in range(r) for w in words)
 
 
-def _build_bundle(x: MatrixFactorization, f: Polynomial, fvars, side: str):
+def _collapsed_product(x: MatrixFactorization, f: Polynomial, fvars):
+    """The unit of f, the collapsed product Z and the projection rho; both
+    Z and rho are checked eagerly."""
     fvars = tuple(fvars) if fvars is not None else unprimed_vars(f)
     unit = koszul_unit(f, fvars)
     n, m, r = unit.n, unit.rank, x.size
@@ -238,8 +240,13 @@ def _build_bundle(x: MatrixFactorization, f: Polynomial, fvars, side: str):
 
     proj = mx.block([[mx.zeros(r, r * m), mx.kron(mx.identity(r), pi_row(unit))]])
     rho = make_morphism(alpha=proj, beta=proj, source=z, target=x)
+    return unit, z, rho
 
-    comp = _correction_components(x, fvars, -1 if side == "right" else 1)
+
+def _build_bundle(x: MatrixFactorization, f: Polynomial, fvars, side: str):
+    unit, z, rho = _collapsed_product(x, f, fvars)
+    r = x.size
+    comp = _correction_components(x, unit.xvars, -1 if side == "right" else 1)
     alpha_psi = mx.block([
         [_psi_chunk(comp, unit.basis_odd, 0, r)],
         [_psi_chunk(comp, unit.basis_even, 0, r)],
@@ -280,13 +287,14 @@ class NaturalityReport:
 def naturality_check(p: Morphism, f: Polynomial, fvars=None) -> NaturalityReport:
     """Does rho commute with p: rho_Y . (p tensor id) == p . rho_X ?
 
-    Builds the right-unitor bundles of p's source and target, forms the
-    tensored morphism on the collapsed products (block-diagonal Kronecker
-    blocks, swapped to the shifted layout), and compares both composites.
+    Builds the collapsed products of p's source and target with their
+    projections rho (no psi is needed), forms the tensored morphism on them
+    (block-diagonal Kronecker blocks, swapped to the shifted layout), and
+    compares both composites.
     """
-    bx = unitor_right(p.source, f, fvars)
-    by = unitor_right(p.target, f, fvars)
-    m = bx.unit.rank
+    unit, zx, rho_x = _collapsed_product(p.source, f, fvars)
+    _, zy, rho_y = _collapsed_product(p.target, f, fvars)
+    m = unit.rank
     i_m = mx.identity(m)
     z_off = mx.zeros(p.target.size * m, p.source.size * m)
     p_tensor_id = make_morphism(
@@ -298,11 +306,11 @@ def naturality_check(p: Morphism, f: Polynomial, fvars=None) -> NaturalityReport
             [mx.kron(p.alpha, i_m), z_off],
             [z_off, mx.kron(p.beta, i_m)],
         ]),
-        source=bx.z,
-        target=by.z,
+        source=zx,
+        target=zy,
     )
-    left = compose_morphisms(by.rho, p_tensor_id)
-    right = compose_morphisms(p, bx.rho)
+    left = compose_morphisms(rho_y, p_tensor_id)
+    right = compose_morphisms(p, rho_x)
     return NaturalityReport(
         ok=mx.eq(left.alpha, right.alpha) and mx.eq(left.beta, right.beta),
         alpha_residual=mx.sub(left.alpha, right.alpha),

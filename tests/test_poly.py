@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfkit.matfac import make_factorization
 from mfkit.poly import (
     MAX_DIGITS,
     InexactDivision,
@@ -20,6 +23,7 @@ from mfkit.poly import (
     substitute,
     t_shift,
 )
+from mfkit.unit import unitor_right
 
 from conftest import PX, PY, PZ, X, Y, Z, rand_poly
 
@@ -388,3 +392,104 @@ def test_variable_name_validation():
         Variable("2bad")
     with pytest.raises(ValueError):
         Variable("")
+    with pytest.raises(ValueError, match="bad variable name"):
+        Variable("x'")
+
+
+def test_variable_is_its_name_and_prime_level_pair():
+    pairs = [("x", 0), ("x", 1), ("x", 2), ("y", 0), ("x_1", 3), ("X", 1)]
+    vs = [Variable(*p) for p in pairs]
+    assert sorted(vs) == [Variable(*p) for p in sorted(pairs)]
+    for v, p in zip(vs, pairs):
+        assert v == p and tuple(v) == p
+        assert hash(v) == hash(p)
+        assert (v.name, v.prime_level) == p
+    assert hash(Variable("x", 1)) == hash(("x", 1))
+    assert Variable.__hash__ is tuple.__hash__
+    assert Variable(name="x", prime_level=1) == X.primed()
+    assert len({X, Variable("x"), Variable("x", 0)}) == 1
+
+
+def test_variable_pickles_and_copies_as_a_variable():
+    v = Variable("x_2", 3)
+    copies = [copy.copy(v), copy.deepcopy(v)]
+    copies += [pickle.loads(pickle.dumps(v, proto))
+               for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for w in copies:
+        assert type(w) is Variable and w == v and str(w) == "x_2'''"
+
+
+def test_variable_is_read_only_and_validated():
+    with pytest.raises(AttributeError):
+        X.name = "y"
+    with pytest.raises(AttributeError):
+        X.prime_level = 1
+    with pytest.raises(ValueError, match="prime_level must be >= 0"):
+        Variable("x", -1)
+    with pytest.raises(ValueError, match="prime_level must be >= 0"):
+        Variable(name="x", prime_level=-2)
+
+
+# ---------------------------------------------------------------------------
+# coefficient types: an integral coefficient is an int, never a float
+
+
+def _coeff_types(f):
+    return {type(c) for c in f.terms.values()}
+
+
+def test_integral_coefficients_are_ints():
+    assert _coeff_types(Polynomial.var(X)) == {int}
+    assert _coeff_types(Polynomial.const(Fraction(6, 3))) == {int}
+    assert _coeff_types(parse_poly("6/3*x", ["x"])) == {int}
+    assert _coeff_types(parse_poly("2*x^2 - 3*y + 7", ["x", "y"])) == {int}
+    assert _coeff_types(parse_poly("1/2*x", ["x"])) == {Fraction}
+    assert _coeff_types(substitute(PX ** 2 * PY, {X: PZ})) == {int}
+    assert type(Polynomial.zero().constant_value()) is int
+    assert type(parse_poly("x + 4/2", ["x"]).constant_value()) is int
+
+
+def test_exact_division_yields_fractions_not_floats():
+    q = divide_exact(PX, 2 * PX)
+    assert q == Fraction(1, 2)
+    assert q.terms == {(): Fraction(1, 2)}
+    assert type(q.constant_value()) is Fraction
+    assert _coeff_types(divide_exact(6 * PX * PY, 3 * PY)) == {int}
+
+
+@st.composite
+def int_polys(draw, variables=(X, Y), max_deg=3):
+    out = Polynomial.zero()
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        term = Polynomial.const(draw(st.integers(min_value=-9, max_value=9)))
+        for v in variables:
+            term = term * Polynomial.var(v) ** draw(
+                st.integers(min_value=0, max_value=max_deg))
+        out = out + term
+    return out
+
+
+@given(int_polys(), polys().filter(bool))
+def test_divide_exact_recovers_int_factor(a, b):
+    q = divide_exact(a * b, b)
+    assert q == a
+    for c in q.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_unitor_bundle_has_no_float_coefficient():
+    f = PX ** 3 * Fraction(2, 3) + PY ** 3 - PX * PY
+    w = Variable("w")
+    g = Polynomial.var(w) ** 3
+    x = make_factorization([[1]], [[g - f]], g - f)
+    b = unitor_right(x, f, (X, Y))
+    mats = (b.z.p, b.z.q, b.rho.alpha, b.rho.beta, b.psi.alpha, b.psi.beta,
+            b.unit.mf.p, b.unit.mf.q)
+    seen = set()
+    for m in mats:
+        for row in m:
+            for e in row:
+                seen |= _coeff_types(e)
+    seen |= _coeff_types(b.z.potential)
+    assert seen <= {int, Fraction}
+    assert int in seen and Fraction in seen

@@ -181,14 +181,14 @@ def test_rename_vars():
 
 def test_rename_rejects_collision():
     both = yoshino(A1, B1)
-    with pytest.raises(NonInjectiveRename):
+    with pytest.raises(NonInjectiveRename, match=r"^rename map is not injective: x, y -> y$"):
         rename_vars(both, {X: Y})
 
 
 def test_rename_rejects_non_injective_map():
     both = yoshino(A1, B1)
     w = Variable("w")
-    with pytest.raises(NonInjectiveRename):
+    with pytest.raises(NonInjectiveRename, match=r"^rename map is not injective: x, y -> w$"):
         rename_vars(both, {X: w, Y: w})
 
 

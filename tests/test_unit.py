@@ -371,3 +371,19 @@ def test_naturality_nontrivial_morphism():
         [[1], [0]], [[1], [0]], X_RANK1, X_RANK2
     )
     assert naturality_check(inclusion, PX, (X,)).ok
+
+
+def test_naturality_builds_no_psi(monkeypatch):
+    """Naturality reads only Z and rho, so it never builds psi's components."""
+    def no_psi(*_):
+        raise AssertionError("naturality_check built psi")
+
+    monkeypatch.setattr("mfkit.unit._correction_components", no_psi)
+    x, f, xs, _, _ = {c[0]: c[1:] for c in ORACLE_CASES}["pairs-n2"]
+    for p in (identity_morphism(x), scalar_morphism(Fraction(-2, 3), x)):
+        report = naturality_check(p, f, xs)
+        assert report.ok
+        assert mx.is_zero(report.alpha_residual) and mx.is_zero(report.beta_residual)
+    assert naturality_check(identity_morphism(X_RANK2), PX, (X,)).ok
+    with pytest.raises(AssertionError, match="built psi"):
+        unitor_right(x, f, xs)
