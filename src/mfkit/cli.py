@@ -2,10 +2,11 @@
 
 Subcommands: validate | tensor | unit | unitor | homotopy | demo | print.
 Exit codes: 0 when every check passes, 1 when a mathematical check fails
-(residual diagnostics on stderr), 2 on usage, parse, or IO errors.  Results
-go to stdout, diagnostics to stderr.  Factorizations travel as the JSON
-documents of `matfac.serialize_factorization`; polynomials on flags use the
-expression grammar of `poly.parse_poly`.
+(residual diagnostics on stderr) or an internal invariant breaks ("internal
+error: ..."), 2 on usage, parse, or IO errors.  Results go to stdout,
+diagnostics to stderr.  Factorizations travel as the JSON documents of
+`matfac.serialize_factorization`; polynomials on flags use the expression
+grammar of `poly.parse_poly`.
 """
 
 from __future__ import annotations
@@ -385,8 +386,12 @@ def run(argv) -> int:
     try:
         return args.func(args)
     except (_MathFailure, NotAFactorization, NotAMorphism,
-            NotFoundWithinDegree, RuntimeError) as e:
+            NotFoundWithinDegree) as e:
         print(f"check failed: {e}", file=sys.stderr)
+        return 1
+    except RuntimeError as e:
+        # A broken internal invariant, not a property of the input.
+        print(f"internal error: {e}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

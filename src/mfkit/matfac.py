@@ -83,7 +83,8 @@ def _collect_vars(mats, potential, extra):
     for m in mats:
         for row in m:
             for e in row:
-                vs.update(e.vars)
+                for mono in e.terms:
+                    vs.update(v for v, _ in mono)
     return tuple(sorted(vs))
 
 
@@ -268,6 +269,8 @@ def parse_factorization(text: str) -> MatrixFactorization:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"not valid JSON: {e}") from e
+    except RecursionError:
+        raise ValueError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("top-level JSON value must be an object")
     missing = {"vars", "potential", "P", "Q"} - doc.keys()

@@ -8,13 +8,18 @@ The matrices the constructions build -- Kronecker-with-identity blocks,
 Koszul differentials, unitor chunks -- are mostly zeros, so the kernels skip
 zero entries: ``mul`` multiplies only nonzero pairs, and ``kron``, ``add``,
 ``neg`` and ``scale`` put one shared zero polynomial wherever the result
-entry is zero by construction.  Polynomials are immutable and their form is
-unique, so the results equal the entry-by-entry ones exactly.
+entry is zero by construction.  ``mul`` groups each row's nonzero pairs by
+output column and accumulates each entry's term products in one term map
+(``poly.sum_of_products``), so it builds one polynomial per nonzero entry and
+none per product.  Polynomials are immutable and their form is unique, so
+the results equal the entry-by-entry ones exactly.
 """
 
 from __future__ import annotations
 
-from .poly import Polynomial, as_poly, substitute
+from collections import defaultdict
+
+from .poly import Polynomial, as_poly, substitute, sum_of_products
 
 Matrix = tuple  # tuple of tuples of Polynomial
 
@@ -81,11 +86,14 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
     b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
-        acc = [z] * cb
+        pairs = defaultdict(list)  # output column -> its nonzero (x, y)
         for x, b_row in zip(row, b_nonzero):
             if x:
                 for j, y in b_row:
-                    acc[j] = acc[j] + x * y
+                    pairs[j].append((x, y))
+        acc = [z] * cb
+        for j, col_pairs in pairs.items():
+            acc[j] = sum_of_products(col_pairs)
         out.append(tuple(acc))
     return tuple(out)
 

@@ -23,6 +23,9 @@ Each converts terms to dense exponent vectors over sorted variables with
 
 Besides ring operations this module provides:
 
+* ``sum_of_products``, the one multiplication kernel: the sum of x*y over
+  pairs of polynomials, accumulated in one term map.  ``Polynomial.__mul__``
+  is its one-pair call and ``matrices.mul`` calls it once per entry,
 * ``parse_poly`` / canonical printing for the expression grammar used by the
   CLI and the JSON file format,
 * ``substitute`` (simultaneous), and the prime-shift maps ``t_shift`` that
@@ -113,6 +116,12 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
         return b
     if not b:
         return a
+    # Every variable of one before every variable of the other (disjoint
+    # tensor factors, x against x'): the concatenation is already sorted.
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
     exps = dict(a)
     for v, e in b:
         exps[v] = exps.get(v, 0) + e
@@ -178,11 +187,13 @@ class Polynomial:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
+        # Polynomial first: ``isinstance(x, Fraction)`` goes through the
+        # slower ABC check, and most comparisons are polynomial to polynomial.
+        if isinstance(other, Polynomial):
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.terms == other.terms
+            return self.terms == Polynomial.const(other).terms
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
@@ -216,16 +227,12 @@ class Polynomial:
         return as_poly(other).__sub__(self)
 
     def __mul__(self, other) -> "Polynomial":
+        if isinstance(other, Polynomial):
+            return sum_of_products(((self, other),))
         if isinstance(other, (int, Fraction)):
             c = _check_coeff(other)
             return Polynomial({m: cc * c for m, cc in self.terms.items()})
-        other = as_poly(other)
-        acc: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                acc[m] = acc.get(m, 0) + c1 * c2
-        return Polynomial(acc)
+        return NotImplemented
 
     def __rmul__(self, other) -> "Polynomial":
         return self.__mul__(other)
@@ -248,6 +255,24 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({poly_to_str(self)!r})"
+
+
+def sum_of_products(pairs) -> Polynomial:
+    """The sum of x*y over ``(x, y)`` pairs of polynomials.
+
+    The one multiplication kernel: every term product is accumulated into a
+    single term map, and one polynomial is built at the end, which drops the
+    coefficients that cancelled.
+    """
+    acc: dict = {}
+    get = acc.get
+    for x, y in pairs:
+        y_terms = y.terms.items()
+        for m1, c1 in x.terms.items():
+            for m2, c2 in y_terms:
+                m = _mono_mul(m1, m2)
+                acc[m] = get(m, 0) + c1 * c2
+    return Polynomial(acc)
 
 
 def as_poly(x) -> Polynomial:

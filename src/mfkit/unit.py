@@ -70,7 +70,6 @@ from .matfac import (
     MatrixFactorization,
     Morphism,
     compose_morphisms,
-    identity_morphism,
     make_factorization,
     make_morphism,
 )
@@ -258,9 +257,14 @@ def _build_bundle(x: MatrixFactorization, f: Polynomial, fvars, side: str):
     psi = make_morphism(alpha=alpha_psi, beta=beta_psi, source=x, target=z)
 
     round_trip = compose_morphisms(rho, psi)
-    ident = identity_morphism(x)
-    if not (mx.eq(round_trip.alpha, ident.alpha) and mx.eq(round_trip.beta, ident.beta)):
-        raise RuntimeError("unitor invariant failed: rho . psi is not the identity")
+    ident = mx.identity(r)
+    for block_name in ("alpha", "beta"):
+        hit = mx.first_nonzero(mx.sub(getattr(round_trip, block_name), ident))
+        if hit:
+            i, j, residual = hit
+            raise RuntimeError(
+                f"unitor invariant failed: rho . psi is not the identity: "
+                f"{block_name}[{i}][{j}] deviates by {residual}")
     return UnitorBundle(z=z, rho=rho, psi=psi, side=side, unit=unit)
 
 

@@ -19,6 +19,26 @@ PY = Polynomial.var(Y)
 PZ = Polynomial.var(Z)
 
 
+def ref_mono_mul(a, b):
+    """Monomial product by merging exponents in a dict, with no shortcut."""
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def ref_sum_of_products(pairs):
+    """The term map of the sum of x*y over (x, y), term product by term
+    product, without the library's multiplication."""
+    acc = {}
+    for x, y in pairs:
+        for m1, c1 in x.terms.items():
+            for m2, c2 in y.terms.items():
+                m = ref_mono_mul(m1, m2)
+                acc[m] = acc.get(m, 0) + c1 * c2
+    return {m: c for m, c in acc.items() if c}
+
+
 def rand_poly(rng, variables, max_terms=3, max_deg=3, nonzero=False):
     """Small random polynomial in the given variables."""
     out = Polynomial.zero()

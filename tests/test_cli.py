@@ -191,6 +191,28 @@ def test_homotopy_not_found(files, capsys):
     assert "first inconsistent equation, even entry [0][0], monomial 1" in captured.err
 
 
+def test_internal_error_is_not_a_check_failure(files, capsys, monkeypatch):
+    def broken(*_):
+        raise RuntimeError("internal: solution fails equation 0")
+
+    monkeypatch.setattr("mfkit.homotopy._solve_gauss_jordan", broken)
+    code = run(["homotopy", "--max-degree", "1", files["a"],
+                "--phi", "scalar:x", "--psi", "zero"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: internal: solution fails equation 0\n"
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert run(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not valid JSON: nested too deeply\n"
+
+
 def test_homotopy_two_files(files, capsys):
     code = run(["homotopy", "--max-degree", "0", files["a"], files["a"],
                 "--phi", "zero", "--psi", "zero"])

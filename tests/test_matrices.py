@@ -1,14 +1,20 @@
-"""The zero-skipping matrix kernels against naive entry-by-entry references."""
+"""The zero-skipping matrix kernels against naive entry-by-entry references.
+
+The references multiply term by term (``conftest.ref_sum_of_products``), not
+through ``Polynomial.__mul__``, which shares ``mul``'s kernel.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mfkit import matrices as mx
-from mfkit.poly import Polynomial
+from mfkit.poly import Polynomial, sum_of_products
 
-from conftest import X, Y, Z, rand_poly
+from conftest import X, Y, Z, rand_poly, ref_sum_of_products
 
 SHAPES = [(1, 1), (1, 5), (5, 1), (3, 4), (4, 3), (6, 6)]
 DENSITIES = [0.0, 0.1, 0.3, 0.6, 1.0]
@@ -27,17 +33,23 @@ def rand_matrix(rng, rows, cols, density, rational=False):
 
 def naive_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[Polynomial.zero() for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            for k in range(inner):
-                out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out
+    return [[Polynomial(ref_sum_of_products([(a[i][k], b[k][j]) for k in range(inner)]))
+             for j in range(cols)] for i in range(rows)]
 
 
 def naive_kron(a, b):
-    return [[a[i][j] * b[r][s] for j in range(len(a[0])) for s in range(len(b[0]))]
+    return [[Polynomial(ref_sum_of_products([(a[i][j], b[r][s])]))
+             for j in range(len(a[0])) for s in range(len(b[0]))]
             for i in range(len(a)) for r in range(len(b))]
+
+
+def assert_exact_form(m):
+    """No stored coefficient is zero or a float, so equal entries are
+    structurally identical."""
+    for row in m:
+        for e in row:
+            for c in e.terms.values():
+                assert c and type(c) in (int, Fraction), (e, c)
 
 
 CASES = pytest.mark.parametrize("rows, cols, density, rational", [
@@ -65,7 +77,9 @@ def test_mul_matches_triple_loop(rows, cols, density, rational):
     for inner in (1, 5):
         a = rand_matrix(rng, rows, inner, density, rational)
         b = rand_matrix(rng, inner, cols, rng.choice(DENSITIES), rational)
-        assert_same(mx.mul(a, b), naive_mul(a, b))
+        got = mx.mul(a, b)
+        assert_same(got, naive_mul(a, b))
+        assert_exact_form(got)
 
 
 @CASES
@@ -99,3 +113,46 @@ def test_mul_rejects_shape_mismatch():
         mx.mul(mx.zeros(2, 3), mx.zeros(2, 3))
     with pytest.raises(ValueError):
         mx.mul(mx.identity(1), mx.zeros(2, 1))
+
+
+def test_cancelling_rational_products_leave_exact_zeros():
+    # Row [p, q] against column [q*c, -p*c] sums to p*q*c - q*p*c = 0; the
+    # off-diagonal entries keep their terms, some of which cancel too.
+    rng = random.Random(5)
+    for _ in range(20):
+        p, q, r, s = (rand_entry(rng, True) for _ in range(4))
+        c = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+        d = Fraction(-rng.randint(1, 9), rng.randint(2, 9))
+        a = mx.from_rows([[p, q], [r, s]])
+        b = mx.from_rows([[q * c, s * d], [-p * c, -r * d]])
+        got = mx.mul(a, b)
+        for i in range(2):
+            assert not got[i][i]
+            assert got[i][i].terms == {}
+        assert_same(got, naive_mul(a, b))
+        assert_exact_form(got)
+    half = Polynomial.var(X) * Fraction(1, 2)
+    assert not mx.mul(mx.from_rows([[half, half]]),
+                      mx.from_rows([[1], [-1]]))[0][0].terms
+
+
+PRIMED = (X, X.primed(), Y, Y.primed())
+
+
+@st.composite
+def rational_polys(draw):
+    """A polynomial built straight from its term map, over x, x', y, y'."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        mono = tuple((v, e) for v in PRIMED
+                     if (e := draw(st.integers(min_value=0, max_value=2))))
+        terms[mono] = Fraction(draw(st.integers(min_value=-4, max_value=4)),
+                               draw(st.integers(min_value=1, max_value=3)))
+    return Polynomial(terms)
+
+
+@given(st.lists(st.tuples(rational_polys(), rational_polys()), max_size=4))
+def test_sum_of_products_matches_term_by_term_reference(pairs):
+    got = sum_of_products(pairs)
+    assert got.terms == ref_sum_of_products(pairs)
+    assert_exact_form([[got]])

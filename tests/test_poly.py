@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mfkit.matfac import make_factorization
 from mfkit.poly import (
     MAX_DIGITS,
+    _mono_mul,
     InexactDivision,
     PolyParseError,
     Polynomial,
@@ -25,7 +26,7 @@ from mfkit.poly import (
 )
 from mfkit.unit import unitor_right
 
-from conftest import PX, PY, PZ, X, Y, Z, rand_poly
+from conftest import PX, PY, PZ, X, Y, Z, rand_poly, ref_mono_mul
 
 
 @st.composite
@@ -232,6 +233,31 @@ def test_equality_with_numbers():
     assert Polynomial.const(3) == 3
     assert Polynomial.const(Fraction(1, 2)) == Fraction(1, 2)
     assert PX != 3
+    assert Polynomial.const(3) == Fraction(3)
+    assert Polynomial.zero() == 0
+    assert (PX == "x") is False
+    assert (PX != "x") is True
+    with pytest.raises(TypeError):
+        PX * 1.5
+
+
+XP = X.primed()
+
+
+@pytest.mark.parametrize("a, b", [
+    (((X, 1),), ((Y, 2),)),                      # all before
+    (((Y, 2),), ((X, 1), (XP, 3))),              # all after
+    (((X, 1), (Y, 1)), ((XP, 2),)),              # interleaved: x*y times x'
+    (((XP, 1),), ((X, 2), (Y, 1))),              # interleaved, other side
+    (((X, 1), (XP, 1)), ((X, 2), (Y, 1))),       # shared x
+    (((Y, 1),), ((Y, 4),)),                      # shared, single variable
+    ((), ((X, 1), (Y, 1))),                      # empty monomial
+    (((XP, 2),), ()),
+    ((), ()),
+])
+def test_mono_mul_matches_dict_merge(a, b):
+    assert _mono_mul(a, b) == ref_mono_mul(a, b)
+    assert _mono_mul(b, a) == ref_mono_mul(a, b)
 
 
 def test_float_scalars_are_refused():

@@ -387,3 +387,15 @@ def test_naturality_builds_no_psi(monkeypatch):
     assert naturality_check(identity_morphism(X_RANK2), PX, (X,)).ok
     with pytest.raises(AssertionError, match="built psi"):
         unitor_right(x, f, xs)
+
+
+def test_unitor_invariant_failure_names_the_entry(monkeypatch):
+    """rho . psi = id is checked entry by entry; a failure names the block,
+    the entry and its residual."""
+    monkeypatch.setattr("mfkit.unit.compose_morphisms",
+                        lambda g, f: scalar_morphism(2, f.source))
+    with pytest.raises(RuntimeError) as err:
+        unitor_right(X_RANK1, PX, (X,))
+    assert str(err.value) == (
+        "unitor invariant failed: rho . psi is not the identity: "
+        "alpha[0][0] deviates by 1")
