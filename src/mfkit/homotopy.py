@@ -9,15 +9,25 @@ lambda = (lambda0: X_even -> Y_odd, lambda1: X_odd -> Y_even) with
 `check_witness` evaluates both residuals exactly.  `find_witness` searches
 for lambda with entries of bounded total degree: each candidate entry is a
 linear combination of all monomials up to the bound with unknown rational
-coefficients, and the two equations become an exact linear system over
-Fraction.  An unknown is the tuple (b, i, j, k): the coefficient of the k-th
-monomial, in graded-lex order, of entry [i][j] of lambda_b.  Each equation
+coefficients, and the two equations become an exact linear system over Q.
+An unknown is the tuple (b, i, j, k): the coefficient of the k-th monomial,
+in graded-lex order, of entry [i][j] of lambda_b.  A search with more than
+`MAX_UNKNOWNS` unknowns is refused before any row is built.  Each equation
 row stays sparse, {unknown: coeff} with its right-hand side, from assembly
 to solution.  The solve is a reduced row echelon form whose pivot is always
 the smallest unknown of a row, with free unknowns pinned to 0.  That form is
 unique, so the witness does not depend on row order and its printed bytes
 are stable; a cheaper pivot choice (Markowitz) would change which unknowns
-are free, and so the witness.  A found witness is re-checked before it is
+are free, and so the witness.
+
+The elimination runs over integer rows, with no `Fraction` arithmetic: each
+row is cleared of denominators once and then only combined as
+a*row - b*pivot_row and divided by the gcd of its entries.  Scaling a row
+changes neither its support nor, up to that scale, its values, so the pivots,
+the rank, the first inconsistent equation and the solution -- each pivot
+value is rhs/c, read once at the end -- are exactly those of the reduced
+form over Q, and the witness bytes with them.  The solution is checked
+against every input row, and a found witness is re-checked before it is
 returned.  `NotFoundWithinDegree` only ever means "no witness with entries
 of this degree" -- nothing about higher degrees; it names the system's size,
 its rank and the first inconsistent equation.
@@ -25,8 +35,10 @@ its rank and the first inconsistent equation.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, gcd, lcm
 
 from . import matrices as mx
 from .matfac import (
@@ -36,6 +48,13 @@ from .matfac import (
     zero_morphism,
 )
 from .poly import Polynomial, poly_to_str
+
+# A witness search has 2*|Y|*|X|*C(v + d, d) unknowns for v variables and
+# degree d, and the solve's time and memory grow faster than linearly in
+# them: 16128 unknowns (size 8 in four variables, degree 5) took 6 s and
+# 190 MiB on a 2-core VM.  Larger searches are refused before any row is
+# built.
+MAX_UNKNOWNS = 20000
 
 
 class NotFoundWithinDegree(Exception):
@@ -99,23 +118,62 @@ def check_witness(
     )
 
 
+def _monomials_of_degree(nvars: int, total: int):
+    """Exponent vectors of length ``nvars`` >= 1 summing to ``total``,
+    ascending."""
+    if nvars == 1:
+        yield (total,)
+        return
+    for e in range(total + 1):
+        for rest in _monomials_of_degree(nvars - 1, total - e):
+            yield (e,) + rest
+
+
 def _monomials_up_to(nvars: int, degree: int) -> list:
-    out = [[]]
-    for _ in range(nvars):
-        out = [m + [e] for m in out for e in range(degree + 1)]
-    monos = [tuple(m) for m in out if sum(m) <= degree]
-    monos.sort(key=lambda m: (sum(m), m))
-    return monos
+    """Exponent vectors of total degree <= ``degree``, in graded-lex order:
+    ``(total, vector)`` ascending."""
+    if nvars == 0:
+        return [()]
+    return [m for total in range(degree + 1)
+            for m in _monomials_of_degree(nvars, total)]
 
 
-def _sub_scaled(row: list, f: Fraction, other: list) -> None:
-    """``row -= f * other`` in place; a row is ``[{unknown: coeff}, rhs]``."""
+def _integer_row(coeffs, rhs) -> list:
+    """``[{unknown: int}, int]``: the row times the lcm of its denominators,
+    with its zero coefficients dropped."""
+    den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+    return [{u: c.numerator * (den // c.denominator) for u, c in coeffs.items() if c},
+            rhs.numerator * (den // rhs.denominator)]
+
+
+def _eliminate(row: list, u, pivot_row: list) -> None:
+    """``row = a*row - b*pivot_row`` in place, with a/b the lowest-terms
+    ratio of the two coefficients of ``u``, so ``u`` drops out of ``row``;
+    ``a`` > 0 whenever the coefficient of ``u`` in ``pivot_row`` is."""
+    coeffs, pivot_coeffs = row[0], pivot_row[0]
+    g = gcd(coeffs[u], pivot_coeffs[u])
+    a, b = pivot_coeffs[u] // g, coeffs[u] // g
+    if a != 1:
+        for v in coeffs:
+            coeffs[v] *= a
+    for v, c in pivot_coeffs.items():
+        x = coeffs.pop(v, 0) - b * c
+        if x:
+            coeffs[v] = x
+    row[1] = a * row[1] - b * pivot_row[1]
+
+
+def _make_primitive(row: list, p) -> None:
+    """Divide ``row`` by the gcd of its entries, signed so that the
+    coefficient of ``p`` is positive."""
     coeffs = row[0]
-    for u, c in other[0].items():
-        v = coeffs.pop(u, 0) - f * c
-        if v:
-            coeffs[u] = v
-    row[1] -= f * other[1]
+    g = gcd(row[1], *coeffs.values())
+    if coeffs[p] < 0:
+        g = -g
+    if g != 1:
+        for v in coeffs:
+            coeffs[v] //= g
+        row[1] //= g
 
 
 def _solve_gauss_jordan(rows, nunknowns: int):
@@ -127,26 +185,44 @@ def _solve_gauss_jordan(rows, nunknowns: int):
     to its value (free unknowns are 0) and ``bad`` is None; or the system is
     inconsistent, ``solution`` is None and ``bad`` is the index of the first
     row that reduces to ``0 = rhs != 0``, with ``rank`` the rank before it.
+
+    Every pivot row is a primitive integer row with a positive pivot, a
+    multiple of the reduced row over Q; its value is ``rhs / c`` for pivot
+    coefficient ``c`` (see the module docstring).
     """
-    pivots = {}  # pivot unknown -> normalized row, free of other pivots
+    pivots = {}  # pivot unknown -> primitive integer row, free of other pivots
+    # unknown -> pivots whose rows may name it: every unknown a pivot row has
+    # ever held, so a new pivot is back-eliminated without scanning all rows
+    holders = defaultdict(set)
     for n, (coeffs, rhs) in enumerate(rows):
-        row = [{u: c for u, c in coeffs.items() if c}, rhs]
+        row = _integer_row(coeffs, rhs)
         for u in [u for u in row[0] if u in pivots]:
-            _sub_scaled(row, row[0][u], pivots[u])
+            _eliminate(row, u, pivots[u])
         if not row[0]:
             if row[1]:
                 return None, len(pivots), n
             continue
         p = min(row[0])
-        inv = Fraction(1) / row[0][p]
-        row = [{u: c * inv for u, c in row[0].items()}, row[1] * inv]
-        for other in pivots.values():
+        _make_primitive(row, p)
+        for q in holders.pop(p, ()):
+            other = pivots[q]
             if p in other[0]:
-                _sub_scaled(other, other[0][p], row)
+                _eliminate(other, p, row)
+                _make_primitive(other, q)
+                for v in row[0]:
+                    holders[v].add(q)
+        for v in row[0]:
+            holders[v].add(p)
         pivots[p] = row
-    sol = {p: rhs for p, (_, rhs) in pivots.items()}
+    sol = {}
+    for p, (coeffs, rhs) in pivots.items():
+        c = coeffs[p]
+        sol[p] = rhs // c if rhs % c == 0 else Fraction(rhs, c)
+    # Check every input row exactly, in integers over the common denominator.
+    den = lcm(*(v.denominator for v in sol.values()))
+    scaled = {u: v.numerator * (den // v.denominator) for u, v in sol.items()}
     for n, (coeffs, rhs) in enumerate(rows):
-        if sum(c * sol.get(u, 0) for u, c in coeffs.items()) != rhs:
+        if sum(c * scaled.get(u, 0) for u, c in coeffs.items()) != rhs * den:
             raise RuntimeError(f"internal: solution fails equation {n}")
     return sol, len(pivots), None
 
@@ -163,9 +239,13 @@ def find_witness(
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     vars_m = tuple(sorted(set(x.vars) | set(y.vars)))
-    monos = _monomials_up_to(len(vars_m), max_degree)
     ny, nxs = y.size, x.size
-    nunknowns = 2 * ny * nxs * len(monos)
+    nunknowns = 2 * ny * nxs * comb(len(vars_m) + max_degree, max_degree)
+    if nunknowns > MAX_UNKNOWNS:
+        raise ValueError(
+            f"a witness search with entry degree <= {max_degree} has {nunknowns} "
+            f"unknowns, above the limit of {MAX_UNKNOWNS}")
+    monos = _monomials_up_to(len(vars_m), max_degree)
 
     def known(poly: Polynomial) -> dict:
         return poly.dense_terms(vars_m)
@@ -185,7 +265,7 @@ def find_witness(
     def emit(eq, rhs_poly, part, i, j):
         rhs = known(rhs_poly)
         for res in sorted(set(eq) | set(rhs)):
-            rows.append((eq.get(res, {}), rhs.get(res, Fraction(0))))
+            rows.append((eq.get(res, {}), rhs.get(res, 0)))
             where.append((part, i, j, res))
 
     d_alpha = mx.sub(psi.alpha, phi.alpha)

@@ -19,13 +19,27 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .poly import Polynomial, as_poly, substitute, sum_of_products
+from .poly import (
+    Polynomial,
+    Scalar,
+    as_poly,
+    integral_as_int,
+    substitute,
+    sum_of_products,
+)
 
 Matrix = tuple  # tuple of tuples of Polynomial
 
 
 def from_rows(rows) -> Matrix:
-    mat = tuple(tuple(as_poly(e) for e in row) for row in rows)
+    """A matrix from rows of ints, Fractions or polynomials; a tuple of
+    tuples of polynomials is already one and is returned as it is."""
+    if type(rows) is tuple and all(
+            type(row) is tuple and all(type(e) is Polynomial for e in row)
+            for row in rows):
+        mat = rows
+    else:
+        mat = tuple(tuple(as_poly(e) for e in row) for row in rows)
     if mat and any(len(row) != len(mat[0]) for row in mat):
         raise ValueError("ragged matrix")
     return mat
@@ -71,10 +85,14 @@ def neg(a: Matrix) -> Matrix:
     return tuple(tuple(-x if x else z for x in row) for row in a)
 
 
-def scale(a: Matrix, c) -> Matrix:
-    c = as_poly(c)
+def scale(a: Matrix, c: Scalar) -> Matrix:
+    """``c * a`` for a scalar ``c``.  A coefficient of the result that is
+    integral is stored as an ``int``, so scaling by 1/k leaves no integral
+    ``Fraction`` for later arithmetic to pay for."""
     z = Polynomial.zero()
-    return tuple(tuple(x * c if x else z for x in row) for row in a)
+    return tuple(tuple(
+        Polynomial({m: integral_as_int(v * c) for m, v in x.terms.items()}) if x else z
+        for x in row) for row in a)
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:

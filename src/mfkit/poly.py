@@ -2,9 +2,9 @@
 
 A polynomial is stored sparsely as a map from monomials to nonzero
 coefficients, each an ``int`` or a ``Fraction``.  Constants, variables, the
-parser and exact division store an integral coefficient as an ``int``, and
-sums and products of ints stay ints, so integral terms do not pay for
-``Fraction`` arithmetic.  A monomial names its own variables: it is a tuple of
+parser, derivatives and exact division store an integral coefficient as an
+``int``, and sums and products of ints stay ints, so integral terms do not
+pay for ``Fraction`` arithmetic.  A monomial names its own variables: it is a tuple of
 ``(Variable, exponent)`` pairs with every exponent >= 1, sorted by variable,
 and ``()`` is the constant monomial.  A variable is a base name plus a prime
 level (``x`` vs ``x'``), stored as the plain pair ``(name, prime_level)`` so
@@ -96,7 +96,7 @@ class InexactDivision(ArithmeticError):
         super().__init__(f"division leaves remainder {remainder}")
 
 
-def _integral_as_int(c: Fraction) -> Scalar:
+def integral_as_int(c: Scalar) -> Scalar:
     """``c`` itself, or its numerator when its denominator is 1."""
     return c.numerator if c.denominator == 1 else c
 
@@ -107,7 +107,7 @@ def _check_coeff(c) -> Scalar:
         return c
     if isinstance(c, float):
         raise TypeError("float coefficients are not supported; use Fraction")
-    return _integral_as_int(Fraction(c))
+    return integral_as_int(Fraction(c))
 
 
 def _mono_mul(a: tuple, b: tuple) -> tuple:
@@ -321,7 +321,7 @@ def divide_exact(num: Polynomial, den: Polynomial) -> Polynomial:
         if all(le >= de for le, de in zip(lead, dlead)):
             qm = tuple(le - de for le, de in zip(lead, dlead))
             # Through Fraction: int / int would give a float.
-            qc = _integral_as_int(Fraction(c, dc))
+            qc = integral_as_int(Fraction(c, dc))
             q[qm] = qc
             for dm, dcc in dt.items():
                 m = tuple(a + b for a, b in zip(qm, dm))
@@ -385,7 +385,7 @@ def derivative(f: Polynomial, v: Variable) -> Polynomial:
         for pos, (u, e) in enumerate(mono):
             if u == v:
                 lowered = ((u, e - 1),) if e > 1 else ()
-                acc[mono[:pos] + lowered + mono[pos + 1:]] = c * e
+                acc[mono[:pos] + lowered + mono[pos + 1:]] = integral_as_int(c * e)
     return Polynomial(acc)
 
 # -- parsing ---------------------------------------------------------------
@@ -546,7 +546,7 @@ class _Parser:
             den = self._number(val, pos2)
             if den == 0:
                 raise PolyParseError("malformed rational (zero denominator)", pos2)
-            return _integral_as_int(Fraction(numerator, den))
+            return integral_as_int(Fraction(numerator, den))
         return numerator
 
 

@@ -202,9 +202,9 @@ def _correction_components(x: MatrixFactorization, gen_vars, sign: int):
                 mid_parity = (eps + k - 1) % 2
                 d_block = dp[i - 1] if mid_parity == 0 else dq[i - 1]
                 factor = sign * (1 if mid_parity == 0 else -1) * insert_sign
-                term = mx.scale(mx.mul(d_block, comp[(rest, eps)]), Fraction(factor, k))
-                acc = mx.add(acc, term)
-            comp[(word, eps)] = acc
+                term = mx.mul(d_block, comp[(rest, eps)])
+                acc = mx.add(acc, term) if factor > 0 else mx.sub(acc, term)
+            comp[(word, eps)] = mx.scale(acc, Fraction(1, k))
     return comp
 
 

@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mfkit import matrices as mx
 from mfkit.cli import run
 from mfkit.homotopy import (
+    MAX_UNKNOWNS,
     HomotopyWitness,
     NotFoundWithinDegree,
+    _monomials_up_to,
     _solve_gauss_jordan,
     check_witness,
     find_witness,
@@ -315,6 +320,149 @@ def test_solver_random_inconsistent_systems(seed):
     rows.insert(rng.randint(0, len(rows)), (coeffs, rhs + rng.choice([-1, 1, Fraction(1, 2)])))
     sol, _, bad = _solve_gauss_jordan(rows, n)
     assert sol is None and bad is not None
+
+
+# ---------------------------------------------------------------------------
+# the integer-row solver against the Fraction Gauss-Jordan it replaced
+
+
+def _sub_scaled(row, f, other):
+    coeffs = row[0]
+    for u, c in other[0].items():
+        v = coeffs.pop(u, 0) - f * c
+        if v:
+            coeffs[u] = v
+    row[1] -= f * other[1]
+
+
+def fraction_gauss_jordan(rows):
+    """The reduced row echelon solve over Fraction, every pivot scaled to 1:
+    the oracle for ``_solve_gauss_jordan``, which eliminates over integer
+    rows and must return the same ``(solution, rank, bad)``."""
+    pivots = {}
+    for n, (coeffs, rhs) in enumerate(rows):
+        row = [{u: Fraction(c) for u, c in coeffs.items() if c}, Fraction(rhs)]
+        for u in [u for u in row[0] if u in pivots]:
+            _sub_scaled(row, row[0][u], pivots[u])
+        if not row[0]:
+            if row[1]:
+                return None, len(pivots), n
+            continue
+        p = min(row[0])
+        inv = 1 / row[0][p]
+        row = [{u: c * inv for u, c in row[0].items()}, row[1] * inv]
+        for other in pivots.values():
+            if p in other[0]:
+                _sub_scaled(other, other[0][p], row)
+        pivots[p] = row
+    return {p: rhs for p, (_, rhs) in pivots.items()}, len(pivots), None
+
+
+def assert_solves_like_the_oracle(rows, nunknowns):
+    got = _solve_gauss_jordan(rows, nunknowns)
+    assert got == fraction_gauss_jordan(rows)
+    sol = got[0] or {}
+    assert all(type(v) is int or v.denominator > 1 for v in sol.values())
+    return got
+
+
+COEFFS = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=6))
+
+
+@st.composite
+def sparse_systems(draw):
+    """``(rows, nunknowns, consistent)``: up to four int or Fraction
+    coefficients per row, zeros and empty rows among them, and some rows
+    repeated or scaled; the rhs is drawn freely, or is A*s for a drawn s."""
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(
+        st.dictionaries(st.integers(0, n - 1), COEFFS, max_size=4), max_size=16))
+    if rows:
+        for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4)):
+            f = draw(st.sampled_from([1, -1, 3, Fraction(-2, 5)]))
+            rows.append({u: f * c for u, c in rows[i].items()})
+    rows = draw(st.permutations(rows))
+    consistent = draw(st.booleans())
+    if consistent:
+        s = {u: draw(COEFFS) for u in range(n)}
+        rhs = [sum(c * s[u] for u, c in row.items()) for row in rows]
+    else:
+        rhs = [draw(COEFFS) for _ in rows]
+    return list(zip(rows, rhs)), n, consistent
+
+
+@given(sparse_systems())
+def test_solver_matches_the_fraction_oracle(system):
+    rows, n, consistent = system
+    sol, rank, bad = assert_solves_like_the_oracle(rows, n)
+    if consistent:
+        assert bad is None and satisfies(rows, sol)
+    if bad is not None:
+        # the rows before the first inconsistent one are consistent
+        assert _solve_gauss_jordan(rows[:bad], n)[1:] == (rank, None)
+
+
+def test_solver_dense_system_with_large_coefficients():
+    """40 dense rows over 40 unknowns with 12-digit coefficients and a
+    rational solution, three of the rows dependent: the integer rows grow
+    and are divided back by their gcd on every step."""
+    rng = random.Random(40)
+    n = 40
+
+    def big():
+        return rng.randint(-10 ** 12, 10 ** 12)
+
+    rows = [{u: big() for u in range(n)} for _ in range(n - 3)]
+    for _ in range(3):
+        a, b = rng.sample(rows, 2)
+        rows.append({u: 3 * a[u] - 5 * b[u] for u in range(n)})
+    rng.shuffle(rows)
+    s = {u: Fraction(big(), rng.randint(1, 10 ** 6)) for u in range(n)}
+    system = [(row, sum(c * s[u] for u, c in row.items())) for row in rows]
+    sol, rank, bad = assert_solves_like_the_oracle(system, n)
+    assert (rank, bad) == (n - 3, None) and satisfies(system, sol)
+    broken = system[:5] + [(rows[2], system[2][1] + Fraction(1, 3))] + system[5:]
+    assert assert_solves_like_the_oracle(broken, n) == (None, 5, 5)
+
+
+# ---------------------------------------------------------------------------
+# the unknowns: their order and their budget
+
+
+def filtered_monomials(nvars, degree):
+    """Every vector with entries <= degree, filtered to total degree <=
+    degree and sorted: the definition that ``_monomials_up_to`` replaced."""
+    vecs = [()]
+    for _ in range(nvars):
+        vecs = [m + (e,) for m in vecs for e in range(degree + 1)]
+    return sorted((m for m in vecs if sum(m) <= degree), key=lambda m: (sum(m), m))
+
+
+def test_monomials_up_to_matches_the_filtered_enumeration():
+    for nvars in range(5):
+        for degree in range(5):
+            assert _monomials_up_to(nvars, degree) == filtered_monomials(nvars, degree)
+    assert len(_monomials_up_to(8, 4)) == comb(12, 4) == 495
+
+
+def test_find_witness_refuses_more_unknowns_than_the_budget():
+    # M is 2x2 in one variable: 2*2*2*C(1 + d, d) = 8(d + 1) unknowns
+    degree = MAX_UNKNOWNS // 8
+    want = f"has {8 * (degree + 1)} unknowns, above the limit of {MAX_UNKNOWNS}"
+    with pytest.raises(ValueError, match=want):
+        find_witness(M, M, identity_morphism(M), zero_morphism(M), degree)
+
+
+def test_cli_homotopy_refuses_a_huge_degree_naming_the_count(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(serialize_factorization(M))
+    assert run(["homotopy", str(path), "--phi", "id", "--psi", "zero",
+                "--max-degree", str(10 ** 9)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: a witness search with entry degree <= {10 ** 9} has "
+        f"{8 * (10 ** 9 + 1)} unknowns, above the limit of {MAX_UNKNOWNS}\n")
 
 
 # ---------------------------------------------------------------------------

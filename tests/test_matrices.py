@@ -91,6 +91,10 @@ def test_entrywise_kernels_match_references(rows, cols, density, rational):
     assert_same(mx.sub(a, b), [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
     assert_same(mx.neg(a), [[-x for x in row] for row in a])
     assert_same(mx.add(a, mx.neg(a)), [[0] * cols for _ in range(rows)])
+    for k in (0, -1, Fraction(-3, 7)):
+        got = mx.scale(a, k)
+        assert_same(got, [[x * k for x in row] for row in a])
+        assert_exact_form(got)
     c = rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), rng.choice(DENSITIES),
                     rational)
     assert_same(mx.kron(a, c), naive_kron(a, c))
@@ -156,3 +160,35 @@ def test_sum_of_products_matches_term_by_term_reference(pairs):
     got = sum_of_products(pairs)
     assert got.terms == ref_sum_of_products(pairs)
     assert_exact_form([[got]])
+
+
+# ---------------------------------------------------------------------------
+# from_rows and scale
+
+
+def test_from_rows_returns_a_polynomial_matrix_as_it_is():
+    px, py, zero = Polynomial.var(X), Polynomial.var(Y), Polynomial.zero()
+    m = ((px, zero), (Polynomial.const(2), py))
+    assert mx.from_rows(m) is m
+    with pytest.raises(ValueError, match="ragged"):
+        mx.from_rows(((px,), (px, py)))
+    # lists, ints and Fractions are still coerced, also inside tuples
+    coerced = mx.from_rows([[1, Fraction(1, 2)], (px, 0)])
+    assert coerced == ((Polynomial.const(1), Polynomial.const(Fraction(1, 2))),
+                       (px, zero))
+    mixed = mx.from_rows(((px, 3),))
+    assert mixed == ((px, Polynomial.const(3)),)
+    for mat in (coerced, mixed):
+        assert all(type(row) is tuple for row in mat)
+        assert all(type(e) is Polynomial for row in mat for e in row)
+
+
+def test_scale_stores_integral_coefficients_as_ints():
+    px, py = Polynomial.var(X), Polynomial.var(Y)
+    a = mx.from_rows([[2 * px + 1, 0], [Fraction(3, 2) * py, 4]])
+    got = mx.scale(a, Fraction(2, 3))
+    assert got == mx.from_rows([[Fraction(4, 3) * px + Fraction(2, 3), 0],
+                                [py, Fraction(8, 3)]])
+    assert got[1][0].terms == {((Y, 1),): 1}
+    assert type(got[1][0].terms[((Y, 1),)]) is int
+    assert {type(c) for c in mx.scale(a, Fraction(2))[0][0].terms.values()} == {int}

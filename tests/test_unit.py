@@ -341,6 +341,20 @@ def test_unitor_matches_gluing_chain(x, f, fvars, g, gvars, side):
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("x, f, fvars, g, gvars",
+                         [c[1:] for c in ORACLE_CASES],
+                         ids=[c[0] for c in ORACLE_CASES])
+def test_unitor_bundle_stores_integral_coefficients_as_ints(x, f, fvars, g, gvars, side):
+    """psi's components are scaled by 1/k and Z's entries are derivatives of
+    f; every integral coefficient among them is an int, not a Fraction."""
+    b = unitor_right(x, f, fvars) if side == "right" else unitor_left(x, g, gvars)
+    mats = (b.z.p, b.z.q, b.psi.alpha, b.psi.beta, b.rho.alpha, b.rho.beta,
+            b.unit.mf.p, b.unit.mf.q)
+    coeffs = [c for m in mats for row in m for e in row for c in e.terms.values()]
+    assert [c for c in coeffs if type(c) is not int and c.denominator == 1] == []
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
 def test_unitor_refuses_primed_generator_like_the_chain(side):
     gen = X if side == "right" else Z
     # X factors z - x' (right) or z' - x (left): it uses the primed generator.
