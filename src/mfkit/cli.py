@@ -15,13 +15,6 @@ import argparse
 import sys
 
 from . import matrices as mx
-from .exterior import ExtElement, contract
-from .homotopy import (
-    HomotopyWitness,
-    NotFoundWithinDegree,
-    check_witness,
-    find_witness,
-)
 from .matfac import (
     NotAFactorization,
     NotAMorphism,
@@ -34,9 +27,11 @@ from .matfac import (
     validate_morphism,
     zero_morphism,
 )
-from .poly import Polynomial, Variable, parse_poly, poly_to_str
-from .tensor import Variant, yoshino
-from .unit import koszul_unit, unitor_left, unitor_right
+from .poly import Polynomial, Variable, diff_quotient, parse_poly, poly_to_str
+
+# Every subcommand needs the three layers above.  The others are imported
+# where they run, so that validate and print load none of unit, homotopy
+# and exterior; the parser takes its --variant choices from tensor.
 
 
 class _MathFailure(Exception):
@@ -94,6 +89,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_tensor(args) -> int:
+    from .tensor import Variant, yoshino
+
     a = _load(args.a)
     b = _load(args.b)
     z = yoshino(a, b, Variant.from_str(args.variant))
@@ -106,6 +103,8 @@ def _split_names(raw: str) -> list:
 
 
 def _cmd_unit(args) -> int:
+    from .unit import koszul_unit
+
     names = _split_names(args.vars)
     if not names:
         raise ValueError("--vars must list at least one variable")
@@ -127,6 +126,8 @@ def _parse_var_split(raw: str):
 
 
 def _cmd_unitor(args) -> int:
+    from .unit import unitor_left, unitor_right
+
     x = _load(args.file)
     fside, gside = _parse_var_split(args.var_split)
     names = fside if args.side == "right" else gside
@@ -175,6 +176,8 @@ def _morphism_from_spec(spec: str, x, y):
 
 
 def _cmd_homotopy(args) -> int:
+    from .homotopy import NotFoundWithinDegree, find_witness
+
     x = _load(args.file)
     y = _load(args.second) if args.second else x
     phi = _morphism_from_spec(args.phi, x, y)
@@ -206,6 +209,11 @@ def _cmd_print(args) -> int:
 # -- demo ------------------------------------------------------------------
 
 def _demo_checks() -> list:
+    from .exterior import ExtElement, contract
+    from .homotopy import HomotopyWitness, check_witness
+    from .tensor import Variant, yoshino
+    from .unit import koszul_unit, unitor_right
+
     xv, yv, zv = Variable("x"), Variable("y"), Variable("z")
     px, py, pz = (Polynomial.var(v) for v in (xv, yv, zv))
 
@@ -227,11 +235,9 @@ def _demo_checks() -> list:
     f_xy = px - py
 
     def dq_first():
-        from .poly import diff_quotient
         return diff_quotient(f_xy, 1, (xv, yv)) == 1
 
     def dq_second():
-        from .poly import diff_quotient
         return diff_quotient(f_xy, 2, (xv, yv)) == -1
 
     def theta_contraction():
@@ -321,6 +327,8 @@ def _cmd_demo(args) -> int:
 # -- wiring ----------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .tensor import Variant
+
     p = argparse.ArgumentParser(
         prog="mfkit",
         description="exact matrix factorizations: build, combine, verify",
@@ -385,8 +393,7 @@ def run(argv) -> int:
         return 0 if code == 0 else 2
     try:
         return args.func(args)
-    except (_MathFailure, NotAFactorization, NotAMorphism,
-            NotFoundWithinDegree) as e:
+    except (_MathFailure, NotAFactorization, NotAMorphism) as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
     except RuntimeError as e:

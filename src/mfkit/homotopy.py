@@ -36,7 +36,6 @@ its rank and the first inconsistent equation.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -44,7 +43,9 @@ from . import matrices as mx
 from .matfac import (
     MatrixFactorization,
     Morphism,
+    Record,
     ShapeMismatch,
+    _set,
     zero_morphism,
 )
 from .poly import Polynomial, poly_to_str
@@ -66,18 +67,22 @@ class NotFoundWithinDegree(Exception):
         )
 
 
-@dataclass(frozen=True)
-class HomotopyWitness:
-    lambda0: tuple  # X_even -> Y_odd
-    lambda1: tuple  # X_odd  -> Y_even
-    max_degree: int
+class HomotopyWitness(Record):
+    __slots__ = ("lambda0", "lambda1", "max_degree")
+
+    def __init__(self, lambda0, lambda1, max_degree):
+        _set(self, "lambda0", lambda0)  # X_even -> Y_odd
+        _set(self, "lambda1", lambda1)  # X_odd  -> Y_even
+        _set(self, "max_degree", max_degree)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    ok: bool
-    even_residual: tuple
-    odd_residual: tuple
+class WitnessReport(Record):
+    __slots__ = ("ok", "even_residual", "odd_residual")
+
+    def __init__(self, ok, even_residual, odd_residual):
+        _set(self, "ok", ok)
+        _set(self, "even_residual", even_residual)
+        _set(self, "odd_residual", odd_residual)
 
     def __bool__(self) -> bool:
         return self.ok

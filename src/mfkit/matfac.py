@@ -28,7 +28,7 @@ The JSON file format lives here too: canonical, byte-stable output --
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from operator import attrgetter
 
 from . import matrices as mx
 from .poly import Polynomial, Variable, as_poly, parse_poly, poly_to_str
@@ -55,6 +55,46 @@ class ShapeMismatch(ValueError):
     pass
 
 
+class Record:
+    """Base of mfkit's frozen record types.
+
+    A subclass names its fields in ``__slots__`` and sets each of them once
+    in its own ``__init__`` through ``_set`` (``object.__setattr__``), so it
+    is built by position or keyword as fast as a dataclass.  Records compare
+    field-wise, and only with records of the same class; equal records hash
+    equal; assigning or deleting a field raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # The tuple of field values (every record has at least two fields).
+        cls._values = property(attrgetter(*cls.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values)
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+_set = object.__setattr__
+
+
 class NotAMorphism(ValueError):
     """Raised by make_morphism when a commuting square fails."""
 
@@ -63,13 +103,16 @@ class NotAMorphism(ValueError):
         super().__init__(report.describe())
 
 
-@dataclass(frozen=True)
-class MatrixFactorization:
-    p: tuple  # even -> odd
-    q: tuple  # odd -> even
-    potential: Polynomial
-    size: int
-    vars: tuple  # sorted Variables: those in the entries plus extra_vars
+class MatrixFactorization(Record):
+    __slots__ = ("p", "q", "potential", "size", "vars")
+
+    def __init__(self, p, q, potential, size, vars):
+        _set(self, "p", p)  # even -> odd
+        _set(self, "q", q)  # odd -> even
+        _set(self, "potential", potential)
+        _set(self, "size", size)
+        # The sorted Variables: those in the entries plus extra_vars.
+        _set(self, "vars", vars)
 
     def __repr__(self) -> str:
         return (
@@ -131,39 +174,41 @@ def direct_sum(x: MatrixFactorization, y: MatrixFactorization) -> MatrixFactoriz
     return make_factorization(p, q, x.potential, extra_vars=x.vars + y.vars)
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     """A pair of blocks between factorizations; shapes checked at creation.
 
     The commuting squares are *not* enforced here -- see make_morphism and
     validate_morphism -- so that failing candidates can be examined.
     """
 
-    alpha: tuple  # even block, target.size x source.size
-    beta: tuple   # odd block, same shape
-    source: MatrixFactorization
-    target: MatrixFactorization
+    __slots__ = ("alpha", "beta", "source", "target")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", mx.from_rows(self.alpha))
-        object.__setattr__(self, "beta", mx.from_rows(self.beta))
-        want = (self.target.size, self.source.size)
-        if mx.shape(self.alpha) != want or mx.shape(self.beta) != want:
+    def __init__(self, alpha, beta, source, target):
+        alpha = mx.from_rows(alpha)  # even block, target.size x source.size
+        beta = mx.from_rows(beta)  # odd block, same shape
+        want = (target.size, source.size)
+        if mx.shape(alpha) != want or mx.shape(beta) != want:
             raise ShapeMismatch(
                 f"morphism blocks must be {want}, got "
-                f"{mx.shape(self.alpha)} and {mx.shape(self.beta)}"
+                f"{mx.shape(alpha)} and {mx.shape(beta)}"
             )
-        if self.source.potential != self.target.potential:
+        if source.potential != target.potential:
             raise PotentialMismatch(
-                f"potentials differ: {self.source.potential} vs {self.target.potential}"
+                f"potentials differ: {source.potential} vs {target.potential}"
             )
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "source", source)
+        _set(self, "target", target)
 
 
-@dataclass(frozen=True)
-class MorphismReport:
-    ok: bool
-    eq1_residual: tuple  # beta*p_X - p_Y*alpha
-    eq2_residual: tuple  # alpha*q_X - q_Y*beta
+class MorphismReport(Record):
+    __slots__ = ("ok", "eq1_residual", "eq2_residual")
+
+    def __init__(self, ok, eq1_residual, eq2_residual):
+        _set(self, "ok", ok)
+        _set(self, "eq1_residual", eq1_residual)  # beta*p_X - p_Y*alpha
+        _set(self, "eq2_residual", eq2_residual)  # alpha*q_X - q_Y*beta
 
     def __bool__(self) -> bool:
         return self.ok

@@ -61,7 +61,6 @@ potential has the opposite sign.  X may not use a primed generator variable
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import matrices as mx
@@ -69,6 +68,8 @@ from .exterior import even_words, odd_words, theta_words
 from .matfac import (
     MatrixFactorization,
     Morphism,
+    Record,
+    _set,
     compose_morphisms,
     make_factorization,
     make_morphism,
@@ -83,16 +84,19 @@ from .poly import (
 from .tensor import Variant, _kron_blocks, _layout, _require_disjoint
 
 
-@dataclass(frozen=True)
-class UnitFactorization:
+class UnitFactorization(Record):
     """The unit factorization of f together with its basis bookkeeping."""
 
-    mf: MatrixFactorization
-    n: int
-    basis_even: tuple  # even-length words, (length, lex) order, () first
-    basis_odd: tuple
-    f: Polynomial
-    xvars: tuple
+    __slots__ = ("mf", "n", "basis_even", "basis_odd", "f", "xvars")
+
+    def __init__(self, mf, n, basis_even, basis_odd, f, xvars):
+        _set(self, "mf", mf)
+        _set(self, "n", n)
+        # Even-length words in (length, lex) order, () first.
+        _set(self, "basis_even", basis_even)
+        _set(self, "basis_odd", basis_odd)
+        _set(self, "f", f)
+        _set(self, "xvars", xvars)
 
     @property
     def rank(self) -> int:
@@ -165,8 +169,7 @@ def pi_row(u: UnitFactorization) -> tuple:
     return mx.from_rows([[1] + [0] * (u.rank - 1)])
 
 
-@dataclass(frozen=True)
-class UnitorBundle:
+class UnitorBundle(Record):
     """Collapsed product Z with the projection rho and its right inverse psi.
 
     Invariants (asserted at construction): rho and psi are valid morphisms
@@ -175,11 +178,14 @@ class UnitorBundle:
     homotopy module's business.
     """
 
-    z: MatrixFactorization
-    rho: Morphism
-    psi: Morphism
-    side: str
-    unit: UnitFactorization
+    __slots__ = ("z", "rho", "psi", "side", "unit")
+
+    def __init__(self, z, rho, psi, side, unit):
+        _set(self, "z", z)
+        _set(self, "rho", rho)
+        _set(self, "psi", psi)
+        _set(self, "side", side)
+        _set(self, "unit", unit)
 
 
 def _correction_components(x: MatrixFactorization, gen_vars, sign: int):
@@ -278,14 +284,29 @@ def unitor_left(x: MatrixFactorization, g: Polynomial, gvars=None) -> UnitorBund
     return _build_bundle(x, g, gvars, "left")
 
 
-@dataclass(frozen=True)
-class NaturalityReport:
-    ok: bool
-    alpha_residual: tuple
-    beta_residual: tuple
+class NaturalityReport(Record):
+    __slots__ = ("ok", "alpha_residual", "beta_residual")
+
+    def __init__(self, ok, alpha_residual, beta_residual):
+        _set(self, "ok", ok)
+        _set(self, "alpha_residual", alpha_residual)
+        _set(self, "beta_residual", beta_residual)
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def describe(self) -> str:
+        """``ok``, or the first entry of the first block where the two
+        composites differ, with the residual rho_Y.(p x id) - p.rho_X."""
+        if self.ok:
+            return "ok"
+        for name, res in (("alpha", self.alpha_residual),
+                          ("beta", self.beta_residual)):
+            hit = mx.first_nonzero(res)
+            if hit:
+                i, j, e = hit
+                return f"{name}[{i}][{j}] deviates by {e}"
+        return "ok"
 
 
 def naturality_check(p: Morphism, f: Polynomial, fvars=None) -> NaturalityReport:

@@ -18,6 +18,7 @@ from mfkit.matfac import (
 from mfkit.poly import Polynomial, Variable, substitute, t_shift
 from mfkit.tensor import VariableOverlap, identify_vars, rename_vars, yoshino
 from mfkit.unit import (
+    _collapsed_product,
     _correction_components,
     koszul_unit,
     naturality_check,
@@ -401,6 +402,27 @@ def test_naturality_builds_no_psi(monkeypatch):
     assert naturality_check(identity_morphism(X_RANK2), PX, (X,)).ok
     with pytest.raises(AssertionError, match="built psi"):
         unitor_right(x, f, xs)
+
+
+def test_naturality_failure_names_the_entry(monkeypatch):
+    """A broken square: the target's rho is doubled, so the two composites
+    differ by rho_Y.(p x id) = p.rho_X, and describe() names the first
+    block, entry and residual."""
+    built = []
+
+    def doubled_target(x, f, fvars):
+        unit, z, rho = _collapsed_product(x, f, fvars)
+        built.append(x)
+        if len(built) == 2:
+            rho = compose_morphisms(scalar_morphism(2, x), rho)
+        return unit, z, rho
+
+    monkeypatch.setattr("mfkit.unit._collapsed_product", doubled_target)
+    report = naturality_check(identity_morphism(X_RANK1), PX, (X,))
+    assert not report.ok
+    assert report.describe() == "alpha[0][1] deviates by 1"
+    monkeypatch.undo()
+    assert naturality_check(identity_morphism(X_RANK1), PX, (X,)).describe() == "ok"
 
 
 def test_unitor_invariant_failure_names_the_entry(monkeypatch):
