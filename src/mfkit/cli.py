@@ -20,18 +20,17 @@ from .matfac import (
     NotAMorphism,
     compose_morphisms,
     identity_morphism,
-    make_factorization,
     parse_factorization,
     scalar_morphism,
     serialize_factorization,
     validate_morphism,
     zero_morphism,
 )
-from .poly import Polynomial, Variable, diff_quotient, parse_poly, poly_to_str
+from .poly import Variable, parse_poly, poly_to_str
 
 # Every subcommand needs the three layers above.  The others are imported
-# where they run, so that validate and print load none of unit, homotopy
-# and exterior; the parser takes its --variant choices from tensor.
+# where they run, so that validate and print load none of unit, homotopy,
+# exterior and demo; the parser takes its --variant choices from tensor.
 
 
 class _MathFailure(Exception):
@@ -208,104 +207,12 @@ def _cmd_print(args) -> int:
 
 # -- demo ------------------------------------------------------------------
 
-def _demo_checks() -> list:
-    from .exterior import ExtElement, contract
-    from .homotopy import HomotopyWitness, check_witness
-    from .tensor import Variant, yoshino
-    from .unit import koszul_unit, unitor_right
-
-    xv, yv, zv = Variable("x"), Variable("y"), Variable("z")
-    px, py, pz = (Polynomial.var(v) for v in (xv, yv, zv))
-
-    def m_square():
-        m = [[0, px], [px ** 2, 0]]
-        make_factorization(m, m, px ** 3)
-        return True
-
-    def rank_one_cube():
-        make_factorization([[1]], [[px ** 3]], px ** 3)
-        return True
-
-    def m_q():
-        for n, q in ((3, 1), (5, 2), (7, 3)):
-            m = [[0, px ** q], [px ** (n - q), 0]]
-            make_factorization(m, m, px ** n)
-        return True
-
-    f_xy = px - py
-
-    def dq_first():
-        return diff_quotient(f_xy, 1, (xv, yv)) == 1
-
-    def dq_second():
-        return diff_quotient(f_xy, 2, (xv, yv)) == -1
-
-    def theta_contraction():
-        got = contract(4, ExtElement.word(7, (2, 4, 7)))
-        return got == ExtElement(7, {(2, 7): -1})
-
-    def delta_x():
-        u = koszul_unit(px)
-        xp = Polynomial.var(xv.primed())
-        return u.mf.p == mx.from_rows([[1]]) and u.mf.q == mx.from_rows(
-            [[px - xp]]
-        )
-
-    def delta_x_minus_y():
-        u = koszul_unit(f_xy)
-        dx = px - Polynomial.var(xv.primed())
-        dy = py - Polynomial.var(yv.primed())
-        want_p = mx.from_rows([[1, -dy], [-1, dx]])
-        want_q = mx.from_rows([[dx, dy], [1, 1]])
-        return u.mf.p == want_p and u.mf.q == want_q and u.rank == 2
-
-    def four_variants():
-        a = make_factorization([[1]], [[px]], px)
-        b = make_factorization([[1]], [[py]], py)
-        results = [yoshino(a, b, v) for v in Variant]
-        for i in range(len(results)):
-            for j in range(i + 1, len(results)):
-                if results[i].p == results[j].p and results[i].q == results[j].q:
-                    return False
-        return all(r.size == 2 for r in results)
-
-    def unitor_assertions():
-        x = make_factorization([[1]], [[pz - px]], pz - px)
-        bundle = unitor_right(x, px, (xv,))
-        pr = compose_morphisms(bundle.psi, bundle.rho)
-        ident = identity_morphism(bundle.z)
-        return not (
-            mx.eq(pr.alpha, ident.alpha) and mx.eq(pr.beta, ident.beta)
-        )
-
-    def zero_witness():
-        x = make_factorization([[1]], [[pz - px]], pz - px)
-        bundle = unitor_right(x, px, (xv,))
-        round_trip = compose_morphisms(bundle.rho, bundle.psi)
-        w = HomotopyWitness(
-            lambda0=mx.zeros(1, 1), lambda1=mx.zeros(1, 1), max_degree=0
-        )
-        report = check_witness(x, x, round_trip, identity_morphism(x), w)
-        return report.ok
-
-    return [
-        ("matrix pair [[0,x],[x^2,0]] with itself factors x^3", m_square),
-        ("rank-one pair ([1],[x^3]) factors x^3", rank_one_cube),
-        ("anti-diagonal pairs factor x^n at (3,1), (5,2), (7,3)", m_q),
-        ("first difference quotient of x - y is 1", dq_first),
-        ("second difference quotient of x - y is -1", dq_second),
-        ("contraction t4* of t2^t4^t7 is -t2^t7", theta_contraction),
-        ("unit factorization of x is ([1], [x - x'])", delta_x),
-        ("unit factorization of x - y has the expected 2x2 blocks", delta_x_minus_y),
-        ("four tensor layouts of ([1],[x]), ([1],[y]) are valid and distinct", four_variants),
-        ("unitor: rho∘psi = id while psi∘rho != id", unitor_assertions),
-        ("zero witness certifies rho∘psi ~ id", zero_witness),
-    ]
-
-
 def _cmd_demo(args) -> int:
+    from .demo import paper_checks
+
+    checks = paper_checks()
     failures = 0
-    for name, fn in _demo_checks():
+    for name, fn in checks:
         try:
             ok = fn()
             detail = ""
@@ -319,7 +226,7 @@ def _cmd_demo(args) -> int:
             print(f"FAIL {name}", file=sys.stderr)
             if detail:
                 print(f"     {detail.strip()}", file=sys.stderr)
-    total = len(_demo_checks())
+    total = len(checks)
     print(f"{total - failures}/{total} checks passed")
     return 1 if failures else 0
 
@@ -391,6 +298,11 @@ def run(argv) -> int:
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else 2
         return 0 if code == 0 else 2
+    # Some argparse versions drop a lone "--" given as a value ("--vars=--")
+    # and leave an empty list where a string belongs.
+    if [] in vars(args).values():
+        print("error: an option is missing its value", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (_MathFailure, NotAFactorization, NotAMorphism) as e:

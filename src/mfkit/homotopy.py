@@ -10,18 +10,23 @@ lambda = (lambda0: X_even -> Y_odd, lambda1: X_odd -> Y_even) with
 for lambda with entries of bounded total degree: each candidate entry is a
 linear combination of all monomials up to the bound with unknown rational
 coefficients, and the two equations become an exact linear system over Q.
-An unknown is the tuple (b, i, j, k): the coefficient of the k-th monomial,
-in graded-lex order, of entry [i][j] of lambda_b.  A search with more than
-`MAX_UNKNOWNS` unknowns is refused before any row is built.  Each equation
-row stays sparse, {unknown: coeff} with its right-hand side, from assembly
-to solution.  The solve is a reduced row echelon form whose pivot is always
-the smallest unknown of a row, with free unknowns pinned to 0.  That form is
-unique, so the witness does not depend on row order and its printed bytes
-are stable; a cheaper pivot choice (Markowitz) would change which unknowns
-are free, and so the witness.
+An unknown is the coefficient of the k-th monomial, in graded-lex order, of
+entry [i][j] of lambda_b, numbered by the int ((b*|Y| + i)*|X| + j)*N + k for
+N candidate monomials: ints order as the tuples (b, i, j, k) do, and hash and
+compare faster.  A search with more than `MAX_UNKNOWNS` unknowns is refused
+before any row is built.  Each distinct entry of d_X and d_Y is expanded once
+per search into its shift table -- each of its terms times each candidate
+monomial -- and every equation entry that multiplies it reads that table.
+Each equation row stays sparse, {unknown: coeff} with its right-hand side,
+from assembly to solution.  The solve is a reduced row echelon form whose
+pivot is always the smallest unknown of a row, with free unknowns pinned to
+0.  That form is unique, so the witness does not depend on row order and its
+printed bytes are stable; a cheaper pivot choice (Markowitz) would change
+which unknowns are free, and so the witness.
 
 The elimination runs over integer rows, with no `Fraction` arithmetic: each
-row is cleared of denominators once and then only combined as
+row is cleared of denominators once (a row of ints needs no clearing) and
+then only combined as
 a*row - b*pivot_row and divided by the gcd of its entries.  Scaling a row
 changes neither its support nor, up to that scale, its values, so the pivots,
 the rank, the first inconsistent equation and the solution -- each pivot
@@ -37,7 +42,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd, lcm
+from operator import add, mul
 
 from . import matrices as mx
 from .matfac import (
@@ -51,10 +58,12 @@ from .matfac import (
 from .poly import Polynomial, poly_to_str
 
 # A witness search has 2*|Y|*|X|*C(v + d, d) unknowns for v variables and
-# degree d, and the solve's time and memory grow faster than linearly in
-# them: 16128 unknowns (size 8 in four variables, degree 5) took 6 s and
-# 190 MiB on a 2-core VM.  Larger searches are refused before any row is
-# built.
+# degree d.  The limit bounds the unknowns, not the time, which grows with
+# the fill-in of the elimination: on a 2-core VM, whose speed varied 2x from
+# hour to hour, the Jacobian search on a size-8 product in four variables
+# took 2.7-5.5 s at degree 3 (4480 unknowns, 14912 rows, rank 3824) and
+# about 50 s at degree 4 (8960 unknowns), nearly all of it in the solve.
+# Larger searches are refused before any row is built.
 MAX_UNKNOWNS = 20000
 
 
@@ -145,7 +154,9 @@ def _monomials_up_to(nvars: int, degree: int) -> list:
 
 def _integer_row(coeffs, rhs) -> list:
     """``[{unknown: int}, int]``: the row times the lcm of its denominators,
-    with its zero coefficients dropped."""
+    with its zero coefficients dropped; a row of ints is only copied."""
+    if type(rhs) is int and {int}.issuperset(map(type, coeffs.values())):
+        return [{u: c for u, c in coeffs.items() if c}, rhs]
     den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
     return [{u: c.numerator * (den // c.denominator) for u, c in coeffs.items() if c},
             rhs.numerator * (den // rhs.denominator)]
@@ -182,9 +193,10 @@ def _make_primitive(row: list, p) -> None:
 
 
 def _solve_gauss_jordan(rows, nunknowns: int):
-    """Exact sparse solve of ``rows``, a list of ``({unknown: coeff}, rhs)``;
-    an unknown that no row names is free.  The elimination does not need
-    ``nunknowns``, the size of the system; ``bench/tracer.py`` reads it here.
+    """Exact sparse solve of ``rows``, a list of ``({unknown: coeff}, rhs)``
+    over the unknowns ``0 .. nunknowns - 1``; an unknown that no row names is
+    free.  The elimination does not need ``nunknowns``, only the final check
+    of every row does; ``bench/tracer.py`` reads it here too.
 
     Returns ``(solution, rank, bad)``.  ``solution`` maps each pivot unknown
     to its value (free unknowns are 0) and ``bad`` is None; or the system is
@@ -225,11 +237,79 @@ def _solve_gauss_jordan(rows, nunknowns: int):
         sol[p] = rhs // c if rhs % c == 0 else Fraction(rhs, c)
     # Check every input row exactly, in integers over the common denominator.
     den = lcm(*(v.denominator for v in sol.values()))
-    scaled = {u: v.numerator * (den // v.denominator) for u, v in sol.items()}
+    scaled = [0] * nunknowns
+    for u, v in sol.items():
+        scaled[u] = v.numerator * (den // v.denominator)
     for n, (coeffs, rhs) in enumerate(rows):
-        if sum(c * scaled.get(u, 0) for u, c in coeffs.items()) != rhs * den:
+        if sum(map(mul, coeffs.values(), map(scaled.__getitem__, coeffs))) != rhs * den:
             raise RuntimeError(f"internal: solution fails equation {n}")
     return sol, len(pivots), None
+
+
+def _shift_table(poly: Polynomial, vars_m: tuple, monos: list) -> list:
+    """``[(result monomial, k, coeff)]``: each term of ``poly`` times each
+    candidate monomial ``monos[k]``, as exponent vectors over ``vars_m``."""
+    return [(tuple(map(add, km, mo)), k, kc)
+            for km, kc in poly.dense_terms(vars_m).items()
+            for k, mo in enumerate(monos)]
+
+
+def _assemble(x, y, phi, psi, vars_m: tuple, monos: list):
+    """``(rows, where)``: the rows ``({unknown: coeff}, rhs)`` of both
+    homotopy equations, entry by entry, even before odd, each entry's rows in
+    ascending result monomial; and per row ``(part, i, j, result monomial)``.
+
+    Unknown ``(b, i, j, k)`` is numbered ``((b*ny + i)*nxs + j)*nm + k``.
+    One equation entry names each unknown entry of lambda once, in one
+    product with one known entry, so each (result monomial, unknown) pair
+    is written once: a store, never a sum."""
+    ny, nxs, nm = y.size, x.size, len(monos)
+    tables = {}  # known entry -> its shift table, built once per search
+
+    def first(b, i, j):
+        """The number of unknown (b, i, j, 0)."""
+        return ((b * ny + i) * nxs + j) * nm
+
+    def shift_tables(m):
+        out = []
+        for row in m:
+            out.append([])
+            for e in row:
+                table = tables.get(e) if e else ()
+                if table is None:
+                    table = tables[e] = _shift_table(e, vars_m, monos)
+                out[-1].append(table)
+        return out
+
+    rows, where = [], []
+    d_alpha = mx.sub(psi.alpha, phi.alpha)
+    d_beta = mx.sub(psi.beta, phi.beta)
+    # even entry (i, j): sum_k qY[i,k] l0[k,j] + l1[i,k] pX[k,j]
+    # odd entry (i, j):  sum_k pY[i,k] l1[k,j] + l0[i,k] qX[k,j]
+    # so d_Y multiplies lambda_b and d_X multiplies lambda_(1-b); per part,
+    # the tables of d_Y by row and of d_X by column.
+    parts = [(part, b, shift_tables(d_y), list(zip(*shift_tables(d_x))), rhs_m)
+             for part, b, d_y, d_x, rhs_m in (("even", 0, y.q, x.p, d_alpha),
+                                                ("odd", 1, y.p, x.q, d_beta))]
+    for i in range(ny):
+        for j in range(nxs):
+            for part, b, y_rows, x_cols, rhs_m in parts:
+                # entries [k][j] of lambda_b, then [i][k] of lambda_(1-b)
+                right = range(first(b, 0, j), first(b, ny, j), nxs * nm)
+                left = range(first(1 - b, i, 0), first(1 - b, i, nxs), nm)
+                eq = {}  # result monomial -> {unknown: coeff}
+                for table, base in chain(zip(y_rows[i], right), zip(x_cols[j], left)):
+                    for res, k, kc in table:
+                        terms = eq.get(res)
+                        if terms is None:
+                            eq[res] = {base + k: kc}
+                        else:
+                            terms[base + k] = kc
+                rhs = rhs_m[i][j].dense_terms(vars_m)
+                for res in sorted(eq.keys() | rhs.keys()):
+                    rows.append((eq.get(res, {}), rhs.get(res, 0)))
+                    where.append((part, i, j, res))
+    return rows, where
 
 
 def find_witness(
@@ -251,46 +331,7 @@ def find_witness(
             f"a witness search with entry degree <= {max_degree} has {nunknowns} "
             f"unknowns, above the limit of {MAX_UNKNOWNS}")
     monos = _monomials_up_to(len(vars_m), max_degree)
-
-    def known(poly: Polynomial) -> dict:
-        return poly.dense_terms(vars_m)
-
-    def accumulate(eq, kpoly, b, ur, uc):
-        """Add kpoly times the unknown entry (b, ur, uc) to eq, a map
-        result monomial -> {unknown (b, ur, uc, k): coeff}."""
-        for km, kc in known(kpoly).items():
-            for k, mo in enumerate(monos):
-                res = tuple(a + c for a, c in zip(km, mo))
-                terms = eq.setdefault(res, {})
-                terms[(b, ur, uc, k)] = terms.get((b, ur, uc, k), 0) + kc
-
-    rows = []
-    where = []  # per row: (part, i, j, result monomial), for diagnostics
-
-    def emit(eq, rhs_poly, part, i, j):
-        rhs = known(rhs_poly)
-        for res in sorted(set(eq) | set(rhs)):
-            rows.append((eq.get(res, {}), rhs.get(res, 0)))
-            where.append((part, i, j, res))
-
-    d_alpha = mx.sub(psi.alpha, phi.alpha)
-    d_beta = mx.sub(psi.beta, phi.beta)
-    for i in range(ny):
-        for j in range(nxs):
-            # even equation entry (i, j): sum_k qY[i,k] l0[k,j] + l1[i,k] pX[k,j]
-            eq = {}
-            for k in range(ny):
-                accumulate(eq, y.q[i][k], 0, k, j)
-            for k in range(nxs):
-                accumulate(eq, x.p[k][j], 1, i, k)
-            emit(eq, d_alpha[i][j], "even", i, j)
-            # odd equation entry (i, j): sum_k pY[i,k] l1[k,j] + l0[i,k] qX[k,j]
-            eq = {}
-            for k in range(ny):
-                accumulate(eq, y.p[i][k], 1, k, j)
-            for k in range(nxs):
-                accumulate(eq, x.q[k][j], 0, i, k)
-            emit(eq, d_beta[i][j], "odd", i, j)
+    rows, where = _assemble(x, y, phi, psi, vars_m, monos)
 
     sol, rank, bad = _solve_gauss_jordan(rows, nunknowns)
     if sol is None:
@@ -301,9 +342,11 @@ def find_witness(
             f"first inconsistent equation, {part} entry [{i}][{j}], monomial {mono}"))
 
     def rebuild(b):
+        nm = len(monos)
         return tuple(tuple(
-            Polynomial.from_dense(vars_m, {mo: sol.get((b, i, j, k), 0)
-                                           for k, mo in enumerate(monos)})
+            Polynomial.from_dense(vars_m, {
+                mo: c for k, mo in enumerate(monos)
+                if (c := sol.get(((b * ny + i) * nxs + j) * nm + k))})
             for j in range(nxs)) for i in range(ny))
 
     witness = HomotopyWitness(

@@ -21,12 +21,15 @@ from collections import defaultdict
 
 from .poly import (
     Polynomial,
-    Scalar,
     as_poly,
     integral_as_int,
     substitute,
     sum_of_products,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # an annotation-only name, see ``poly``
+    from .poly import Scalar
 
 Matrix = tuple  # tuple of tuples of Polynomial
 

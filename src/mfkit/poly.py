@@ -43,9 +43,14 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import itemgetter
-from typing import Mapping, Union
 
-Scalar = Union[int, Fraction]
+# Names used only in annotations, which ``from __future__ import annotations``
+# leaves unevaluated, so no CLI start-up pays for importing ``typing``.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Mapping, Union
+
+    Scalar = Union[int, Fraction]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 

@@ -244,6 +244,15 @@ def test_usage_errors():
     assert run(["tensor"]) == 2
 
 
+def test_lone_double_dash_value_is_a_usage_error(files, capsys):
+    for argv in (["unit", "--potential=x", "--vars=--"],
+                 ["unit", "--potential=--", "--vars=x"],
+                 ["unitor", files["x"], "--potential=x", "--var-split=--"],
+                 ["homotopy", files["m"], "--phi=--", "--psi=zero", "--max-degree=0"]):
+        assert run(argv) == 2, argv
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
 

@@ -12,6 +12,7 @@ from mfkit.homotopy import (
     MAX_UNKNOWNS,
     HomotopyWitness,
     NotFoundWithinDegree,
+    _assemble,
     _monomials_up_to,
     _solve_gauss_jordan,
     check_witness,
@@ -536,3 +537,160 @@ def test_jacobian_null_homotopy_oracle(size, seed):
         assert check_witness(x, x, zero, phi, oracle).ok
         w = find_witness(x, x, zero, phi, degree)
         assert check_witness(x, x, zero, phi, w).ok
+
+
+# ---------------------------------------------------------------------------
+# the assembly against the tuple-keyed loop it replaced
+
+
+def tuple_keyed_assembly(x, y, phi, psi, vars_m, monos):
+    """``(rows, where)`` with unknown ``(b, i, j, k)`` as a tuple and every
+    known entry expanded where it is used, summing into each row: the
+    reference for ``_assemble``."""
+    def known(poly):
+        return poly.dense_terms(vars_m)
+
+    def accumulate(eq, kpoly, b, ur, uc):
+        for km, kc in known(kpoly).items():
+            for k, mo in enumerate(monos):
+                res = tuple(a + c for a, c in zip(km, mo))
+                terms = eq.setdefault(res, {})
+                terms[(b, ur, uc, k)] = terms.get((b, ur, uc, k), 0) + kc
+
+    rows, where = [], []
+
+    def emit(eq, rhs_poly, part, i, j):
+        rhs = known(rhs_poly)
+        for res in sorted(set(eq) | set(rhs)):
+            rows.append((eq.get(res, {}), rhs.get(res, 0)))
+            where.append((part, i, j, res))
+
+    d_alpha = mx.sub(psi.alpha, phi.alpha)
+    d_beta = mx.sub(psi.beta, phi.beta)
+    for i in range(y.size):
+        for j in range(x.size):
+            eq = {}
+            for k in range(y.size):
+                accumulate(eq, y.q[i][k], 0, k, j)
+            for k in range(x.size):
+                accumulate(eq, x.p[k][j], 1, i, k)
+            emit(eq, d_alpha[i][j], "even", i, j)
+            eq = {}
+            for k in range(y.size):
+                accumulate(eq, y.p[i][k], 1, k, j)
+            for k in range(x.size):
+                accumulate(eq, x.q[k][j], 0, i, k)
+            emit(eq, d_beta[i][j], "odd", i, j)
+    return rows, where
+
+
+def unknown_index(ny, nxs, nm):
+    return lambda b, i, j, k: ((b * ny + i) * nxs + j) * nm + k
+
+
+def test_unknown_index_orders_as_the_tuples():
+    ny, nxs, nm = 3, 2, 4
+    tuples = sorted((b, i, j, k) for b in range(2) for i in range(ny)
+                    for j in range(nxs) for k in range(nm))
+    index = unknown_index(ny, nxs, nm)
+    assert [index(*u) for u in tuples] == list(range(2 * ny * nxs * nm))
+
+
+@st.composite
+def assembly_inputs(draw):
+    """Small X and Y over x and y with one potential, of size 1 or 2 each,
+    blocks phi and psi of the right shape with some non-integral coefficients (the rows encode the equations
+    whether or not they are morphisms), and candidate monomials."""
+    rng = draw(st.randoms(use_true_random=False))
+    u = rand_poly(rng, (X, Y), nonzero=True)
+    v = rand_poly(rng, (X, Y), nonzero=True)
+    zero = Polynomial.zero()
+    shapes = {"rank1": ([[u]], [[v]]), "swapped": ([[v]], [[u]]),
+              "antidiag": ([[zero, u], [v, zero]], [[zero, u], [v, zero]])}
+    x, y = (make_factorization(*shapes[draw(st.sampled_from(sorted(shapes)))], u * v)
+            for _ in range(2))
+
+    def block():
+        return mx.from_rows([[rand_poly(rng, (X, Y)) * Fraction(1, rng.randint(1, 3))
+                              for _ in range(x.size)] for _ in range(y.size)])
+
+    phi, psi = (Morphism(alpha=block(), beta=block(), source=x, target=y)
+                for _ in range(2))
+    return x, y, phi, psi, _monomials_up_to(2, draw(st.integers(0, 2)))
+
+
+@given(assembly_inputs())
+def test_assembly_matches_the_tuple_keyed_loop(inputs):
+    x, y, phi, psi, monos = inputs
+    vars_m = tuple(sorted((X, Y)))
+    rows, where = _assemble(x, y, phi, psi, vars_m, monos)
+    want_rows, want_where = tuple_keyed_assembly(x, y, phi, psi, vars_m, monos)
+    assert where == want_where
+    index = unknown_index(y.size, x.size, len(monos))
+    assert len(rows) == len(want_rows)
+    for (coeffs, rhs), (want_coeffs, want_rhs) in zip(rows, want_rows):
+        assert rhs == want_rhs
+        # the same row, and its unknowns in the same order
+        assert coeffs == {index(*u): c for u, c in want_coeffs.items()}
+        assert sorted(coeffs) == [index(*u) for u in sorted(want_coeffs)]
+
+
+# ---------------------------------------------------------------------------
+# pinned outcomes: witness bytes and the not-found text, by family and degree
+
+
+def search_families():
+    """Name -> (X, phi, psi): a Jacobian null-homotopy with rational
+    witnesses, the identity on a product of (x, x^2) and (y, y^2), and
+    psi.rho against the identity on the collapsed product of
+    (z - x, z^2 + zx + x^2) with f = x^3."""
+    a = make_factorization([[2 * PX + 1]], [[PX ** 2 - Fraction(1, 3)]],
+                           (2 * PX + 1) * (PX ** 2 - Fraction(1, 3)))
+    b = make_factorization([[PY + 3]], [[PY ** 2 + PY]], (PY + 3) * (PY ** 2 + PY))
+    jac = yoshino(a, b, Variant.V2)
+    cubes = yoshino(make_factorization([[PX]], [[PX ** 2]], PX ** 3),
+                    make_factorization([[PY]], [[PY ** 2]], PY ** 3), Variant.V1)
+    zx = make_factorization([[PZ - PX]], [[PZ ** 2 + PZ * PX + PX ** 2]],
+                            PZ ** 3 - PX ** 3)
+    bundle = unitor_right(zx, PX ** 3, (X,))
+    return {
+        "jacobian": (jac, zero_morphism(jac),
+                     scalar_morphism(derivative(jac.potential, X), jac)),
+        "identity": (cubes, identity_morphism(cubes), zero_morphism(cubes)),
+        "psi_rho": (bundle.z, compose_morphisms(bundle.psi, bundle.rho),
+                    identity_morphism(bundle.z)),
+    }
+
+
+def _not_found(degree, unknowns, equations):
+    return (f"no homotopy witness with entry degree <= {degree} (no claim about "
+            f"higher degrees): {unknowns} unknowns, {equations} equations, rank 0 "
+            f"at the first inconsistent equation, even entry [0][0], monomial 1")
+
+
+JAC_HIGH = ("0, 1/3*x*y - 2/3*x + 2/9*y - 4/9; 1/3*x + 2/9, 6 | "
+            "6, -1/3*x*y + 2/3*x - 2/9*y + 4/9; -1/3*x - 2/9, 0")
+PINNED = {
+    ("jacobian", 1): "1, 1/18*y - 1/9; 1/18, 6 | 6, -1/18*y + 1/9; -1/18, 1",
+    ("jacobian", 2): JAC_HIGH,
+    ("jacobian", 3): JAC_HIGH,
+    ("identity", 1): _not_found(1, 24, 63),
+    ("identity", 2): _not_found(2, 48, 102),
+    ("identity", 3): _not_found(3, 80, 149),
+    ("psi_rho", 1): _not_found(1, 24, 67),
+    ("psi_rho", 2): _not_found(2, 48, 106),
+    ("psi_rho", 3): _not_found(3, 80, 153),
+}
+
+
+@pytest.mark.parametrize("family, degree", sorted(PINNED))
+def test_pinned_search_outcome(family, degree):
+    x, phi, psi = search_families()[family]
+    try:
+        w = find_witness(x, x, phi, psi, degree)
+    except NotFoundWithinDegree as e:
+        got = str(e)
+    else:
+        got = " | ".join("; ".join(", ".join(str(e) for e in row) for row in m)
+                         for m in (w.lambda0, w.lambda1))
+    assert got == PINNED[family, degree]

@@ -36,6 +36,16 @@ def test_import_mfkit_loads_no_submodule():
     assert loaded == ["mfkit"]
 
 
+def test_import_cli_loads_no_typing():
+    # poly's annotation-only names (Scalar, Mapping) need no ``typing``.
+    loaded = _fresh("""
+        import json, sys
+        import mfkit.cli
+        print(json.dumps(sorted(m for m in ("typing", "dataclasses") if m in sys.modules)))
+    """)
+    assert loaded == []
+
+
 def test_validate_and_print_load_only_their_layers(tmp_path):
     path = tmp_path / "m.json"
     m = [[0, PX], [PX ** 2, 0]]
@@ -49,7 +59,8 @@ def test_validate_and_print_load_only_their_layers(tmp_path):
             print(json.dumps([code, sorted(sys.modules)]))
         """)
         assert code == 0
-        for name in ("dataclasses", "mfkit.unit", "mfkit.homotopy", "mfkit.exterior"):
+        for name in ("dataclasses", "mfkit.unit", "mfkit.homotopy", "mfkit.exterior",
+                     "mfkit.demo"):
             assert name not in loaded, (cmd, name)
         assert {"mfkit.poly", "mfkit.matrices", "mfkit.matfac"} <= set(loaded)
 
