@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import matrices as mx
 from .matfac import (
     NotAFactorization,
     NotAMorphism,
@@ -28,9 +27,9 @@ from .matfac import (
 )
 from .poly import Variable, parse_poly, poly_to_str
 
-# Every subcommand needs the three layers above.  The others are imported
-# where they run, so that validate and print load none of unit, homotopy,
-# exterior and demo; the parser takes its --variant choices from tensor.
+# Every subcommand needs matfac and poly (and matrices, beneath matfac).  The
+# others are imported where they run, so that validate and print load none of
+# unit, homotopy, exterior and demo; the parser takes --variant from tensor.
 
 
 class _MathFailure(Exception):
@@ -75,16 +74,23 @@ def _matrix_lines(label: str, m) -> list:
 # -- subcommands -----------------------------------------------------------
 
 def _cmd_validate(args) -> int:
-    failures = 0
+    # Exit 2 if any file could not be read or parsed, else 1 if any failed
+    # its check.  A read error (raised from an OSError) names its file.
+    status = 0
     for path in args.files:
         try:
             x = _load(path)
         except NotAFactorization as e:
             print(f"{path}: FAIL - {e}", file=sys.stderr)
-            failures += 1
+            status = max(status, 1)
+            continue
+        except ValueError as e:
+            named = len(args.files) > 1 and not isinstance(e.__cause__, OSError)
+            print(f"error: {path}: {e}" if named else f"error: {e}", file=sys.stderr)
+            status = 2
             continue
         print(f"{path}: ok (size {x.size}, potential {x.potential})")
-    return 1 if failures else 0
+    return status
 
 
 def _cmd_tensor(args) -> int:
@@ -141,7 +147,7 @@ def _cmd_unitor(args) -> int:
     # rho . psi = id was asserted during construction; probe psi . rho.
     pr = compose_morphisms(bundle.psi, bundle.rho)
     ident = identity_morphism(bundle.z)
-    if mx.eq(pr.alpha, ident.alpha) and mx.eq(pr.beta, ident.beta):
+    if pr.alpha == ident.alpha and pr.beta == ident.beta:
         print("rho∘psi = id: PASS; psi∘rho = id: PASS (unexpected)")
         raise _MathFailure("psi∘rho unexpectedly equals the identity")
     print("rho∘psi = id: PASS; psi∘rho = id: FAIL (expected)")

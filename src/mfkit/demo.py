@@ -79,7 +79,7 @@ def paper_checks() -> list:
         pr = compose_morphisms(bundle.psi, bundle.rho)
         ident = identity_morphism(bundle.z)
         return not (
-            mx.eq(pr.alpha, ident.alpha) and mx.eq(pr.beta, ident.beta)
+            pr.alpha == ident.alpha and pr.beta == ident.beta
         )
 
     def zero_witness():

@@ -286,8 +286,8 @@ def morphism_equivalence_check(x, y, g0, g1) -> tuple:
     want = (y.size, x.size)
     if mx.shape(g0) != want or mx.shape(g1) != want:
         raise ShapeMismatch(f"blocks must be {want}")
-    eq1 = mx.eq(mx.mul(g1, x.p), mx.mul(y.p, g0))
-    eq2 = mx.eq(mx.mul(g0, x.q), mx.mul(y.q, g1))
+    eq1 = mx.mul(g1, x.p) == mx.mul(y.p, g0)
+    eq2 = mx.mul(g0, x.q) == mx.mul(y.q, g1)
     return (eq1, eq2)
 
 

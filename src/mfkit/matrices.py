@@ -19,13 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .poly import (
-    Polynomial,
-    as_poly,
-    integral_as_int,
-    substitute,
-    sum_of_products,
-)
+from .poly import Polynomial, as_poly, substitute, sum_of_products
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # an annotation-only name, see ``poly``
@@ -89,13 +83,9 @@ def neg(a: Matrix) -> Matrix:
 
 
 def scale(a: Matrix, c: Scalar) -> Matrix:
-    """``c * a`` for a scalar ``c``.  A coefficient of the result that is
-    integral is stored as an ``int``, so scaling by 1/k leaves no integral
-    ``Fraction`` for later arithmetic to pay for."""
+    """``c * a`` for a scalar ``c``."""
     z = Polynomial.zero()
-    return tuple(tuple(
-        Polynomial({m: integral_as_int(v * c) for m, v in x.terms.items()}) if x else z
-        for x in row) for row in a)
+    return tuple(tuple(x * c if x else z for x in row) for row in a)
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
@@ -150,12 +140,6 @@ def map_entries(fn, a: Matrix) -> Matrix:
 
 def subs_matrix(a: Matrix, mapping) -> Matrix:
     return map_entries(lambda e: substitute(e, mapping), a)
-
-
-def eq(a: Matrix, b: Matrix) -> bool:
-    return shape(a) == shape(b) and all(
-        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
 
 
 def is_zero(a: Matrix) -> bool:

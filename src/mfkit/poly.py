@@ -1,10 +1,10 @@
 """Exact multivariate polynomial arithmetic over Q, with doubled variables.
 
 A polynomial is stored sparsely as a map from monomials to nonzero
-coefficients, each an ``int`` or a ``Fraction``.  Constants, variables, the
-parser, derivatives and exact division store an integral coefficient as an
-``int``, and sums and products of ints stay ints, so integral terms do not
-pay for ``Fraction`` arithmetic.  A monomial names its own variables: it is a tuple of
+coefficients.  The ``Polynomial`` constructor, and nothing else, fixes a
+coefficient's stored form: an ``int`` where it is integral, else a
+``Fraction``, so integral terms do not pay for ``Fraction`` arithmetic.  A
+monomial names its own variables: it is a tuple of
 ``(Variable, exponent)`` pairs with every exponent >= 1, sorted by variable,
 and ``()`` is the constant monomial.  A variable is a base name plus a prime
 level (``x`` vs ``x'``), stored as the plain pair ``(name, prime_level)`` so
@@ -101,18 +101,13 @@ class InexactDivision(ArithmeticError):
         super().__init__(f"division leaves remainder {remainder}")
 
 
-def integral_as_int(c: Scalar) -> Scalar:
-    """``c`` itself, or its numerator when its denominator is 1."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _check_coeff(c) -> Scalar:
-    """An exact coefficient: an ``int`` when integral, else a ``Fraction``."""
+    """An exact scalar: ``c`` if it is an ``int``, else ``Fraction(c)``."""
     if type(c) is int:
         return c
     if isinstance(c, float):
         raise TypeError("float coefficients are not supported; use Fraction")
-    return integral_as_int(Fraction(c))
+    return Fraction(c)
 
 
 def _mono_mul(a: tuple, b: tuple) -> tuple:
@@ -139,10 +134,20 @@ class Polynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping = None):
-        """Keys must be monomials and values ints or Fractions; zeros are
-        dropped."""
-        object.__setattr__(
-            self, "terms", {m: c for m, c in (terms or {}).items() if c})
+        """Keys are monomials and values ints or Fractions.  Zeros are dropped,
+        an integral ``Fraction`` is stored as an ``int``, and any other value
+        (a float, a str) raises ``TypeError``."""
+        # A loop: a 3.11 comprehension's call outweighs the 1-2 terms of most maps.
+        kept = {}
+        try:
+            for m, c in (terms or {}).items():
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                if c:
+                    kept[m] = c
+        except AttributeError:
+            raise TypeError("coefficients must be ints or Fractions") from None
+        object.__setattr__(self, "terms", kept)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -325,8 +330,8 @@ def divide_exact(num: Polynomial, den: Polynomial) -> Polynomial:
         c = nt[lead]
         if all(le >= de for le, de in zip(lead, dlead)):
             qm = tuple(le - de for le, de in zip(lead, dlead))
-            # Through Fraction: int / int would give a float.
-            qc = integral_as_int(Fraction(c, dc))
+            # Not c / dc (a float for ints); an int quotient keeps the loop in ints.
+            qc = c // dc if c % dc == 0 else Fraction(c, dc)
             q[qm] = qc
             for dm, dcc in dt.items():
                 m = tuple(a + b for a, b in zip(qm, dm))
@@ -390,7 +395,7 @@ def derivative(f: Polynomial, v: Variable) -> Polynomial:
         for pos, (u, e) in enumerate(mono):
             if u == v:
                 lowered = ((u, e - 1),) if e > 1 else ()
-                acc[mono[:pos] + lowered + mono[pos + 1:]] = integral_as_int(c * e)
+                acc[mono[:pos] + lowered + mono[pos + 1:]] = c * e
     return Polynomial(acc)
 
 # -- parsing ---------------------------------------------------------------
@@ -551,7 +556,7 @@ class _Parser:
             den = self._number(val, pos2)
             if den == 0:
                 raise PolyParseError("malformed rational (zero denominator)", pos2)
-            return integral_as_int(Fraction(numerator, den))
+            return Fraction(numerator, den)
         return numerator
 
 

@@ -337,7 +337,7 @@ def naturality_check(p: Morphism, f: Polynomial, fvars=None) -> NaturalityReport
     left = compose_morphisms(rho_y, p_tensor_id)
     right = compose_morphisms(p, rho_x)
     return NaturalityReport(
-        ok=mx.eq(left.alpha, right.alpha) and mx.eq(left.beta, right.beta),
+        ok=left.alpha == right.alpha and left.beta == right.beta,
         alpha_residual=mx.sub(left.alpha, right.alpha),
         beta_residual=mx.sub(left.beta, right.beta),
     )

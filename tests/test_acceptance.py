@@ -66,9 +66,7 @@ def test_criterion_02_variants():
         assert z.size == 2
     for i in range(len(built)):
         for j in range(i + 1, len(built)):
-            same = mx.eq(built[i].p, built[j].p) and mx.eq(
-                built[i].q, built[j].q
-            )
+            same = built[i].p == built[j].p and built[i].q == built[j].q
             assert not same
 
 
@@ -83,8 +81,8 @@ def test_criterion_03_graded_differential():
         )
         for v in (Variant.STANDARD, Variant.V2):
             d0, d1 = graded_tensor_differential(a, b, v)
-            assert mx.eq(mx.mul(d1, d0), total)
-            assert mx.eq(mx.mul(d0, d1), total)
+            assert mx.mul(d1, d0) == total
+            assert mx.mul(d0, d1) == total
 
 
 def rand_factorization_disjoint(rng, variables):
@@ -190,7 +188,7 @@ X_RANK2 = direct_sum(
 
 def _is_identity(m):
     ident = identity_morphism(m.source)
-    return mx.eq(m.alpha, ident.alpha) and mx.eq(m.beta, ident.beta)
+    return m.alpha == ident.alpha and m.beta == ident.beta
 
 
 @criterion(7, "unitor one-sided inverses")

@@ -64,6 +64,28 @@ def test_validate_keeps_going_after_failure(files, capsys):
     assert "ok (size 1" in captured.out
 
 
+def test_validate_keeps_going_past_unreadable_and_malformed_files(files, capsys):
+    broken = files["dir"] / "broken.json"
+    broken.write_text("{")
+    missing = str(files["dir"] / "nope.json")
+    paths = [files["a"], str(broken), files["bad"], missing, files["m"]]
+    assert run(["validate", *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"{files['a']}: ok (size 1, potential x)",
+        f"{files['m']}: ok (size 2, potential x^3)",
+    ]
+    err = captured.err.splitlines()
+    assert len(err) == 3
+    assert err[0].startswith(f"error: {broken}: not valid JSON: ")
+    assert err[1].startswith(f"{files['bad']}: FAIL - ")
+    assert err[2].startswith(f"error: cannot read {missing}: ")
+    assert [line.count(str(broken)) for line in err] == [1, 0, 0]
+    # A read or parse error outranks a failed check, wherever it comes.
+    assert run(["validate", files["bad"], str(broken)]) == 2
+    assert run(["validate", files["bad"], files["a"], files["bad"]]) == 1
+
+
 def test_tensor_writes_canonical_file(files, capsys):
     out = str(files["dir"] / "ab.json")
     assert run(["tensor", files["a"], files["b"], "-o", out]) == 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfkit import matrices as mx
 from mfkit.matfac import make_factorization
 from mfkit.poly import (
     MAX_DIGITS,
@@ -22,6 +23,7 @@ from mfkit.poly import (
     parse_poly,
     poly_to_str,
     substitute,
+    sum_of_products,
     t_shift,
 )
 from mfkit.unit import unitor_right
@@ -501,6 +503,45 @@ def test_divide_exact_recovers_int_factor(a, b):
     assert q == a
     for c in q.terms.values():
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def _stored_form_ok(f):
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in f.terms.values())
+
+
+def test_ring_operations_store_integral_coefficients_as_ints():
+    half, third = PX * Fraction(1, 2), PY * Fraction(2, 3)
+    assert (half + half).terms == {((X, 1),): 1}
+    assert _coeff_types(half + half) == {int}
+    assert _coeff_types(third * (PX * Fraction(3, 2))) == {int}
+    assert _coeff_types(half * 2) == {int}
+    assert _coeff_types(Polynomial({(): Fraction(4, 2)})) == {int}
+
+
+@pytest.mark.parametrize("value", [0.5, 0.0, "1"])
+def test_constructor_refuses_a_value_that_is_not_exact(value):
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        Polynomial({(): value})
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), polys().filter(bool),
+       st.fractions(min_value=-4, max_value=4, max_denominator=4),
+       st.integers(min_value=0, max_value=3))
+def test_every_operation_stores_integral_coefficients_as_ints(f, g, h, c, k):
+    a = mx.from_rows([[f, g], [h, 0]])
+    b = mx.from_rows([[g, 0], [f, h]])
+    results = [
+        f + g, f - g, -f, f * g, f * c, c * f, f ** k,
+        substitute(f, {X: g, Y: h}), derivative(f, X),
+        diff_quotient(f, 1, (X, Y)), diff_quotient(f, 2, (X, Y)),
+        divide_exact(f * h, h), sum_of_products([(f, g), (g, h)]),
+    ]
+    for m in (mx.scale(a, c), mx.mul(a, b), mx.kron(a, b)):
+        results += [e for row in m for e in row]
+    assert all(_stored_form_ok(r) for r in [f, g, h] + results)
 
 
 def test_unitor_bundle_has_no_float_coefficient():

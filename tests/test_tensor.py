@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -52,7 +53,7 @@ def test_all_variants_validate_and_differ():
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
             assert not (
-                mx.eq(pairs[i].p, pairs[j].p) and mx.eq(pairs[i].q, pairs[j].q)
+                pairs[i].p == pairs[j].p and pairs[i].q == pairs[j].q
             )
 
 
@@ -97,8 +98,8 @@ def test_variants_are_block_rotations_of_standard():
         for v in (Variant.V1, Variant.V2, Variant.V3):
             p, q = _anticlockwise(p), _clockwise(q)
             got = yoshino(a, b, v)
-            assert mx.eq(got.p, p)
-            assert mx.eq(got.q, q)
+            assert got.p == p
+            assert got.q == q
 
 
 def test_graded_differential_squares():
@@ -109,8 +110,8 @@ def test_graded_differential_squares():
         total = mx.scalar_matrix(2 * a.size * b.size, a.potential + b.potential)
         for v in (Variant.STANDARD, Variant.V2):
             d0, d1 = graded_tensor_differential(a, b, v)
-            assert mx.eq(mx.mul(d1, d0), total)
-            assert mx.eq(mx.mul(d0, d1), total)
+            assert mx.mul(d1, d0) == total
+            assert mx.mul(d0, d1) == total
 
 
 def test_rejects_shared_variables():
@@ -125,8 +126,8 @@ def test_rejects_shared_variables():
 def test_tensor_of_identities_is_identity():
     got = tensor_morphisms(identity_morphism(B1), identity_morphism(A1))
     want = identity_morphism(yoshino(A1, B1))
-    assert mx.eq(got.alpha, want.alpha)
-    assert mx.eq(got.beta, want.beta)
+    assert got.alpha == want.alpha
+    assert got.beta == want.beta
 
 
 def test_tensor_morphisms_validate():
@@ -135,6 +136,17 @@ def test_tensor_morphisms_validate():
     got = tensor_morphisms(b, a)
     assert validate_morphism(got).ok
     assert got.source == yoshino(A1, B1)
+
+
+def test_tensor_morphisms_of_rational_scalars_store_ints():
+    a = make_factorization([[0, PX], [PX ** 2, 0]], [[0, PX], [PX ** 2, 0]],
+                           PX ** 3)
+    got = tensor_morphisms(scalar_morphism(Fraction(3, 2), B1),
+                           scalar_morphism(2, a))
+    coeffs = [c for m in (got.alpha, got.beta) for row in m for e in row
+              for c in e.terms.values()]
+    assert coeffs == [3] * 8
+    assert {type(c) for c in coeffs} == {int}
 
 
 def test_tensor_morphisms_interchange():
@@ -146,8 +158,8 @@ def test_tensor_morphisms_interchange():
         compose_morphisms(b2, b1), compose_morphisms(a2, a1)
     )
     rhs = compose_morphisms(tensor_morphisms(b2, a2), tensor_morphisms(b1, a1))
-    assert mx.eq(lhs.alpha, rhs.alpha)
-    assert mx.eq(lhs.beta, rhs.beta)
+    assert lhs.alpha == rhs.alpha
+    assert lhs.beta == rhs.beta
 
 
 def test_tensor_morphisms_nontrivial_blocks():
