@@ -20,11 +20,9 @@ _EXPORTS = {
         "parse_poly",
         "poly_to_str",
         "substitute",
-        "divide_exact",
         "diff_quotient",
         "derivative",
         "t_shift",
-        "InexactDivision",
     ),
     "matfac": (
         "MatrixFactorization",

@@ -41,7 +41,7 @@ def _load(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
-        raise ValueError(f"cannot read {path}: {e}") from e
+        raise ValueError(f"cannot read {path}: {e.strerror or e}") from e
     return parse_factorization(text)
 
 

@@ -16,10 +16,10 @@ alignment: a sum merges two term maps, a product merges monomials.  ``vars``,
 the sorted variables that occur, is derived from the terms.  Disjointness
 checks, where they matter, live at the matrix-factorization level.
 
-Term order is observable in three places only: the printer, ``divide_exact``
-(which takes leading terms) and the unknown order of the homotopy solver.
-Each converts terms to dense exponent vectors over sorted variables with
-``Polynomial.dense_terms`` and orders those graded-lex.
+Term order is observable in two places only: the printer and the unknown
+order of the homotopy solver.  Each converts terms to dense exponent vectors
+over sorted variables with ``Polynomial.dense_terms`` and orders those
+graded-lex.
 
 Besides ring operations this module provides:
 
@@ -30,12 +30,10 @@ Besides ring operations this module provides:
   CLI and the JSON file format,
 * ``substitute`` (simultaneous), and the prime-shift maps ``t_shift`` that
   replace x_1..x_k by their primed twins,
-* ``divide_exact``, multivariate division by a single divisor that raises
-  ``InexactDivision`` (with the remainder) when there is no polynomial
-  quotient,
 * ``diff_quotient``, the difference quotient
-  d_i(f) = [(t_1..t_{i-1} f) - (t_1..t_i f)] / (x_i - x_i'),
-  which collapses to the partial derivative on the diagonal x' = x.
+  d_i(f) = [(t_1..t_{i-1} f) - (t_1..t_i f)] / (x_i - x_i'), computed term by
+  term in closed form, which collapses to the partial derivative on the
+  diagonal x' = x.
 """
 
 from __future__ import annotations
@@ -92,24 +90,6 @@ class Variable(tuple):
         return f"Variable({str(self)!r})"
 
 
-class InexactDivision(ArithmeticError):
-    """Raised by divide_exact when no polynomial quotient exists."""
-
-    def __init__(self, remainder: "Polynomial", quotient: "Polynomial"):
-        self.remainder = remainder
-        self.quotient = quotient
-        super().__init__(f"division leaves remainder {remainder}")
-
-
-def _check_coeff(c) -> Scalar:
-    """An exact scalar: ``c`` if it is an ``int``, else ``Fraction(c)``."""
-    if type(c) is int:
-        return c
-    if isinstance(c, float):
-        raise TypeError("float coefficients are not supported; use Fraction")
-    return Fraction(c)
-
-
 def _mono_mul(a: tuple, b: tuple) -> tuple:
     """Product of two monomials: exponents of shared variables add."""
     if not a:
@@ -160,7 +140,7 @@ class Polynomial:
 
     @staticmethod
     def const(c: Scalar) -> "Polynomial":
-        return Polynomial({(): _check_coeff(c)})
+        return Polynomial({(): c})
 
     @staticmethod
     def var(v: Variable) -> "Polynomial":
@@ -240,8 +220,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return sum_of_products(((self, other),))
         if isinstance(other, (int, Fraction)):
-            c = _check_coeff(other)
-            return Polynomial({m: cc * c for m, cc in self.terms.items()})
+            return Polynomial({m: c * other for m, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other) -> "Polynomial":
@@ -314,41 +293,6 @@ def substitute(f: Polynomial, mapping: Mapping[Variable, object]) -> Polynomial:
     return out
 
 
-def divide_exact(num: Polynomial, den: Polynomial) -> Polynomial:
-    """Return q with q*den == num, or raise InexactDivision with the remainder."""
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    vars_m = tuple(sorted(set(num.vars) | set(den.vars)))
-    nt = num.dense_terms(vars_m)
-    dt = den.dense_terms(vars_m)
-    dlead = max(dt, key=_grlex)
-    dc = dt[dlead]
-    q: dict = {}
-    r: dict = {}
-    while nt:
-        lead = max(nt, key=_grlex)
-        c = nt[lead]
-        if all(le >= de for le, de in zip(lead, dlead)):
-            qm = tuple(le - de for le, de in zip(lead, dlead))
-            # Not c / dc (a float for ints); an int quotient keeps the loop in ints.
-            qc = c // dc if c % dc == 0 else Fraction(c, dc)
-            q[qm] = qc
-            for dm, dcc in dt.items():
-                m = tuple(a + b for a, b in zip(qm, dm))
-                newc = nt.get(m, 0) - qc * dcc
-                if newc:
-                    nt[m] = newc
-                else:
-                    nt.pop(m, None)
-        else:
-            r[lead] = c
-            del nt[lead]
-    if r:
-        raise InexactDivision(Polynomial.from_dense(vars_m, r),
-                              Polynomial.from_dense(vars_m, q))
-    return Polynomial.from_dense(vars_m, q)
-
-
 def unprimed_vars(f: Polynomial) -> tuple:
     """The sorted prime-level-0 variables that occur in f."""
     return tuple(v for v in f.vars if v.prime_level == 0)
@@ -370,18 +314,39 @@ def t_shift(f: Polynomial, k: int, xvars=None) -> Polynomial:
 def diff_quotient(f: Polynomial, i: int, xvars=None) -> Polynomial:
     """The i-th difference quotient of f (1-based variable index).
 
-    d_i(f) = [(t_1..t_{i-1} f) - (t_1..t_i f)] / (x_i - x_i').  The division
-    is exact by construction; an InexactDivision escaping here would be an
-    internal invariant failure.
+    d_i(f) = [(t_1..t_{i-1} f) - (t_1..t_i f)] / (x_i - x_i'), in closed
+    form, one term of f at a time: a term c*m in which x_i has exponent
+    a >= 1 gives c * R * sum_{k<a} x_i^k x_i'^(a-1-k), where R is m without
+    its x_i factor and with x_1..x_{i-1} primed; a term without x_i gives
+    nothing.
     """
     xs = tuple(xvars) if xvars is not None else unprimed_vars(f)
     if not 1 <= i <= len(xs):
         raise IndexError(f"variable index {i} out of range for {len(xs)} variables")
-    hi = t_shift(f, i - 1, xs)
-    lo = t_shift(f, i, xs)
+    shifted = {x: x.primed() for x in xs[:i - 1]}
     xi = xs[i - 1]
-    den = Polynomial.var(xi) - Polynomial.var(xi.primed())
-    return divide_exact(hi - lo, den)
+    xi_primed = xi.primed()
+    acc: dict = {}
+    for mono, c in f.terms.items():
+        rest = {}
+        a = 0
+        for v, e in mono:
+            # Shifted first: an x_i listed again among x_1..x_{i-1} is primed
+            # by both shifts, so its terms cancel and give nothing.
+            if v in shifted:
+                v = shifted[v]
+            elif v == xi:
+                a = e
+                continue
+            rest[v] = rest.get(v, 0) + e
+        for k in range(a):
+            exps = dict(rest)
+            for v, e in ((xi, k), (xi_primed, a - 1 - k)):
+                if e:
+                    exps[v] = exps.get(v, 0) + e
+            m = tuple(sorted(exps.items()))
+            acc[m] = acc.get(m, 0) + c
+    return Polynomial(acc)
 
 
 def derivative(f: Polynomial, v: Variable) -> Polynomial:

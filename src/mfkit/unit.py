@@ -78,7 +78,7 @@ from .poly import (
     Polynomial,
     derivative,
     diff_quotient,
-    substitute,
+    t_shift,
     unprimed_vars,
 )
 from .tensor import Variant, _kron_blocks, _layout, _require_disjoint
@@ -157,7 +157,7 @@ def koszul_unit(f: Polynomial, xvars=None) -> UnitFactorization:
     p = _word_matrix(ev, od, lin, dq)
     q = _word_matrix(od, ev, lin, dq)
     primed = tuple(v.primed() for v in xs)
-    potential = f - substitute(f, {v: Polynomial.var(v.primed()) for v in xs})
+    potential = f - t_shift(f, n, xs)
     mf = make_factorization(p, q, potential, extra_vars=xs + primed)
     return UnitFactorization(
         mf=mf, n=n, basis_even=ev, basis_odd=od, f=f, xvars=xs

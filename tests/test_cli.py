@@ -54,8 +54,22 @@ def test_validate_math_failure(files, capsys):
     assert "deviates" in err
 
 
-def test_validate_missing_file(files):
-    assert run(["validate", str(files["dir"] / "nope.json")]) == 2
+def test_validate_missing_file(files, capsys):
+    missing = str(files["dir"] / "nope.json")
+    assert run(["validate", missing]) == 2
+    # The OSError's own text would repeat the path; only its reason is kept.
+    assert capsys.readouterr().err == (
+        f"error: cannot read {missing}: No such file or directory\n")
+
+
+def test_read_error_without_a_reason_keeps_the_error_text(files, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise OSError("device went away")
+
+    monkeypatch.setattr("mfkit.cli.open", refuse, raising=False)
+    assert run(["validate", files["a"]]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {files['a']}: device went away\n")
 
 
 def test_validate_keeps_going_after_failure(files, capsys):
@@ -79,7 +93,7 @@ def test_validate_keeps_going_past_unreadable_and_malformed_files(files, capsys)
     assert len(err) == 3
     assert err[0].startswith(f"error: {broken}: not valid JSON: ")
     assert err[1].startswith(f"{files['bad']}: FAIL - ")
-    assert err[2].startswith(f"error: cannot read {missing}: ")
+    assert err[2] == f"error: cannot read {missing}: No such file or directory"
     assert [line.count(str(broken)) for line in err] == [1, 0, 0]
     # A read or parse error outranks a failed check, wherever it comes.
     assert run(["validate", files["bad"], str(broken)]) == 2

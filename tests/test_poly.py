@@ -12,14 +12,12 @@ from mfkit.matfac import make_factorization
 from mfkit.poly import (
     MAX_DIGITS,
     _mono_mul,
-    InexactDivision,
     PolyParseError,
     Polynomial,
     UndeclaredVariable,
     Variable,
     derivative,
     diff_quotient,
-    divide_exact,
     parse_poly,
     poly_to_str,
     substitute,
@@ -307,35 +305,6 @@ def test_substitute_evaluates_ring_hom(f, g):
 
 
 # ---------------------------------------------------------------------------
-# exact division
-
-
-def test_divide_exact_classic():
-    q = divide_exact(PX ** 3 - PY ** 3, PX - PY)
-    assert q == PX ** 2 + PX * PY + PY ** 2
-
-
-def test_divide_exact_reports_remainder():
-    with pytest.raises(InexactDivision) as err:
-        divide_exact(PX ** 2 + 1, PX)
-    assert err.value.remainder == 1
-    assert err.value.quotient == PX
-
-
-def test_divide_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        divide_exact(PX, Polynomial.zero())
-
-
-@given(polys(), polys())
-@settings(max_examples=60)
-def test_divide_exact_inverts_mul(f, g):
-    if not g:
-        return
-    assert divide_exact(f * g, g) == f
-
-
-# ---------------------------------------------------------------------------
 # shifts, difference quotients, derivatives
 
 
@@ -395,6 +364,31 @@ def test_derivative_matches_collapsed_quotient():
             assert derivative(f, v) == substitute(
                 diff_quotient(f, i, xs), collapse
             )
+
+
+def test_diff_quotient_examples():
+    xp = Polynomial.var(X.primed())
+    assert diff_quotient(PX * xp, 1, (X,)) == xp
+    assert diff_quotient(PX ** 2 * PY, 1, (X, Y)) == PX * PY + xp * PY
+    assert diff_quotient(PX ** 2 * PY, 2, (X, Y)) == xp ** 2
+    # x listed twice: both shifts prime it, so the quotient is zero
+    assert diff_quotient(PX ** 2, 2, (X, X)) == 0
+
+
+_DQ_POOL = (X, Y, Z, X.primed(), Y.primed())
+
+
+@given(polys(variables=_DQ_POOL, max_deg=2),
+       st.lists(st.sampled_from(_DQ_POOL), min_size=1, max_size=4, unique=True),
+       st.data())
+@settings(max_examples=80, deadline=None)
+def test_diff_quotient_times_difference_is_the_shift_difference(f, xs, data):
+    # f may hold primed variables, and xs comes shuffled and may list one.
+    i = data.draw(st.integers(min_value=1, max_value=len(xs)))
+    xi = xs[i - 1]
+    delta = Polynomial.var(xi) - Polynomial.var(xi.primed())
+    assert (diff_quotient(f, i, xs) * delta
+            == t_shift(f, i - 1, xs) - t_shift(f, i, xs))
 
 
 def test_diff_quotient_rejects_bad_index():
@@ -477,34 +471,6 @@ def test_integral_coefficients_are_ints():
     assert type(parse_poly("x + 4/2", ["x"]).constant_value()) is int
 
 
-def test_exact_division_yields_fractions_not_floats():
-    q = divide_exact(PX, 2 * PX)
-    assert q == Fraction(1, 2)
-    assert q.terms == {(): Fraction(1, 2)}
-    assert type(q.constant_value()) is Fraction
-    assert _coeff_types(divide_exact(6 * PX * PY, 3 * PY)) == {int}
-
-
-@st.composite
-def int_polys(draw, variables=(X, Y), max_deg=3):
-    out = Polynomial.zero()
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        term = Polynomial.const(draw(st.integers(min_value=-9, max_value=9)))
-        for v in variables:
-            term = term * Polynomial.var(v) ** draw(
-                st.integers(min_value=0, max_value=max_deg))
-        out = out + term
-    return out
-
-
-@given(int_polys(), polys().filter(bool))
-def test_divide_exact_recovers_int_factor(a, b):
-    q = divide_exact(a * b, b)
-    assert q == a
-    for c in q.terms.values():
-        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
-
-
 def _stored_form_ok(f):
     """Every coefficient is an int, or a Fraction that is not integral."""
     return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
@@ -520,10 +486,12 @@ def test_ring_operations_store_integral_coefficients_as_ints():
     assert _coeff_types(Polynomial({(): Fraction(4, 2)})) == {int}
 
 
-@pytest.mark.parametrize("value", [0.5, 0.0, "1"])
+@pytest.mark.parametrize("value", [0.5, 0.0, "1", "1/2"])
 def test_constructor_refuses_a_value_that_is_not_exact(value):
     with pytest.raises(TypeError, match="ints or Fractions"):
         Polynomial({(): value})
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        Polynomial.const(value)
 
 
 @settings(max_examples=60, deadline=None)
@@ -537,7 +505,7 @@ def test_every_operation_stores_integral_coefficients_as_ints(f, g, h, c, k):
         f + g, f - g, -f, f * g, f * c, c * f, f ** k,
         substitute(f, {X: g, Y: h}), derivative(f, X),
         diff_quotient(f, 1, (X, Y)), diff_quotient(f, 2, (X, Y)),
-        divide_exact(f * h, h), sum_of_products([(f, g), (g, h)]),
+        sum_of_products([(f, g), (g, h)]),
     ]
     for m in (mx.scale(a, c), mx.mul(a, b), mx.kron(a, b)):
         results += [e for row in m for e in row]
