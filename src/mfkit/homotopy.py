@@ -17,12 +17,16 @@ compare faster.  A search with more than `MAX_UNKNOWNS` unknowns is refused
 before any row is built.  Each distinct entry of d_X and d_Y is expanded once
 per search into its shift table -- each of its terms times each candidate
 monomial -- and every equation entry that multiplies it reads that table.
-Each equation row stays sparse, {unknown: coeff} with its right-hand side,
-from assembly to solution.  The solve is a reduced row echelon form whose
-pivot is always the smallest unknown of a row, with free unknowns pinned to
-0.  That form is unique, so the witness does not depend on row order and its
-printed bytes are stable; a cheaper pivot choice (Markowitz) would change
-which unknowns are free, and so the witness.
+The rows, sparse {unknown: coeff} with their right-hand sides, are then
+built from the tables one equation entry at a time, as the solve reads
+them, so a search with no witness stops building at its first inconsistent
+equation.  The equation count and that equation's place, which the
+`NotFoundWithinDegree` text names, are counted from the result monomials of
+the tables and right-hand sides, with no row built.  The solve is a reduced
+row echelon form whose pivot is always the smallest unknown of a row, with
+free unknowns pinned to 0.  That form is unique, so the witness does not
+depend on row order and its printed bytes are stable; a cheaper pivot
+choice (Markowitz) would change which unknowns are free, and so the witness.
 
 The elimination runs over integer rows, with no `Fraction` arithmetic: each
 row is cleared of denominators once (a row of ints needs no clearing) and
@@ -156,6 +160,8 @@ def _integer_row(coeffs, rhs) -> list:
     """``[{unknown: int}, int]``: the row times the lcm of its denominators,
     with its zero coefficients dropped; a row of ints is only copied."""
     if type(rhs) is int and {int}.issuperset(map(type, coeffs.values())):
+        if all(coeffs.values()):
+            return [dict(coeffs), rhs]
         return [{u: c for u, c in coeffs.items() if c}, rhs]
     den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
     return [{u: c.numerator * (den // c.denominator) for u, c in coeffs.items() if c},
@@ -193,10 +199,13 @@ def _make_primitive(row: list, p) -> None:
 
 
 def _solve_gauss_jordan(rows, nunknowns: int):
-    """Exact sparse solve of ``rows``, a list of ``({unknown: coeff}, rhs)``
-    over the unknowns ``0 .. nunknowns - 1``; an unknown that no row names is
-    free.  The elimination does not need ``nunknowns``, only the final check
-    of every row does; ``bench/tracer.py`` reads it here too.
+    """Exact sparse solve of ``rows``, a sized iterable of
+    ``({unknown: coeff}, rhs)`` over the unknowns ``0 .. nunknowns - 1``; an
+    unknown that no row names is free.  ``rows`` is read once, in order, and
+    not past the first inconsistent row; the rows read are kept for the
+    final check of every one of them, which alone needs ``nunknowns``.
+    ``bench/tracer.py`` takes ``len(rows)`` and iterates ``rows`` before
+    this function does, so a lazily built ``rows`` must allow both.
 
     Returns ``(solution, rank, bad)``.  ``solution`` maps each pivot unknown
     to its value (free unknowns are 0) and ``bad`` is None; or the system is
@@ -211,8 +220,10 @@ def _solve_gauss_jordan(rows, nunknowns: int):
     # unknown -> pivots whose rows may name it: every unknown a pivot row has
     # ever held, so a new pivot is back-eliminated without scanning all rows
     holders = defaultdict(set)
-    for n, (coeffs, rhs) in enumerate(rows):
-        row = _integer_row(coeffs, rhs)
+    read = []
+    for n, given in enumerate(rows):
+        read.append(given)
+        row = _integer_row(*given)
         for u in [u for u in row[0] if u in pivots]:
             _eliminate(row, u, pivots[u])
         if not row[0]:
@@ -240,7 +251,7 @@ def _solve_gauss_jordan(rows, nunknowns: int):
     scaled = [0] * nunknowns
     for u, v in sol.items():
         scaled[u] = v.numerator * (den // v.denominator)
-    for n, (coeffs, rhs) in enumerate(rows):
+    for n, (coeffs, rhs) in enumerate(read):
         if sum(map(mul, coeffs.values(), map(scaled.__getitem__, coeffs))) != rhs * den:
             raise RuntimeError(f"internal: solution fails equation {n}")
     return sol, len(pivots), None
@@ -254,62 +265,101 @@ def _shift_table(poly: Polynomial, vars_m: tuple, monos: list) -> list:
             for k, mo in enumerate(monos)]
 
 
-def _assemble(x, y, phi, psi, vars_m: tuple, monos: list):
-    """``(rows, where)``: the rows ``({unknown: coeff}, rhs)`` of both
-    homotopy equations, entry by entry, even before odd, each entry's rows in
-    ascending result monomial; and per row ``(part, i, j, result monomial)``.
+class _Rows:
+    """The rows ``({unknown: coeff}, rhs)`` of both homotopy equations,
+    entry by entry, even before odd, each entry's rows in ascending result
+    monomial.  Sized and re-iterable; an iteration builds an entry's rows
+    only when it reaches that entry.
 
     Unknown ``(b, i, j, k)`` is numbered ``((b*ny + i)*nxs + j)*nm + k``.
     One equation entry names each unknown entry of lambda once, in one
     product with one known entry, so each (result monomial, unknown) pair
     is written once: a store, never a sum."""
-    ny, nxs, nm = y.size, x.size, len(monos)
-    tables = {}  # known entry -> its shift table, built once per search
 
-    def first(b, i, j):
-        """The number of unknown (b, i, j, 0)."""
-        return ((b * ny + i) * nxs + j) * nm
+    def __init__(self, x, y, phi, psi, vars_m: tuple, monos: list):
+        self._vars_m = vars_m
+        self._shape = (y.size, x.size, len(monos))
+        self._supports = {}  # id of a shift table -> its result monomials
+        tables = {}  # known entry -> its shift table, built once per search
 
-    def shift_tables(m):
-        out = []
-        for row in m:
-            out.append([])
-            for e in row:
-                table = tables.get(e) if e else ()
-                if table is None:
-                    table = tables[e] = _shift_table(e, vars_m, monos)
-                out[-1].append(table)
-        return out
+        def shift_tables(m):
+            out = []
+            for row in m:
+                out.append([])
+                for e in row:
+                    table = tables.get(e) if e else ()
+                    if table is None:
+                        table = tables[e] = _shift_table(e, vars_m, monos)
+                    out[-1].append(table)
+            return out
 
-    rows, where = [], []
-    d_alpha = mx.sub(psi.alpha, phi.alpha)
-    d_beta = mx.sub(psi.beta, phi.beta)
-    # even entry (i, j): sum_k qY[i,k] l0[k,j] + l1[i,k] pX[k,j]
-    # odd entry (i, j):  sum_k pY[i,k] l1[k,j] + l0[i,k] qX[k,j]
-    # so d_Y multiplies lambda_b and d_X multiplies lambda_(1-b); per part,
-    # the tables of d_Y by row and of d_X by column.
-    parts = [(part, b, shift_tables(d_y), list(zip(*shift_tables(d_x))), rhs_m)
-             for part, b, d_y, d_x, rhs_m in (("even", 0, y.q, x.p, d_alpha),
-                                                ("odd", 1, y.p, x.q, d_beta))]
-    for i in range(ny):
-        for j in range(nxs):
-            for part, b, y_rows, x_cols, rhs_m in parts:
-                # entries [k][j] of lambda_b, then [i][k] of lambda_(1-b)
-                right = range(first(b, 0, j), first(b, ny, j), nxs * nm)
-                left = range(first(1 - b, i, 0), first(1 - b, i, nxs), nm)
-                eq = {}  # result monomial -> {unknown: coeff}
-                for table, base in chain(zip(y_rows[i], right), zip(x_cols[j], left)):
-                    for res, k, kc in table:
-                        terms = eq.get(res)
-                        if terms is None:
-                            eq[res] = {base + k: kc}
-                        else:
-                            terms[base + k] = kc
-                rhs = rhs_m[i][j].dense_terms(vars_m)
-                for res in sorted(eq.keys() | rhs.keys()):
-                    rows.append((eq.get(res, {}), rhs.get(res, 0)))
-                    where.append((part, i, j, res))
-    return rows, where
+        # even entry (i, j): sum_k qY[i,k] l0[k,j] + l1[i,k] pX[k,j]
+        # odd entry (i, j):  sum_k pY[i,k] l1[k,j] + l0[i,k] qX[k,j]
+        # so d_Y multiplies lambda_b and d_X multiplies lambda_(1-b); per
+        # part, the tables of d_Y by row and of d_X by column.
+        self._parts = [
+            (part, b, shift_tables(d_y), list(zip(*shift_tables(d_x))), rhs_m)
+            for part, b, d_y, d_x, rhs_m in (
+                ("even", 0, y.q, x.p, mx.sub(psi.alpha, phi.alpha)),
+                ("odd", 1, y.p, x.q, mx.sub(psi.beta, phi.beta)))]
+
+    def _entries(self):
+        """Per equation entry, in row order: ``(part, i, j, factors, rhs)``,
+        ``factors`` the ``(shift table, number of its unknown k = 0)`` of
+        each product and ``rhs`` the dense terms of the right-hand side."""
+        ny, nxs, nm = self._shape
+
+        def first(b, i, j):
+            """The number of unknown (b, i, j, 0)."""
+            return ((b * ny + i) * nxs + j) * nm
+
+        for i in range(ny):
+            for j in range(nxs):
+                for part, b, y_rows, x_cols, rhs_m in self._parts:
+                    # entries [k][j] of lambda_b, then [i][k] of lambda_(1-b)
+                    right = range(first(b, 0, j), first(b, ny, j), nxs * nm)
+                    left = range(first(1 - b, i, 0), first(1 - b, i, nxs), nm)
+                    yield (part, i, j,
+                           chain(zip(y_rows[i], right), zip(x_cols[j], left)),
+                           rhs_m[i][j].dense_terms(self._vars_m))
+
+    def __iter__(self):
+        for _, _, _, factors, rhs in self._entries():
+            eq = {}  # result monomial -> {unknown: coeff}
+            for table, base in factors:
+                for res, k, kc in table:
+                    terms = eq.get(res)
+                    if terms is None:
+                        eq[res] = {base + k: kc}
+                    else:
+                        terms[base + k] = kc
+            for res in sorted(eq.keys() | rhs.keys()):
+                yield eq.get(res, {}), rhs.get(res, 0)
+
+    def _entry_supports(self):
+        """Per equation entry, in row order: ``(part, i, j, support)``, the
+        result monomials of its rows -- those of its shift tables and its
+        right-hand side -- counted without building the rows."""
+        for part, i, j, factors, rhs in self._entries():
+            support = set(rhs)
+            for table, _ in factors:
+                # the tables live as long as self, so their ids are stable
+                known = self._supports.get(id(table))
+                if known is None:
+                    known = self._supports[id(table)] = {res for res, _, _ in table}
+                support |= known
+            yield part, i, j, support
+
+    def __len__(self) -> int:
+        return sum(len(support) for *_, support in self._entry_supports())
+
+    def where(self, n: int) -> tuple:
+        """``(part, i, j, result monomial)`` of row ``n``."""
+        for part, i, j, support in self._entry_supports():
+            if n < len(support):
+                return part, i, j, sorted(support)[n]
+            n -= len(support)
+        raise IndexError(n)
 
 
 def find_witness(
@@ -331,11 +381,10 @@ def find_witness(
             f"a witness search with entry degree <= {max_degree} has {nunknowns} "
             f"unknowns, above the limit of {MAX_UNKNOWNS}")
     monos = _monomials_up_to(len(vars_m), max_degree)
-    rows, where = _assemble(x, y, phi, psi, vars_m, monos)
-
+    rows = _Rows(x, y, phi, psi, vars_m, monos)
     sol, rank, bad = _solve_gauss_jordan(rows, nunknowns)
     if sol is None:
-        part, i, j, res = where[bad]
+        part, i, j, res = rows.where(bad)
         mono = poly_to_str(Polynomial.from_dense(vars_m, {res: Fraction(1)}))
         raise NotFoundWithinDegree(max_degree, (
             f"{nunknowns} unknowns, {len(rows)} equations, rank {rank} at the "

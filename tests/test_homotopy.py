@@ -12,7 +12,7 @@ from mfkit.homotopy import (
     MAX_UNKNOWNS,
     HomotopyWitness,
     NotFoundWithinDegree,
-    _assemble,
+    _Rows,
     _monomials_up_to,
     _solve_gauss_jordan,
     check_witness,
@@ -30,7 +30,7 @@ from mfkit.matfac import (
     zero_morphism,
     Morphism,
 )
-from mfkit.poly import Polynomial, derivative
+from mfkit.poly import Polynomial, derivative, poly_to_str
 from mfkit.tensor import Variant, yoshino
 from mfkit.unit import unitor_right
 
@@ -154,6 +154,23 @@ def test_not_found_names_the_system_and_first_inconsistent_equation():
     )
 
 
+def test_not_found_in_a_later_odd_entry():
+    # psi moves beta[1][0] of the zero morphism by x (it is no morphism; the
+    # search solves the two equations as written).  Every equation before
+    # odd entry [1][0] holds with lambda = 0, and that entry is
+    # x^2*l1[0][0] + x^2*l0[1][1] = x, which no l of degree <= 1 meets.
+    zero = Polynomial.zero()
+    psi = Morphism(alpha=mx.zeros(2, 2), beta=mx.from_rows([[zero, zero], [PX, zero]]),
+                   source=M, target=M)
+    with pytest.raises(NotFoundWithinDegree) as err:
+        find_witness(M, M, zero_morphism(M), psi, 1)
+    assert str(err.value) == (
+        "no homotopy witness with entry degree <= 1 (no claim about higher "
+        "degrees): 16 unknowns, 21 equations, rank 10 at the first inconsistent "
+        "equation, odd entry [1][0], monomial x"
+    )
+
+
 def test_is_null_homotopic_returns_flag_and_witness():
     found, w = is_null_homotopic(M, M, identity_morphism(M), 2)
     assert not found
@@ -255,9 +272,32 @@ def satisfies(rows, sol):
     )
 
 
+class ReadOnceUpTo:
+    """Sized rows that may be iterated once, and fail the test if a row
+    past ``last`` is read."""
+
+    def __init__(self, rows, last):
+        self.rows, self.last, self.iterated = rows, last, False
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        assert not self.iterated, "rows iterated twice"
+        self.iterated = True
+        for n, row in enumerate(self.rows):
+            assert n <= self.last, f"row {n} read past row {self.last}"
+            yield row
+
+
 def test_solver_inconsistency_after_the_rank_is_reached():
     rows = [({0: 1}, 1), ({0: 1}, 2)]
     assert _solve_gauss_jordan(rows, 1) == (None, 1, 1)
+
+
+def test_solver_stops_reading_at_the_first_inconsistent_row():
+    rows = [({0: 1, 1: 1}, 1), ({0: 2, 1: 2}, 3), ({1: 1}, 0), ({0: 1}, 5)]
+    assert _solve_gauss_jordan(ReadOnceUpTo(rows, 1), 2) == (None, 1, 1)
 
 
 def test_solver_dependent_duplicate_rows():
@@ -360,8 +400,10 @@ def fraction_gauss_jordan(rows):
 
 
 def assert_solves_like_the_oracle(rows, nunknowns):
-    got = _solve_gauss_jordan(rows, nunknowns)
-    assert got == fraction_gauss_jordan(rows)
+    want = fraction_gauss_jordan(rows)
+    last = len(rows) if want[2] is None else want[2]
+    got = _solve_gauss_jordan(ReadOnceUpTo(rows, last), nunknowns)
+    assert got == want
     sol = got[0] or {}
     assert all(type(v) is int or v.denominator > 1 for v in sol.values())
     return got
@@ -596,43 +638,122 @@ def test_unknown_index_orders_as_the_tuples():
     assert [index(*u) for u in tuples] == list(range(2 * ny * nxs * nm))
 
 
-@st.composite
-def assembly_inputs(draw):
-    """Small X and Y over x and y with one potential, of size 1 or 2 each,
-    blocks phi and psi of the right shape with some non-integral coefficients (the rows encode the equations
-    whether or not they are morphisms), and candidate monomials."""
-    rng = draw(st.randoms(use_true_random=False))
+def search_inputs(rng, shapes, degree, homotopic):
+    """``(x, y, phi, psi, degree)``: small X and Y over x and y with one
+    potential, of the drawn ``shapes`` (size 1 or 2 each), and blocks phi and
+    psi of the right shape with some non-integral coefficients (the rows
+    encode the equations whether or not they are morphisms).  If
+    ``homotopic``, psi is phi + (d_Y*mu + mu*d_X) for a drawn mu with
+    entries of degree <= ``degree``, then moved at one drawn entry of alpha
+    or beta by a drawn polynomial, which may be zero: the equations before
+    that entry are consistent, so a search fails there or not at all."""
     u = rand_poly(rng, (X, Y), nonzero=True)
     v = rand_poly(rng, (X, Y), nonzero=True)
     zero = Polynomial.zero()
-    shapes = {"rank1": ([[u]], [[v]]), "swapped": ([[v]], [[u]]),
-              "antidiag": ([[zero, u], [v, zero]], [[zero, u], [v, zero]])}
-    x, y = (make_factorization(*shapes[draw(st.sampled_from(sorted(shapes)))], u * v)
-            for _ in range(2))
+    forms = {"rank1": ([[u]], [[v]]), "swapped": ([[v]], [[u]]),
+             "antidiag": ([[zero, u], [v, zero]], [[zero, u], [v, zero]])}
+    x, y = (make_factorization(*forms[shape], u * v, extra_vars=(X, Y))
+            for shape in shapes)
 
-    def block():
-        return mx.from_rows([[rand_poly(rng, (X, Y)) * Fraction(1, rng.randint(1, 3))
+    def block(max_deg=3):
+        return mx.from_rows([[rand_poly(rng, (X, Y), max_deg=max_deg)
+                              * Fraction(1, rng.randint(1, 3))
                               for _ in range(x.size)] for _ in range(y.size)])
 
-    phi, psi = (Morphism(alpha=block(), beta=block(), source=x, target=y)
-                for _ in range(2))
-    return x, y, phi, psi, _monomials_up_to(2, draw(st.integers(0, 2)))
+    phi = Morphism(alpha=block(), beta=block(), source=x, target=y)
+    if homotopic:
+        mu0, mu1 = block(degree), block(degree)
+        alpha = mx.add(phi.alpha, mx.add(mx.mul(y.q, mu0), mx.mul(mu1, x.p)))
+        beta = mx.add(phi.beta, mx.add(mx.mul(y.p, mu1), mx.mul(mu0, x.q)))
+        blocks = [[list(row) for row in alpha], [list(row) for row in beta]]
+        moved = rng.choice(blocks)
+        i, j = rng.randrange(y.size), rng.randrange(x.size)
+        moved[i][j] = moved[i][j] + rand_poly(rng, (X, Y))
+        alpha, beta = (mx.from_rows(b) for b in blocks)
+    else:
+        alpha, beta = block(), block()
+    psi = Morphism(alpha=alpha, beta=beta, source=x, target=y)
+    return x, y, phi, psi, degree
+
+
+SHAPES = st.sampled_from(["antidiag", "rank1", "swapped"])
+
+
+@st.composite
+def assembly_inputs(draw):
+    """``search_inputs`` with every choice drawn."""
+    return search_inputs(draw(st.randoms(use_true_random=False)),
+                         (draw(SHAPES), draw(SHAPES)), draw(st.integers(0, 2)),
+                         draw(st.booleans()))
 
 
 @given(assembly_inputs())
 def test_assembly_matches_the_tuple_keyed_loop(inputs):
-    x, y, phi, psi, monos = inputs
+    x, y, phi, psi, degree = inputs
     vars_m = tuple(sorted((X, Y)))
-    rows, where = _assemble(x, y, phi, psi, vars_m, monos)
+    monos = _monomials_up_to(2, degree)
+    rows = _Rows(x, y, phi, psi, vars_m, monos)
+    got = list(rows)
+    # sized and re-iterable, each iteration building equal rows
+    assert len(rows) == len(got)
+    assert list(rows) == got
     want_rows, want_where = tuple_keyed_assembly(x, y, phi, psi, vars_m, monos)
-    assert where == want_where
+    assert [rows.where(n) for n in range(len(rows))] == want_where
+    with pytest.raises(IndexError):
+        rows.where(len(rows))
     index = unknown_index(y.size, x.size, len(monos))
-    assert len(rows) == len(want_rows)
-    for (coeffs, rhs), (want_coeffs, want_rhs) in zip(rows, want_rows):
+    assert len(got) == len(want_rows)
+    for (coeffs, rhs), (want_coeffs, want_rhs) in zip(got, want_rows):
         assert rhs == want_rhs
         # the same row, and its unknowns in the same order
         assert coeffs == {index(*u): c for u, c in want_coeffs.items()}
         assert sorted(coeffs) == [index(*u) for u in sorted(want_coeffs)]
+
+
+def assert_search_matches_the_oracle(x, y, phi, psi, degree):
+    """Run ``find_witness`` and the Fraction Gauss-Jordan on the tuple-keyed
+    rows: a witness is found iff the oracle solves the system, and is the
+    oracle's solution; else the message names the oracle's first
+    inconsistent row.  Returns that row's ``(part, i, j)``, or None."""
+    vars_m = tuple(sorted((X, Y)))
+    monos = _monomials_up_to(2, degree)
+    rows, where = tuple_keyed_assembly(x, y, phi, psi, vars_m, monos)
+    sol, rank, bad = fraction_gauss_jordan(rows)
+    nunknowns = 2 * y.size * x.size * len(monos)
+    try:
+        w = find_witness(x, y, phi, psi, degree)
+    except NotFoundWithinDegree as e:
+        assert sol is None
+        part, i, j, res = where[bad]
+        mono = poly_to_str(Polynomial.from_dense(vars_m, {res: 1}))
+        assert str(e) == _not_found(degree, nunknowns, len(rows), rank,
+                                    f"{part} entry [{i}][{j}], monomial {mono}")
+        return part, i, j
+    assert sol is not None
+    for b, got in enumerate((w.lambda0, w.lambda1)):
+        assert got == tuple(tuple(
+            Polynomial.from_dense(vars_m, {mo: sol.get((b, i, j, k), 0)
+                                           for k, mo in enumerate(monos)})
+            for j in range(x.size)) for i in range(y.size))
+    return None
+
+
+@given(assembly_inputs())
+def test_search_outcome_matches_the_fraction_oracle(inputs):
+    assert_search_matches_the_oracle(*inputs)
+
+
+def test_moved_searches_fail_past_the_first_entry_and_in_both_parts():
+    """The homotopic draws of the oracle test reach failures after even
+    entry [0][0], in both parts."""
+    places = set()
+    for seed in range(30):
+        rng = random.Random(seed)
+        places.add(assert_search_matches_the_oracle(
+            *search_inputs(rng, ("antidiag", "antidiag"), rng.randint(0, 2), True)))
+    places.discard(None)
+    assert {part for part, _, _ in places} == {"even", "odd"}
+    assert places - {("even", 0, 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -662,10 +783,11 @@ def search_families():
     }
 
 
-def _not_found(degree, unknowns, equations):
+def _not_found(degree, unknowns, equations, rank=0,
+               place="even entry [0][0], monomial 1"):
     return (f"no homotopy witness with entry degree <= {degree} (no claim about "
-            f"higher degrees): {unknowns} unknowns, {equations} equations, rank 0 "
-            f"at the first inconsistent equation, even entry [0][0], monomial 1")
+            f"higher degrees): {unknowns} unknowns, {equations} equations, rank "
+            f"{rank} at the first inconsistent equation, {place}")
 
 
 JAC_HIGH = ("0, 1/3*x*y - 2/3*x + 2/9*y - 4/9; 1/3*x + 2/9, 6 | "
