@@ -271,7 +271,7 @@ class _Rows:
     monomial.  Sized and re-iterable; an iteration builds an entry's rows
     only when it reaches that entry.
 
-    Unknown ``(b, i, j, k)`` is numbered ``((b*ny + i)*nxs + j)*nm + k``.
+    Unknown ``(b, i, j, k)`` is numbered ``first(b, i, j) + k``.
     One equation entry names each unknown entry of lambda once, in one
     product with one known entry, so each (result monomial, unknown) pair
     is written once: a store, never a sum."""
@@ -303,16 +303,17 @@ class _Rows:
                 ("even", 0, y.q, x.p, mx.sub(psi.alpha, phi.alpha)),
                 ("odd", 1, y.p, x.q, mx.sub(psi.beta, phi.beta)))]
 
+    def first(self, b: int, i: int, j: int) -> int:
+        """The number of unknown (b, i, j, 0)."""
+        ny, nxs, nm = self._shape
+        return ((b * ny + i) * nxs + j) * nm
+
     def _entries(self):
         """Per equation entry, in row order: ``(part, i, j, factors, rhs)``,
         ``factors`` the ``(shift table, number of its unknown k = 0)`` of
         each product and ``rhs`` the dense terms of the right-hand side."""
         ny, nxs, nm = self._shape
-
-        def first(b, i, j):
-            """The number of unknown (b, i, j, 0)."""
-            return ((b * ny + i) * nxs + j) * nm
-
+        first = self.first
         for i in range(ny):
             for j in range(nxs):
                 for part, b, y_rows, x_cols, rhs_m in self._parts:
@@ -390,13 +391,13 @@ def find_witness(
             f"{nunknowns} unknowns, {len(rows)} equations, rank {rank} at the "
             f"first inconsistent equation, {part} entry [{i}][{j}], monomial {mono}"))
 
+    def entry(base):
+        return Polynomial.from_dense(vars_m, {
+            mo: c for k, mo in enumerate(monos) if (c := sol.get(base + k))})
+
     def rebuild(b):
-        nm = len(monos)
-        return tuple(tuple(
-            Polynomial.from_dense(vars_m, {
-                mo: c for k, mo in enumerate(monos)
-                if (c := sol.get(((b * ny + i) * nxs + j) * nm + k))})
-            for j in range(nxs)) for i in range(ny))
+        return tuple(tuple(entry(rows.first(b, i, j)) for j in range(nxs))
+                     for i in range(ny))
 
     witness = HomotopyWitness(
         lambda0=rebuild(0), lambda1=rebuild(1), max_degree=max_degree

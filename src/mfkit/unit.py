@@ -18,7 +18,8 @@ oracle the tests compare it with.
 
 The right unitor for X (a factorization of g(z) - f(x)) is built on the
 collapsed product Z of X with that unit, the unit restricted to the
-diagonal x' = x:
+diagonal x' = x.  Z, rho and psi come from the word bases and f's partials
+alone; no unit factorization is built:
 
 1.  on the diagonal the contraction coefficients x_i - x_i' vanish and the
     difference quotients become the partials d_i(f), so the collapsed unit
@@ -32,10 +33,10 @@ diagonal x' = x:
     replaces as Z's oracle: rename the unit's unprimed variables to fresh
     middles, take the standard tensor product with X, identify middle -> x
     and x' -> x, and swap;
-3.  rho projects the second chunks onto the empty-word coordinate -- a chain
-    map because the collapsed unit differential has no output along the
-    empty word (contraction coefficients die on the diagonal, wedge raises
-    word length);
+3.  rho projects the second chunks onto the empty-word coordinate, the
+    first of the m = 2^(n-1) even words -- a chain map because K has no
+    output along the empty word (contraction coefficients die on the
+    diagonal, wedge raises word length);
 4.  psi embeds X on the empty-word coordinate and corrects with components
     against the nonempty words.  The component C_W at word W for input
     X-parity eps is built recursively from C_empty = identity:
@@ -125,15 +126,9 @@ def _word_matrix(in_words, out_words, lin, dq):
     return out
 
 
-def koszul_unit(f: Polynomial, xvars=None) -> UnitFactorization:
-    """Matrices of the unit differential of f over doubled variables.
-
-    Column w of p (even word w -> odd words) and of q (odd -> even) holds the
-    image of w under the differential, written by ``_word_matrix`` with
-    deletion coefficients x_i - x_i' and insertion coefficients d_i(f), each
-    computed once; ``exterior.koszul_diff`` applied to w gives the same
-    column.
-    """
+def _generators(f: Polynomial, xvars):
+    """The checked generator variables of f's unit (default: f's unprimed
+    variables) and its even and odd words in (length, lex) order, () first."""
     xs = tuple(xvars) if xvars is not None else unprimed_vars(f)
     n = len(xs)
     if n < 1:
@@ -144,8 +139,20 @@ def koszul_unit(f: Polynomial, xvars=None) -> UnitFactorization:
         raise ValueError("unit variables must be unprimed")
     if not set(f.vars) <= set(xs):
         raise ValueError("potential uses variables outside the given list")
-    ev = tuple(even_words(n))
-    od = tuple(odd_words(n))
+    return xs, tuple(even_words(n)), tuple(odd_words(n))
+
+
+def koszul_unit(f: Polynomial, xvars=None) -> UnitFactorization:
+    """Matrices of the unit differential of f over doubled variables.
+
+    Column w of p (even word w -> odd words) and of q (odd -> even) holds the
+    image of w under the differential, written by ``_word_matrix`` with
+    deletion coefficients x_i - x_i' and insertion coefficients d_i(f), each
+    computed once; ``exterior.koszul_diff`` applied to w gives the same
+    column.
+    """
+    xs, ev, od = _generators(f, xvars)
+    n = len(xs)
     # (+, -) pairs of the deletion and insertion coefficients of generator i.
     lin = []
     dq = []
@@ -170,7 +177,8 @@ def pi_row(u: UnitFactorization) -> tuple:
 
 
 class UnitorBundle(Record):
-    """Collapsed product Z with the projection rho and its right inverse psi.
+    """Collapsed product Z with the projection rho and its right inverse psi,
+    built from the word bases and f's partials (no unit factorization).
 
     Invariants (asserted at construction): rho and psi are valid morphisms
     and rho . psi is the identity on X.  psi . rho is *not* the identity --
@@ -178,14 +186,13 @@ class UnitorBundle(Record):
     homotopy module's business.
     """
 
-    __slots__ = ("z", "rho", "psi", "side", "unit")
+    __slots__ = ("z", "rho", "psi", "side")
 
-    def __init__(self, z, rho, psi, side, unit):
+    def __init__(self, z, rho, psi, side):
         _set(self, "z", z)
         _set(self, "rho", rho)
         _set(self, "psi", psi)
         _set(self, "side", side)
-        _set(self, "unit", unit)
 
 
 def _correction_components(x: MatrixFactorization, gen_vars, sign: int):
@@ -214,52 +221,41 @@ def _correction_components(x: MatrixFactorization, gen_vars, sign: int):
     return comp
 
 
-def _psi_chunk(comp, words, eps: int, r: int):
-    """Stack the components at the m ``words`` into an rm x r block: row
-    i*m + wi is row i of the component at word ``words[wi]``."""
-    return tuple(comp[(w, eps)][i] for i in range(r) for w in words)
-
-
 def _collapsed_product(x: MatrixFactorization, f: Polynomial, fvars):
-    """The unit of f, the collapsed product Z and the projection rho; both
-    Z and rho are checked eagerly."""
-    fvars = tuple(fvars) if fvars is not None else unprimed_vars(f)
-    unit = koszul_unit(f, fvars)
-    n, m, r = unit.n, unit.rank, x.size
-    _require_disjoint(x.vars, [v.primed() for v in fvars])
+    """``((xs, even words, odd words), Z, rho)``: the generators and word
+    bases of f's unit, the collapsed product and the projection; Z and rho
+    are checked eagerly."""
+    xs, even, odd = _generators(f, fvars)
+    n, m, r = len(xs), len(even), x.size
+    _require_disjoint(x.vars, [v.primed() for v in xs])
 
     # The unit on the diagonal x' = x: contraction coefficients vanish and
     # the difference quotients become the partials of f.
     zero = Polynomial.zero()
-    dq = []
-    for v in fvars:
-        d = derivative(f, v)
-        dq.append((d, -d))
+    dq = [(d, -d) for d in (derivative(f, v) for v in xs)]
     lin = [(zero, zero)] * n
-    kp = _word_matrix(unit.basis_even, unit.basis_odd, lin, dq)
-    kq = _word_matrix(unit.basis_odd, unit.basis_even, lin, dq)
+    kp = _word_matrix(even, odd, lin, dq)
+    kq = _word_matrix(odd, even, lin, dq)
     p_blocks, q_blocks = _layout(Variant.STANDARD, *_kron_blocks(x.p, x.q, kp, kq))
     # Grading shift: swap the two matrices so the empty-word slice is even.
     z = make_factorization(mx.block(q_blocks), mx.block(p_blocks), x.potential,
-                           extra_vars=x.vars + fvars)
+                           extra_vars=x.vars + xs)
 
-    proj = mx.block([[mx.zeros(r, r * m), mx.kron(mx.identity(r), pi_row(unit))]])
+    empty_word = mx.from_rows([[1] + [0] * (m - 1)])
+    proj = mx.block([[mx.zeros(r, r * m), mx.kron(mx.identity(r), empty_word)]])
     rho = make_morphism(alpha=proj, beta=proj, source=z, target=x)
-    return unit, z, rho
+    return (xs, even, odd), z, rho
 
 
 def _build_bundle(x: MatrixFactorization, f: Polynomial, fvars, side: str):
-    unit, z, rho = _collapsed_product(x, f, fvars)
+    (xs, even, odd), z, rho = _collapsed_product(x, f, fvars)
     r = x.size
-    comp = _correction_components(x, unit.xvars, -1 if side == "right" else 1)
-    alpha_psi = mx.block([
-        [_psi_chunk(comp, unit.basis_odd, 0, r)],
-        [_psi_chunk(comp, unit.basis_even, 0, r)],
-    ])
-    beta_psi = mx.block([
-        [_psi_chunk(comp, unit.basis_odd, 1, r)],
-        [_psi_chunk(comp, unit.basis_even, 1, r)],
-    ])
+    comp = _correction_components(x, xs, -1 if side == "right" else 1)
+    # Odd words' chunk over even words' chunk; row i*m + wi of a chunk is
+    # row i of the component at word wi.
+    alpha_psi, beta_psi = (tuple(comp[(w, eps)][i] for words in (odd, even)
+                                 for i in range(r) for w in words)
+                           for eps in (0, 1))
     psi = make_morphism(alpha=alpha_psi, beta=beta_psi, source=x, target=z)
 
     round_trip = compose_morphisms(rho, psi)
@@ -271,7 +267,7 @@ def _build_bundle(x: MatrixFactorization, f: Polynomial, fvars, side: str):
             raise RuntimeError(
                 f"unitor invariant failed: rho . psi is not the identity: "
                 f"{block_name}[{i}][{j}] deviates by {residual}")
-    return UnitorBundle(z=z, rho=rho, psi=psi, side=side, unit=unit)
+    return UnitorBundle(z=z, rho=rho, psi=psi, side=side)
 
 
 def unitor_right(x: MatrixFactorization, f: Polynomial, fvars=None) -> UnitorBundle:
@@ -317,9 +313,9 @@ def naturality_check(p: Morphism, f: Polynomial, fvars=None) -> NaturalityReport
     (block-diagonal Kronecker blocks, swapped to the shifted layout), and
     compares both composites.
     """
-    unit, zx, rho_x = _collapsed_product(p.source, f, fvars)
+    (_, even, _), zx, rho_x = _collapsed_product(p.source, f, fvars)
     _, zy, rho_y = _collapsed_product(p.target, f, fvars)
-    m = unit.rank
+    m = len(even)
     i_m = mx.identity(m)
     z_off = mx.zeros(p.target.size * m, p.source.size * m)
     p_tensor_id = make_morphism(

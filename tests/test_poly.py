@@ -24,7 +24,7 @@ from mfkit.poly import (
     sum_of_products,
     t_shift,
 )
-from mfkit.unit import unitor_right
+from mfkit.unit import koszul_unit, unitor_right
 
 from conftest import PX, PY, PZ, X, Y, Z, rand_poly, ref_mono_mul
 
@@ -517,9 +517,9 @@ def test_unitor_bundle_has_no_float_coefficient():
     w = Variable("w")
     g = Polynomial.var(w) ** 3
     x = make_factorization([[1]], [[g - f]], g - f)
-    b = unitor_right(x, f, (X, Y))
+    b, u = unitor_right(x, f, (X, Y)), koszul_unit(f, (X, Y))
     mats = (b.z.p, b.z.q, b.rho.alpha, b.rho.beta, b.psi.alpha, b.psi.beta,
-            b.unit.mf.p, b.unit.mf.q)
+            u.mf.p, u.mf.q)
     seen = set()
     for m in mats:
         for row in m:

@@ -53,7 +53,7 @@ RECORDS = [
      lambda: WitnessReport(True, mx.zeros(1, 1), mx.zeros(1, 1))),
     (UnitFactorization, ("mf", "n", "basis_even", "basis_odd", "f", "xvars"),
      lambda: koszul_unit(PX - PY, (X, Y))),
-    (UnitorBundle, ("z", "rho", "psi", "side", "unit"),
+    (UnitorBundle, ("z", "rho", "psi", "side"),
      lambda: unitor_right(XZ, PX, (X,))),
     (NaturalityReport, ("ok", "alpha_residual", "beta_residual"),
      lambda: naturality_check(identity_morphism(XZ), PX, (X,))),

@@ -230,10 +230,32 @@ def test_unitor_rejects_inconsistent_potential():
         unitor_right(X_RANK1, Polynomial.const(2), (X,))
 
 
-def test_unitor_includes_its_unit():
-    b = unitor_right(X_RANK1, PX, (X,))
-    assert b.unit.f == PX
-    assert b.unit.rank == 1
+@pytest.mark.parametrize("build", ["right", "left", "naturality"])
+@pytest.mark.parametrize("gens, message", [
+    (lambda v: (), "need at least one variable (pass xvars for constants)"),
+    (lambda v: (v, v), "duplicate variables"),
+    (lambda v: (v.primed(),), "unit variables must be unprimed"),
+    (lambda v: (v,), "potential uses variables outside the given list"),
+], ids=["empty", "repeated", "primed", "missing"])
+def test_unitors_refuse_bad_generator_lists(build, gens, message):
+    """koszul_unit's generator checks, with its messages and in its order,
+    run before anything else: X uses x' and z', the primed generators of
+    both sides, yet the refusal is not a VariableOverlap.  The potential
+    uses the generator v and y, so (v,) misses y."""
+    gen = Z if build == "left" else X
+    pot = Polynomial.var(gen) + PY
+    bad = Polynomial.var(Z.primed()) - XP
+    x = make_factorization([[1]], [[bad]], bad)
+    call = {
+        "right": lambda vs: unitor_right(x, pot, vs),
+        "left": lambda vs: unitor_left(x, pot, vs),
+        "naturality": lambda vs: naturality_check(identity_morphism(x), pot, vs),
+    }[build]
+    for refuse in (call, lambda vs: koszul_unit(pot, vs)):
+        with pytest.raises(ValueError) as err:
+            refuse(gens(gen))
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +369,14 @@ def test_unitor_matches_gluing_chain(x, f, fvars, g, gvars, side):
                          ids=[c[0] for c in ORACLE_CASES])
 def test_unitor_bundle_stores_integral_coefficients_as_ints(x, f, fvars, g, gvars, side):
     """psi's components are scaled by 1/k and Z's entries are derivatives of
-    f; every integral coefficient among them is an int, not a Fraction."""
-    b = unitor_right(x, f, fvars) if side == "right" else unitor_left(x, g, gvars)
+    f, the unit's entries difference quotients of f; every integral
+    coefficient among them is an int, not a Fraction."""
+    if side == "right":
+        b, u = unitor_right(x, f, fvars), koszul_unit(f, fvars)
+    else:
+        b, u = unitor_left(x, g, gvars), koszul_unit(g, gvars)
     mats = (b.z.p, b.z.q, b.psi.alpha, b.psi.beta, b.rho.alpha, b.rho.beta,
-            b.unit.mf.p, b.unit.mf.q)
+            u.mf.p, u.mf.q)
     coeffs = [c for m in mats for row in m for e in row for c in e.terms.values()]
     assert [c for c in coeffs if type(c) is not int and c.denominator == 1] == []
 
@@ -404,6 +430,20 @@ def test_naturality_builds_no_psi(monkeypatch):
         unitor_right(x, f, xs)
 
 
+def test_unitors_and_naturality_build_no_unit(monkeypatch):
+    """Z, rho and psi come from the word bases and f's partials; neither
+    unitor nor the naturality check builds the unit factorization."""
+    def no_unit(*_):
+        raise AssertionError("koszul_unit called")
+
+    monkeypatch.setattr("mfkit.unit.koszul_unit", no_unit)
+    x, f, xs, g, zs = {c[0]: c[1:] for c in ORACLE_CASES}["pairs-n2"]
+    assert unitor_right(x, f, xs).side == "right"
+    assert unitor_left(x, g, zs).side == "left"
+    assert naturality_check(identity_morphism(x), f, xs).ok
+    assert naturality_check(scalar_morphism(PX, X_RANK2), PX, (X,)).ok
+
+
 def test_naturality_failure_names_the_entry(monkeypatch):
     """A broken square: the target's rho is doubled, so the two composites
     differ by rho_Y.(p x id) = p.rho_X, and describe() names the first
@@ -411,11 +451,11 @@ def test_naturality_failure_names_the_entry(monkeypatch):
     built = []
 
     def doubled_target(x, f, fvars):
-        unit, z, rho = _collapsed_product(x, f, fvars)
+        gens, z, rho = _collapsed_product(x, f, fvars)
         built.append(x)
         if len(built) == 2:
             rho = compose_morphisms(scalar_morphism(2, x), rho)
-        return unit, z, rho
+        return gens, z, rho
 
     monkeypatch.setattr("mfkit.unit._collapsed_product", doubled_target)
     report = naturality_check(identity_morphism(X_RANK1), PX, (X,))
