@@ -62,7 +62,8 @@ class Record:
     in its own ``__init__`` through ``_set`` (``object.__setattr__``), so it
     is built by position or keyword as fast as a dataclass.  Records compare
     field-wise, and only with records of the same class; equal records hash
-    equal; assigning or deleting a field raises ``AttributeError``.
+    equal; assigning or deleting a field raises ``AttributeError``.  Copies
+    and pickles are built by position from the field values.
     """
 
     __slots__ = ()
@@ -84,6 +85,9 @@ class Record:
 
     def __hash__(self):
         return hash(self._values)
+
+    def __reduce__(self):
+        return (self.__class__, self._values)
 
     def __repr__(self) -> str:
         fields = ", ".join(

@@ -8,7 +8,9 @@ The matrices the constructions build -- Kronecker-with-identity blocks,
 Koszul differentials, unitor chunks -- are mostly zeros, so the kernels skip
 zero entries: ``mul`` multiplies only nonzero pairs, and ``kron``, ``add``,
 ``neg`` and ``scale`` put one shared zero polynomial wherever the result
-entry is zero by construction.  ``mul`` groups each row's nonzero pairs by
+entry is zero by construction.  ``mul`` and ``kron`` test an entry for zero
+by reading its ``terms`` map, which is cheaper per entry than the
+polynomial's ``__bool__``.  ``mul`` groups each row's nonzero pairs by
 output column and accumulates each entry's term products in one term map
 (``poly.sum_of_products``), so it builds one polynomial per nonzero entry and
 none per product.  Polynomials are immutable and their form is unique, so
@@ -94,12 +96,12 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
     if ca != rb:
         raise ValueError(f"cannot multiply {shape(a)} by {shape(b)}")
     z = Polynomial.zero()
-    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y.terms] for row in b]
     out = []
     for row in a:
         pairs = defaultdict(list)  # output column -> its nonzero (x, y)
         for x, b_row in zip(row, b_nonzero):
-            if x:
+            if x.terms:
                 for j, y in b_row:
                     pairs[j].append((x, y))
         acc = [z] * cb
@@ -112,7 +114,7 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
 def kron(a: Matrix, b: Matrix) -> Matrix:
     z = Polynomial.zero()
     return tuple(
-        tuple(x * y if x and y else z for x in row_a for y in row_b)
+        tuple(x * y if x.terms and y.terms else z for x in row_a for y in row_b)
         for row_a in a
         for row_b in b
     )

@@ -3,7 +3,9 @@
 A polynomial is stored sparsely as a map from monomials to nonzero
 coefficients.  The ``Polynomial`` constructor, and nothing else, fixes a
 coefficient's stored form: an ``int`` where it is integral, else a
-``Fraction``, so integral terms do not pay for ``Fraction`` arithmetic.  A
+``Fraction``, so integral terms do not pay for ``Fraction`` arithmetic.  In
+the same pass it records ``den``, the lcm of the stored denominators (1 when
+every coefficient is an ``int``), a second slot derived from the terms.  A
 monomial names its own variables: it is a tuple of
 ``(Variable, exponent)`` pairs with every exponent >= 1, sorted by variable,
 and ``()`` is the constant monomial.  A variable is a base name plus a prime
@@ -24,8 +26,12 @@ graded-lex.
 Besides ring operations this module provides:
 
 * ``sum_of_products``, the one multiplication kernel: the sum of x*y over
-  pairs of polynomials, accumulated in one term map.  ``Polynomial.__mul__``
-  is its one-pair call and ``matrices.mul`` calls it once per entry,
+  pairs of polynomials, accumulated in one term map.  When a pair has a
+  rational coefficient it accumulates integer numerators over one common
+  denominator, scaling each operand once, and divides each output term once
+  instead of normalising a ``Fraction`` per term product.
+  ``Polynomial.__mul__`` is its one-pair call and ``matrices.mul`` calls it
+  once per entry,
 * ``parse_poly`` / canonical printing for the expression grammar used by the
   CLI and the JSON file format,
 * ``substitute`` (simultaneous), and the prime-shift maps ``t_shift`` that
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 
 # Names used only in annotations, which ``from __future__ import annotations``
@@ -109,9 +116,10 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
 
 
 class Polynomial:
-    """Immutable sparse polynomial: ``terms`` maps monomials to coefficients."""
+    """Immutable sparse polynomial: ``terms`` maps monomials to coefficients,
+    and ``den`` is the lcm of their denominators (1 when all are integral)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms: Mapping = None):
         """Keys are monomials and values ints or Fractions.  Zeros are dropped,
@@ -119,18 +127,30 @@ class Polynomial:
         (a float, a str) raises ``TypeError``."""
         # A loop: a 3.11 comprehension's call outweighs the 1-2 terms of most maps.
         kept = {}
+        den = 1
         try:
             for m, c in (terms or {}).items():
-                if type(c) is not int and c.denominator == 1:
-                    c = c.numerator
+                if type(c) is not int:
+                    d = c.denominator
+                    if d == 1:
+                        c = c.numerator
+                    else:
+                        den = lcm(den, d)
                 if c:
                     kept[m] = c
         except AttributeError:
             raise TypeError("coefficients must be ints or Fractions") from None
-        object.__setattr__(self, "terms", kept)
+        _set_terms(self, kept)
+        _set_den(self, den)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so ``den`` is derived again.
+        return (Polynomial, (self.terms,))
 
     # -- constructors ------------------------------------------------------
 
@@ -246,22 +266,56 @@ class Polynomial:
         return f"Polynomial({poly_to_str(self)!r})"
 
 
+# The slots' own setters: they bypass the ``__setattr__`` that refuses
+# assignment, and cost less per construction than ``object.__setattr__``.
+_set_terms = Polynomial.terms.__set__
+_set_den = Polynomial.den.__set__
+
+
 def sum_of_products(pairs) -> Polynomial:
-    """The sum of x*y over ``(x, y)`` pairs of polynomials.
+    """The sum of x*y over a sequence of ``(x, y)`` pairs of polynomials.
 
     The one multiplication kernel: every term product is accumulated into a
     single term map, and one polynomial is built at the end, which drops the
-    coefficients that cancelled.
+    coefficients that cancelled.  Over a common denominator D, the lcm of
+    the pairs' ``x.den * y.den``, the products are summed as ints: each
+    operand's coefficients are scaled to integer numerators once, a pair's
+    products by D // (x.den * y.den), and each output term is divided by D
+    once.  With D = 1 the coefficients are multiplied as they are.
     """
+    den = 1
+    for x, y in pairs:
+        d = x.den * y.den
+        if d != 1:
+            den = lcm(den, d)
     acc: dict = {}
     get = acc.get
+    if den == 1:
+        for x, y in pairs:
+            y_terms = y.terms.items()
+            for m1, c1 in x.terms.items():
+                for m2, c2 in y_terms:
+                    m = _mono_mul(m1, m2)
+                    acc[m] = get(m, 0) + c1 * c2
+        return Polynomial(acc)
     for x, y in pairs:
-        y_terms = y.terms.items()
-        for m1, c1 in x.terms.items():
-            for m2, c2 in y_terms:
+        scale = den // (x.den * y.den)
+        y_terms = _numerators(y)
+        for m1, n1 in _numerators(x):
+            n1 *= scale
+            for m2, n2 in y_terms:
                 m = _mono_mul(m1, m2)
-                acc[m] = get(m, 0) + c1 * c2
-    return Polynomial(acc)
+                acc[m] = get(m, 0) + n1 * n2
+    # A cancelled term is dropped before its division, not after it.
+    return Polynomial({m: Fraction(n, den) for m, n in acc.items() if n})
+
+
+def _numerators(p: Polynomial):
+    """p's terms with each coefficient multiplied by ``p.den``, as ints."""
+    den = p.den
+    if den == 1:
+        return p.terms.items()
+    return [(m, c.numerator * (den // c.denominator)) for m, c in p.terms.items()]
 
 
 def as_poly(x) -> Polynomial:

@@ -57,7 +57,10 @@ rho . psi = id is asserted before a bundle is returned.  The left unitor
 mirrors the construction with the unit taken in the z-variables, collapsed
 on z' = z; the correction sign flips because the z-derivative of the
 potential has the opposite sign.  X may not use a primed generator variable
-(x' on the right, z' on the left): that is ``tensor.VariableOverlap``.
+(x' on the right, z' on the left): that is ``tensor.VariableOverlap``.  Nor
+may X.potential + f (right) or X.potential - g (left) use a generator, since
+X must factor g - f: that is ``matfac.PotentialMismatch``, raised before any
+matrix is built.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from .exterior import even_words, odd_words, theta_words
 from .matfac import (
     MatrixFactorization,
     Morphism,
+    PotentialMismatch,
     Record,
     _set,
     compose_morphisms,
@@ -221,13 +225,15 @@ def _correction_components(x: MatrixFactorization, gen_vars, sign: int):
     return comp
 
 
-def _collapsed_product(x: MatrixFactorization, f: Polynomial, fvars):
+def _collapsed_product(x: MatrixFactorization, f: Polynomial, fvars, side="right"):
     """``((xs, even words, odd words), Z, rho)``: the generators and word
     bases of f's unit, the collapsed product and the projection; Z and rho
-    are checked eagerly."""
+    are checked eagerly.  ``side`` is where the unit is glued (naturality
+    glues it on the right)."""
     xs, even, odd = _generators(f, fvars)
     n, m, r = len(xs), len(even), x.size
     _require_disjoint(x.vars, [v.primed() for v in xs])
+    _require_matching_potential(x, f, xs, side)
 
     # The unit on the diagonal x' = x: contraction coefficients vanish and
     # the difference quotients become the partials of f.
@@ -247,8 +253,23 @@ def _collapsed_product(x: MatrixFactorization, f: Polynomial, fvars):
     return (xs, even, odd), z, rho
 
 
+def _require_matching_potential(x: MatrixFactorization, f: Polynomial, xs, side: str):
+    """Refuse a unit potential that X does not factor against: X factors
+    g - f, so X.potential + f (right side, f in xs) or X.potential - g (left
+    side, g in xs) must not use the generators."""
+    leftover, name = (x.potential + f, "f") if side == "right" else (x.potential - f, "g")
+    used = set(leftover.vars)
+    stray = [str(v) for v in xs if v in used]
+    if stray:
+        plural = "s" if len(stray) > 1 else ""
+        op = "+" if side == "right" else "-"
+        raise PotentialMismatch(
+            f"the potential does not match X: X.potential {op} {name} = {leftover} "
+            f"uses the {name}-side variable{plural} {', '.join(stray)}")
+
+
 def _build_bundle(x: MatrixFactorization, f: Polynomial, fvars, side: str):
-    (xs, even, odd), z, rho = _collapsed_product(x, f, fvars)
+    (xs, even, odd), z, rho = _collapsed_product(x, f, fvars, side)
     r = x.size
     comp = _correction_components(x, xs, -1 if side == "right" else 1)
     # Odd words' chunk over even words' chunk; row i*m + wi of a chunk is

@@ -29,13 +29,15 @@ def ref_mono_mul(a, b):
 
 def ref_sum_of_products(pairs):
     """The term map of the sum of x*y over (x, y), term product by term
-    product, without the library's multiplication."""
+    product in ``Fraction`` arithmetic, without the library's multiplication
+    or its common denominator.  Its values equal the stored ints and
+    Fractions they should be; the stored types are checked apart."""
     acc = {}
     for x, y in pairs:
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
                 m = ref_mono_mul(m1, m2)
-                acc[m] = acc.get(m, 0) + c1 * c2
+                acc[m] = acc.get(m, Fraction(0)) + Fraction(c1) * Fraction(c2)
     return {m: c for m, c in acc.items() if c}
 
 

@@ -200,7 +200,11 @@ def test_unitor_left(files, capsys):
 def test_unitor_inconsistent_potential(files, capsys):
     code = run(["unitor", files["x"], "--potential", "x^2",
                 "--var-split", "x:z"])
-    assert code == 1
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the potential does not match X: "
+                            "X.potential + f = x^2 - x + z uses the f-side variable x\n")
 
 
 def test_unitor_bad_split(files):

@@ -6,9 +6,10 @@ through ``Polynomial.__mul__``, which shares ``mul``'s kernel.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfkit import matrices as mx
@@ -45,11 +46,12 @@ def naive_kron(a, b):
 
 def assert_exact_form(m):
     """No stored coefficient is zero or a float, so equal entries are
-    structurally identical."""
+    structurally identical, and ``den`` is the lcm of the denominators."""
     for row in m:
         for e in row:
             for c in e.terms.values():
                 assert c and type(c) in (int, Fraction), (e, c)
+            assert e.den == lcm(*(c.denominator for c in e.terms.values())), e
 
 
 CASES = pytest.mark.parametrize("rows, cols, density, rational", [
@@ -160,6 +162,29 @@ def test_sum_of_products_matches_term_by_term_reference(pairs):
     got = sum_of_products(pairs)
     assert got.terms == ref_sum_of_products(pairs)
     assert_exact_form([[got]])
+
+
+def rational_matrices(rows, cols):
+    return st.lists(st.lists(st.one_of(st.just(Polynomial.zero()), rational_polys()),
+                             min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(mx.from_rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=2, max_value=3),
+       st.integers(min_value=1, max_value=3), st.data())
+def test_mul_matches_the_fraction_reference(rows, inner, cols, data):
+    """matrices.mul against the entry-by-entry Fraction reference.  b's last
+    column is (a01, -a00, 0, ...), so a's first row meets it in
+    a00*a01 - a01*a00, which cancels to 0."""
+    a = data.draw(rational_matrices(rows, inner))
+    b = data.draw(rational_matrices(inner, cols))
+    cancel = [a[0][1], -a[0][0]] + [Polynomial.zero()] * (inner - 2)
+    b = mx.from_rows([row + (c,) for row, c in zip(b, cancel)])
+    got = mx.mul(a, b)
+    assert_same(got, naive_mul(a, b))
+    assert_exact_form(got)
+    assert got[0][cols].terms == {}
 
 
 # ---------------------------------------------------------------------------

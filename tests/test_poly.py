@@ -2,9 +2,10 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfkit import matrices as mx
@@ -26,7 +27,7 @@ from mfkit.poly import (
 )
 from mfkit.unit import koszul_unit, unitor_right
 
-from conftest import PX, PY, PZ, X, Y, Z, rand_poly, ref_mono_mul
+from conftest import PX, PY, PZ, X, Y, Z, rand_poly, ref_mono_mul, ref_sum_of_products
 
 
 @st.composite
@@ -441,6 +442,20 @@ def test_variable_pickles_and_copies_as_a_variable():
         assert type(w) is Variable and w == v and str(w) == "x_2'''"
 
 
+@pytest.mark.parametrize("f", [PX ** 2 - 3 * PY + 1,
+                               PX * Fraction(1, 2) - PY * Fraction(5, 6) + 2,
+                               Polynomial.zero()], ids=["int", "fraction", "zero"])
+def test_polynomial_pickles_and_copies_as_a_polynomial(f):
+    copies = [copy.copy(f), copy.deepcopy(f)]
+    copies += [pickle.loads(pickle.dumps(f, proto))
+               for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for g in copies:
+        assert type(g) is Polynomial and g == f and str(g) == str(f)
+        assert g.den == f.den and _stored_form_ok(g)
+    # Rebuilt from the terms alone, so ``den`` is derived again, not copied.
+    assert f.__reduce__() == (Polynomial, (f.terms,))
+
+
 def test_variable_is_read_only_and_validated():
     with pytest.raises(AttributeError):
         X.name = "y"
@@ -472,9 +487,28 @@ def test_integral_coefficients_are_ints():
 
 
 def _stored_form_ok(f):
-    """Every coefficient is an int, or a Fraction that is not integral."""
-    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
-               for c in f.terms.values())
+    """Every coefficient is an int, or a Fraction that is not integral, and
+    ``den`` is the lcm of the stored denominators."""
+    coeffs = f.terms.values()
+    return (all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                for c in coeffs)
+            and f.den == lcm(*(c.denominator for c in coeffs)))
+
+
+def test_den_is_the_lcm_of_the_denominators_and_read_only():
+    f = parse_poly("1/2*x + 5/6*y + 3", ["x", "y"])
+    assert f.den == 6
+    assert (f * 6).den == 1 and (f * Fraction(1, 4)).den == 24
+    assert PX.den == 1 and Polynomial.zero().den == 1
+    assert Polynomial({(): Fraction(4, 2)}).den == 1
+    with pytest.raises(AttributeError, match="immutable"):
+        f.den = 1
+    with pytest.raises(AttributeError, match="immutable"):
+        PX.den = 2
+    for name in ("den", "terms"):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(f, name)
+    assert f.den == 6 and PX.den == 1 and f * 6 == parse_poly("3*x + 5*y + 18", ["x", "y"])
 
 
 def test_ring_operations_store_integral_coefficients_as_ints():
@@ -510,6 +544,60 @@ def test_every_operation_stores_integral_coefficients_as_ints(f, g, h, c, k):
     for m in (mx.scale(a, c), mx.mul(a, b), mx.kron(a, b)):
         results += [e for row in m for e in row]
     assert all(_stored_form_ok(r) for r in [f, g, h] + results)
+
+
+# ---------------------------------------------------------------------------
+# the multiplication kernel against term-by-term Fraction arithmetic
+
+MIXED_COEFFS = st.one_of(st.integers(min_value=-3, max_value=3),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def mixed_polys(draw):
+    """Int and Fraction coefficients on few enough monomials over x and y
+    that term products collide, and often cancel or sum to integers."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        mono = tuple((v, e) for v in (X, Y)
+                     if (e := draw(st.integers(min_value=0, max_value=2))))
+        terms[mono] = draw(MIXED_COEFFS)
+    return Polynomial(terms)
+
+
+HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(mixed_polys(), mixed_polys()), max_size=4),
+       st.integers(min_value=0, max_value=4))
+# Products that cancel to 0, and rational ones that sum to integers.
+@example([(PX * HALF, PY * 2 * THIRD), (PX * -THIRD, PY)], 0)
+@example([(PX * HALF, PX * HALF), (PX * 3 * HALF * HALF, PX)], 0)
+@example([(Polynomial.const(3 * HALF), Polynomial.const(2 * THIRD))], 0)
+@example([(PX + HALF, PX - HALF), (PY * THIRD, PY * 3)], 1)
+def test_kernel_matches_the_fraction_reference(pairs, cancelled):
+    """sum_of_products and Polynomial.__mul__ give the reference's values in
+    the stored form; the first ``cancelled`` pairs are repeated negated, so
+    their products cancel to 0."""
+    pairs = pairs + [(x, -y) for x, y in pairs[:cancelled]]
+    got = sum_of_products(pairs)
+    assert got.terms == ref_sum_of_products(pairs)
+    assert _stored_form_ok(got)
+    for x, y in pairs:
+        prod = x * y
+        assert prod.terms == ref_sum_of_products([(x, y)])
+        assert _stored_form_ok(prod)
+
+
+def test_kernel_cancels_to_zero_and_to_integers():
+    assert sum_of_products([(PX * HALF, PY * 2 * THIRD), (PX * -THIRD, PY)]).terms == {}
+    whole = sum_of_products([(PX * HALF, PX * HALF), (PX * 3 * HALF * HALF, PX)])
+    assert whole.terms == {((X, 2),): 1} and type(whole.terms[((X, 2),)]) is int
+    assert whole.den == 1
+    assert (Polynomial.const(3 * HALF) * Polynomial.const(2 * THIRD)).terms == {(): 1}
+    mixed = (PX + HALF) * (PX - HALF)
+    assert mixed.terms == {((X, 2),): 1, (): Fraction(-1, 4)} and mixed.den == 4
 
 
 def test_unitor_bundle_has_no_float_coefficient():

@@ -2,6 +2,9 @@
 and reprs.  The expected reprs and messages are those the records had when
 they were dataclasses."""
 
+import copy
+import pickle
+
 import pytest
 
 from mfkit import matrices as mx
@@ -76,6 +79,17 @@ def test_construction_by_position_and_keyword(cls, fields, build):
         cls(*values[:-1])
     with pytest.raises(TypeError):
         cls(*values, None)
+
+
+@pytest.mark.parametrize("cls,fields,build", RECORDS, ids=IDS)
+def test_pickles_and_copies_as_the_same_record(cls, fields, build):
+    rec = build()
+    copies = [copy.copy(rec), copy.deepcopy(rec)]
+    copies += [pickle.loads(pickle.dumps(rec, proto))
+               for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is cls and other == rec and hash(other) == hash(rec)
+        assert repr(other) == repr(rec)
 
 
 @pytest.mark.parametrize("cls,fields,build", RECORDS, ids=IDS)

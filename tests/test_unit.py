@@ -5,7 +5,7 @@ import pytest
 from mfkit import matrices as mx
 from mfkit.exterior import ExtElement, koszul_diff
 from mfkit.matfac import (
-    NotAMorphism,
+    PotentialMismatch,
     compose_morphisms,
     direct_sum,
     identity_morphism,
@@ -226,8 +226,53 @@ def test_unitor_constant_potential_consistent():
 
 def test_unitor_rejects_inconsistent_potential():
     # X factors z - x, which pins f = x; f = 2 cannot be a unit for it
-    with pytest.raises(NotAMorphism):
+    with pytest.raises(PotentialMismatch) as err:
         unitor_right(X_RANK1, Polynomial.const(2), (X,))
+    assert str(err.value) == (
+        "the potential does not match X: X.potential + f = -1*x + z + 2 "
+        "uses the f-side variable x")
+
+
+ZX = make_factorization([[PZ - PX]], [[PZ ** 2 + PZ * PX + PX ** 2]], PZ ** 3 - PX ** 3)
+
+
+@pytest.mark.parametrize("build, pot, gens, message", [
+    ("right", PX ** 2, (X,),
+     "X.potential + f = -1*x^3 + z^3 + x^2 uses the f-side variable x"),
+    ("right", 2 * PX ** 3, (X,),
+     "X.potential + f = x^3 + z^3 uses the f-side variable x"),
+    ("right", PX ** 3 + PY, (X, Y),
+     "X.potential + f = z^3 + y uses the f-side variable y"),
+    ("right", PX ** 4 - PY ** 2, (X, Y),
+     "X.potential + f = x^4 - x^3 + z^3 - y^2 uses the f-side variables x, y"),
+    ("left", 2 * PZ ** 3, (Z,),
+     "X.potential - g = -1*x^3 - z^3 uses the g-side variable z"),
+    ("left", PZ ** 3 + PZ, (Z,),
+     "X.potential - g = -1*x^3 - z uses the g-side variable z"),
+    ("naturality", PX ** 2, (X,),
+     "X.potential + f = -1*x^3 + z^3 + x^2 uses the f-side variable x"),
+], ids=["x2", "2x3", "extra-generator", "two-generators", "left-2z3", "left-z3+z",
+        "naturality"])
+def test_unitors_refuse_a_potential_that_does_not_match_x(monkeypatch, build, pot,
+                                                        gens, message):
+    """X factors z^3 - x^3, so only f = x^3 (right) and g = z^3 (left) leave
+    no generator in X.potential + f or X.potential - g.  The refusal comes
+    before any matrix of Z is built."""
+    def no_build(*_):
+        raise AssertionError("built Z")
+
+    monkeypatch.setattr("mfkit.unit._word_matrix", no_build)
+    call = {"right": lambda: unitor_right(ZX, pot, gens),
+            "left": lambda: unitor_left(ZX, pot, gens),
+            "naturality": lambda: naturality_check(identity_morphism(ZX), pot, gens),
+            }[build]
+    with pytest.raises(PotentialMismatch) as err:
+        call()
+    assert str(err.value) == "the potential does not match X: " + message
+    monkeypatch.undo()
+    assert unitor_right(ZX, PX ** 3, (X,)).side == "right"
+    assert unitor_left(ZX, PZ ** 3, (Z,)).side == "left"
+    assert naturality_check(identity_morphism(ZX), PX ** 3, (X,)).ok
 
 
 @pytest.mark.parametrize("build", ["right", "left", "naturality"])
