@@ -40,7 +40,6 @@ _EXPORTS = {
         "identity_morphism",
         "zero_morphism",
         "scalar_morphism",
-        "morphism_equivalence_check",
         "serialize_factorization",
         "parse_factorization",
     ),
@@ -48,7 +47,6 @@ _EXPORTS = {
         "Variant",
         "VariableOverlap",
         "yoshino",
-        "graded_tensor_differential",
         "tensor_morphisms",
         "rename_vars",
         "identify_vars",
@@ -59,7 +57,6 @@ _EXPORTS = {
         "koszul_unit",
         "unitor_right",
         "unitor_left",
-        "pi_row",
         "naturality_check",
     ),
     "homotopy": (

@@ -98,7 +98,7 @@ def _cmd_tensor(args) -> int:
 
     a = _load(args.a)
     b = _load(args.b)
-    z = yoshino(a, b, Variant.from_str(args.variant))
+    z = yoshino(a, b, Variant(args.variant))
     _emit(z, args.output, f"size {z.size}, potential {z.potential}")
     return 0
 
@@ -145,9 +145,7 @@ def _cmd_unitor(args) -> int:
     else:
         bundle = unitor_left(x, pot, pvars)
     # rho . psi = id was asserted during construction; probe psi . rho.
-    pr = compose_morphisms(bundle.psi, bundle.rho)
-    ident = identity_morphism(bundle.z)
-    if pr.alpha == ident.alpha and pr.beta == ident.beta:
+    if compose_morphisms(bundle.psi, bundle.rho) == identity_morphism(bundle.z):
         print("rho∘psi = id: PASS; psi∘rho = id: PASS (unexpected)")
         raise _MathFailure("psi∘rho unexpectedly equals the identity")
     print("rho∘psi = id: PASS; psi∘rho = id: FAIL (expected)")

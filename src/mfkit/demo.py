@@ -76,11 +76,7 @@ def paper_checks() -> list:
     def unitor_assertions():
         x = make_factorization([[1]], [[pz - px]], pz - px)
         bundle = unitor_right(x, px, (xv,))
-        pr = compose_morphisms(bundle.psi, bundle.rho)
-        ident = identity_morphism(bundle.z)
-        return not (
-            pr.alpha == ident.alpha and pr.beta == ident.beta
-        )
+        return compose_morphisms(bundle.psi, bundle.rho) != identity_morphism(bundle.z)
 
     def zero_witness():
         x = make_factorization([[1]], [[pz - px]], pz - px)

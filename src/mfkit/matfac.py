@@ -18,8 +18,9 @@ block beta satisfying the two squares
 `Morphism(...)` itself only checks shapes and potentials, so invalid pairs
 can be built and inspected; `make_morphism` additionally requires both
 squares and is what the library uses internally.  Over a nonzero potential
-either square implies the other; `morphism_equivalence_check` evaluates both
-independently on raw matrix pairs so that property can be tested.
+either square implies the other; `validate_morphism` evaluates both
+independently, and the acceptance tests check that property on its two
+residuals.
 
 The JSON file format lives here too: canonical, byte-stable output --
 `serialize(parse(serialize(x)))` is the identity on bytes.
@@ -280,21 +281,6 @@ def compose_morphisms(g: Morphism, f: Morphism) -> Morphism:
     )
 
 
-def morphism_equivalence_check(x, y, g0, g1) -> tuple:
-    """Evaluate the two defining squares independently for a raw block pair.
-
-    Returns (eq1, eq2) where eq1: g1*p_X == p_Y*g0 and eq2: g0*q_X == q_Y*g1.
-    """
-    g0 = mx.from_rows(g0)
-    g1 = mx.from_rows(g1)
-    want = (y.size, x.size)
-    if mx.shape(g0) != want or mx.shape(g1) != want:
-        raise ShapeMismatch(f"blocks must be {want}")
-    eq1 = mx.mul(g1, x.p) == mx.mul(y.p, g0)
-    eq2 = mx.mul(g0, x.q) == mx.mul(y.q, g1)
-    return (eq1, eq2)
-
-
 # -- file format -----------------------------------------------------------
 
 def _base_names(vars_t) -> list:
@@ -333,6 +319,7 @@ def parse_factorization(text: str) -> MatrixFactorization:
         raise ValueError("'vars' must be a list of variable names")
     if len(set(names)) != len(names):
         raise ValueError(f"'vars' repeats a name: {names}")
+    declared = tuple(Variable(n) for n in names)
 
     def parse_entry(text, label):
         if not isinstance(text, str):
@@ -348,5 +335,4 @@ def parse_factorization(text: str) -> MatrixFactorization:
     potential = parse_entry(doc["potential"], "potential")
     p = parse_matrix(doc["P"], "P")
     q = parse_matrix(doc["Q"], "Q")
-    declared = tuple(Variable(n) for n in names)
     return make_factorization(p, q, potential, extra_vars=declared)

@@ -87,9 +87,6 @@ class Variable(tuple):
     def primed(self) -> "Variable":
         return Variable(self.name, self.prime_level + 1)
 
-    def base(self) -> "Variable":
-        return Variable(self.name, 0)
-
     def __str__(self) -> str:
         return self.name + "'" * self.prime_level
 
@@ -206,7 +203,12 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        # A constant or zero polynomial equals its coefficient, so it hashes
+        # as that coefficient.
+        terms = self.terms
+        if len(terms) > 1 or (terms and () not in terms):
+            return hash(frozenset(terms.items()))
+        return hash(terms.get((), 0))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -255,9 +257,6 @@ class Polynomial:
         return out
 
     # -- convenience -------------------------------------------------------
-
-    def substitute(self, mapping) -> "Polynomial":
-        return substitute(self, mapping)
 
     def __str__(self) -> str:
         return poly_to_str(self)

@@ -30,7 +30,7 @@ from .matfac import (
     make_factorization,
     make_morphism,
 )
-from .poly import Polynomial, Variable
+from .poly import Polynomial, Variable, substitute
 
 
 class VariableOverlap(ValueError):
@@ -46,14 +46,6 @@ class Variant(enum.Enum):
     V1 = "v1"
     V2 = "v2"
     V3 = "v3"
-
-    @classmethod
-    def from_str(cls, s: str) -> "Variant":
-        for v in cls:
-            if v.value == s:
-                return v
-        raise ValueError(f"unknown variant {s!r}; expected one of "
-                         f"{[v.value for v in cls]}")
 
 
 def _require_disjoint(xvars, yvars) -> None:
@@ -103,16 +95,6 @@ def yoshino(
     )
 
 
-def graded_tensor_differential(
-    x: MatrixFactorization,
-    y: MatrixFactorization,
-    variant: Variant = Variant.STANDARD,
-) -> tuple:
-    """(D0, D1) blocks of the product differential; D1*D0 = D0*D1 = (f+g)*I."""
-    z = yoshino(x, y, variant)
-    return (z.p, z.q)
-
-
 def tensor_morphisms(b: Morphism, a: Morphism) -> Morphism:
     """Tensor of morphisms on standard products: yoshino(a.*, b.*).
 
@@ -128,16 +110,25 @@ def tensor_morphisms(b: Morphism, a: Morphism) -> Morphism:
             _require_disjoint(xa.vars, xb.vars)
     src = yoshino(a.source, b.source)
     tgt = yoshino(a.target, b.target)
-    z_r = mx.zeros(a.target.size * b.target.size, a.source.size * b.source.size)
+    alpha, beta = _tensor_blocks(a.alpha, a.beta, b.alpha, b.beta)
+    return make_morphism(alpha, beta, src, tgt)
+
+
+def _tensor_blocks(a_alpha, a_beta, b_alpha, b_beta) -> tuple:
+    """``(alpha, beta)`` of the tensor of two even morphisms, by the block
+    formula in ``tensor_morphisms``."""
+    rows, cols = mx.shape(a_alpha)
+    b_rows, b_cols = mx.shape(b_alpha)
+    z_r = mx.zeros(rows * b_rows, cols * b_cols)
     alpha = mx.block([
-        [mx.kron(a.alpha, b.beta), z_r],
-        [z_r, mx.kron(a.beta, b.alpha)],
+        [mx.kron(a_alpha, b_beta), z_r],
+        [z_r, mx.kron(a_beta, b_alpha)],
     ])
     beta = mx.block([
-        [mx.kron(a.beta, b.beta), z_r],
-        [z_r, mx.kron(a.alpha, b.alpha)],
+        [mx.kron(a_beta, b_beta), z_r],
+        [z_r, mx.kron(a_alpha, b_alpha)],
     ])
-    return make_morphism(alpha, beta, src, tgt)
+    return alpha, beta
 
 
 def _substituted(x: MatrixFactorization, var_map, declared) -> MatrixFactorization:
@@ -145,7 +136,7 @@ def _substituted(x: MatrixFactorization, var_map, declared) -> MatrixFactorizati
     return make_factorization(
         mx.subs_matrix(x.p, poly_map),
         mx.subs_matrix(x.q, poly_map),
-        x.potential.substitute(poly_map),
+        substitute(x.potential, poly_map),
         extra_vars=declared,
     )
 

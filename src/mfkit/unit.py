@@ -86,7 +86,13 @@ from .poly import (
     t_shift,
     unprimed_vars,
 )
-from .tensor import Variant, _kron_blocks, _layout, _require_disjoint
+from .tensor import (
+    Variant,
+    _kron_blocks,
+    _layout,
+    _require_disjoint,
+    _tensor_blocks,
+)
 
 
 class UnitFactorization(Record):
@@ -173,11 +179,6 @@ def koszul_unit(f: Polynomial, xvars=None) -> UnitFactorization:
     return UnitFactorization(
         mf=mf, n=n, basis_even=ev, basis_odd=od, f=f, xvars=xs
     )
-
-
-def pi_row(u: UnitFactorization) -> tuple:
-    """The 1 x 2^(n-1) row picking the empty-word coordinate."""
-    return mx.from_rows([[1] + [0] * (u.rank - 1)])
 
 
 class UnitorBundle(Record):
@@ -331,30 +332,19 @@ def naturality_check(p: Morphism, f: Polynomial, fvars=None) -> NaturalityReport
 
     Builds the collapsed products of p's source and target with their
     projections rho (no psi is needed), forms the tensored morphism on them
-    (block-diagonal Kronecker blocks, swapped to the shifted layout), and
+    (``tensor_morphisms``' blocks, swapped to the shifted layout), and
     compares both composites.
     """
     (_, even, _), zx, rho_x = _collapsed_product(p.source, f, fvars)
     _, zy, rho_y = _collapsed_product(p.target, f, fvars)
-    m = len(even)
-    i_m = mx.identity(m)
-    z_off = mx.zeros(p.target.size * m, p.source.size * m)
-    p_tensor_id = make_morphism(
-        alpha=mx.block([
-            [mx.kron(p.beta, i_m), z_off],
-            [z_off, mx.kron(p.alpha, i_m)],
-        ]),
-        beta=mx.block([
-            [mx.kron(p.alpha, i_m), z_off],
-            [z_off, mx.kron(p.beta, i_m)],
-        ]),
-        source=zx,
-        target=zy,
-    )
+    i_m = mx.identity(len(even))
+    # Z swaps the tensor layout's two matrices, so its blocks swap too.
+    beta, alpha = _tensor_blocks(p.alpha, p.beta, i_m, i_m)
+    p_tensor_id = make_morphism(alpha=alpha, beta=beta, source=zx, target=zy)
     left = compose_morphisms(rho_y, p_tensor_id)
     right = compose_morphisms(p, rho_x)
     return NaturalityReport(
-        ok=left.alpha == right.alpha and left.beta == right.beta,
+        ok=left == right,
         alpha_residual=mx.sub(left.alpha, right.alpha),
         beta_residual=mx.sub(left.beta, right.beta),
     )

@@ -11,19 +11,20 @@ from mfkit import matrices as mx
 from mfkit.exterior import ExtElement, contract, theta_words, wedge
 from mfkit.homotopy import HomotopyWitness, check_witness, find_witness
 from mfkit.matfac import (
+    Morphism,
     compose_morphisms,
     direct_sum,
     identity_morphism,
     make_factorization,
-    morphism_equivalence_check,
     parse_factorization,
     scalar_morphism,
     serialize_factorization,
+    validate_morphism,
     zero_morphism,
 )
 from mfkit.poly import Polynomial, diff_quotient, t_shift
-from mfkit.tensor import Variant, graded_tensor_differential, yoshino
-from mfkit.unit import koszul_unit, naturality_check, pi_row, unitor_left, unitor_right
+from mfkit.tensor import Variant, yoshino
+from mfkit.unit import koszul_unit, naturality_check, unitor_left, unitor_right
 
 from conftest import PX, PY, PZ, X, Y, Z, rand_poly
 
@@ -80,9 +81,9 @@ def test_criterion_03_graded_differential():
             2 * a.size * b.size, a.potential + b.potential
         )
         for v in (Variant.STANDARD, Variant.V2):
-            d0, d1 = graded_tensor_differential(a, b, v)
-            assert mx.mul(d1, d0) == total
-            assert mx.mul(d0, d1) == total
+            z = yoshino(a, b, v)
+            assert mx.mul(z.q, z.p) == total
+            assert mx.mul(z.p, z.q) == total
 
 
 def rand_factorization_disjoint(rng, variables):
@@ -177,7 +178,8 @@ def test_criterion_06_pi_lemma():
         u = koszul_unit(f, xs)
         collapse = {v.primed(): Polynomial.var(v) for v in xs}
         q_bar = mx.subs_matrix(u.mf.q, collapse)
-        assert mx.is_zero(mx.mul(pi_row(u), q_bar))
+        empty_word_row = [[1] + [0] * (u.rank - 1)]
+        assert mx.is_zero(mx.mul(mx.from_rows(empty_word_row), q_bar))
 
 
 X_RANK1 = make_factorization([[1]], [[PZ - PX]], PZ - PX)
@@ -245,8 +247,8 @@ def test_criterion_09_square_equivalence():
             else:
                 g0 = _rand_matrix(rng, y.size, x.size)
                 g1 = _rand_matrix(rng, y.size, x.size)
-            eq1, eq2 = morphism_equivalence_check(x, y, g0, g1)
-            assert eq1 == eq2
+            report = validate_morphism(Morphism(g0, g1, x, y))
+            assert mx.is_zero(report.eq1_residual) == mx.is_zero(report.eq2_residual)
 
 
 def _rand_matrix(rng, rows, cols):

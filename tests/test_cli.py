@@ -182,6 +182,18 @@ def test_validate_rejects_malformed_document(tmp_path, capsys, doc):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["x'", "1", ""])
+def test_validate_names_a_bad_vars_entry(tmp_path, capsys, name):
+    # The name is refused before any entry is parsed against it.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(
+        {"vars": [name], "potential": "x", "P": [["1"]], "Q": [["x"]]}))
+    assert run(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad variable name {name!r}\n"
+
+
 def test_unitor_right(files, capsys):
     code = run(["unitor", "--side", "right", files["x"],
                 "--potential", "x", "--var-split", "x:z"])

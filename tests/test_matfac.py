@@ -16,7 +16,6 @@ from mfkit.matfac import (
     identity_morphism,
     make_factorization,
     make_morphism,
-    morphism_equivalence_check,
     parse_factorization,
     scalar_morphism,
     serialize_factorization,
@@ -214,19 +213,6 @@ def test_compose_shape_mismatch(m_cubed, rank_one_cubed):
     f = embedding(m_cubed, rank_one_cubed, (Polynomial.const(1), PX))
     with pytest.raises(ShapeMismatch):
         compose_morphisms(f, f)
-
-
-def test_equivalence_check_on_valid_morphism(m_cubed, rank_one_cubed):
-    f = embedding(m_cubed, rank_one_cubed, (PX, PX ** 2))
-    eq1, eq2 = morphism_equivalence_check(
-        rank_one_cubed, m_cubed, f.alpha, f.beta
-    )
-    assert eq1 and eq2
-
-
-def test_equivalence_check_shape_guard(m_cubed):
-    with pytest.raises(ShapeMismatch):
-        morphism_equivalence_check(m_cubed, m_cubed, [[1]], [[1]])
 
 
 # ---------------------------------------------------------------------------

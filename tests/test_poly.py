@@ -277,6 +277,17 @@ def test_vars_are_the_variables_that_occur():
 
 def test_hash_follows_equality():
     assert hash(PX + PY) == hash(PY + PX)
+    # A polynomial compares equal to a scalar, so the two must hash equal.
+    values = [0, 1, 2, -3, Fraction(1, 2), Fraction(4, 2), Fraction(-2, 3),
+              Polynomial(), Polynomial.const(2), Polynomial.const(Fraction(1, 2)),
+              Polynomial.const(Fraction(-2, 3)), PX, PX + 2]
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    assert {2: "a"}.get(Polynomial.const(2)) == "a"
+    assert {0: "z"}.get(Polynomial()) == "z"
+    assert {Fraction(1, 2): "h"}.get(Polynomial.const(Fraction(1, 2))) == "h"
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +418,6 @@ def test_variable_ordering_and_primes():
     assert X < Y
     assert X < X.primed()
     assert str(X.primed()) == "x'"
-    assert X.primed().base() == X
 
 
 def test_variable_name_validation():

@@ -22,7 +22,6 @@ from mfkit.unit import (
     _correction_components,
     koszul_unit,
     naturality_check,
-    pi_row,
     unitor_left,
     unitor_right,
 )
@@ -74,7 +73,8 @@ def test_pi_row_annihilates_collapsed_differential(f, xs):
     u = koszul_unit(f, xs)
     collapse = {v.primed(): Polynomial.var(v) for v in xs}
     q_bar = mx.subs_matrix(u.mf.q, collapse)
-    assert mx.is_zero(mx.mul(pi_row(u), q_bar))
+    empty_word_row = [[1] + [0] * (u.rank - 1)]
+    assert mx.is_zero(mx.mul(mx.from_rows(empty_word_row), q_bar))
 
 
 def _cubic_sum(n):
@@ -101,10 +101,11 @@ def test_unit_matrices_match_koszul_diff(f, xs):
 
 
 def test_pi_row_shape():
+    # The row picking the empty-word coordinate is [1, 0, ..., 0] of width
+    # rank: the empty word is the first even word.
     u = koszul_unit(PX ** 2 + PY ** 2)
-    assert mx.shape(pi_row(u)) == (1, 2)
-    assert pi_row(u)[0][0] == 1
-    assert pi_row(u)[0][1] == 0
+    assert u.rank == 2
+    assert u.basis_even[0] == ()
 
 
 def test_unit_rejects_primed_potential():
