@@ -113,8 +113,10 @@ def _cmd_unit(args) -> int:
     names = _split_names(args.vars)
     if not names:
         raise ValueError("--vars must list at least one variable")
+    # The names are checked before the expression is parsed against them.
+    variables = tuple(Variable(n) for n in names)
     f = parse_poly(args.potential, names)
-    u = koszul_unit(f, tuple(Variable(n) for n in names))
+    u = koszul_unit(f, variables)
     _emit(
         u.mf,
         args.output,
@@ -138,8 +140,8 @@ def _cmd_unitor(args) -> int:
     names = fside if args.side == "right" else gside
     if not names:
         raise ValueError(f"--var-split gives no variables for side {args.side!r}")
-    pot = parse_poly(args.potential, names)
     pvars = tuple(Variable(n) for n in names)
+    pot = parse_poly(args.potential, names)
     if args.side == "right":
         bundle = unitor_right(x, pot, pvars)
     else:

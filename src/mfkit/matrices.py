@@ -11,10 +11,13 @@ zero entries: ``mul`` multiplies only nonzero pairs, and ``kron``, ``add``,
 entry is zero by construction.  ``mul`` and ``kron`` test an entry for zero
 by reading its ``terms`` map, which is cheaper per entry than the
 polynomial's ``__bool__``.  ``mul`` groups each row's nonzero pairs by
-output column and accumulates each entry's term products in one term map
-(``poly.sum_of_products``), so it builds one polynomial per nonzero entry and
-none per product.  Polynomials are immutable and their form is unique, so
-the results equal the entry-by-entry ones exactly.
+output column, counts the product's term products and operand terms as it
+goes, and hands the pair lists of the whole product to one
+``poly.sum_of_products`` call.  The kernel accumulates each entry's term
+products in one term map, so it builds one polynomial per nonzero entry and
+none per term product, and the counts tell it whether to encode each
+operand once for the whole product.  Polynomials are immutable and their
+form is unique, so the results equal the entry-by-entry ones exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ if TYPE_CHECKING:  # an annotation-only name, see ``poly``
     from .poly import Scalar
 
 Matrix = tuple  # tuple of tuples of Polynomial
+
+# The zero entry of every ``mul`` result; polynomials are immutable, so one
+# object serves every product, and ``mul`` builds none per call.
+_ZERO = Polynomial.zero()
 
 
 def from_rows(rows) -> Matrix:
@@ -95,18 +102,38 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"cannot multiply {shape(a)} by {shape(b)}")
-    z = Polynomial.zero()
-    b_nonzero = [[(j, y) for j, y in enumerate(row) if y.terms] for row in b]
-    out = []
+    # Per row of b: its nonzero (j, y), and the terms of those y.
+    b_nonzero = []
+    terms = 0
+    for row in b:
+        nonzero = []
+        n = 0
+        for j, y in enumerate(row):
+            if y.terms:
+                nonzero.append((j, y))
+                n += len(y.terms)
+        b_nonzero.append((nonzero, n))
+        terms += n
+    work = 0
+    rows = []  # per row of a: output column -> its nonzero (x, y)
+    batch = []  # every entry's pairs, row by row
     for row in a:
-        pairs = defaultdict(list)  # output column -> its nonzero (x, y)
-        for x, b_row in zip(row, b_nonzero):
-            if x.terms:
+        pairs = defaultdict(list)
+        for x, (b_row, n) in zip(row, b_nonzero):
+            if n and x.terms:
+                k = len(x.terms)
+                work += k * n
+                terms += k
                 for j, y in b_row:
                     pairs[j].append((x, y))
-        acc = [z] * cb
-        for j, col_pairs in pairs.items():
-            acc[j] = sum_of_products(col_pairs)
+        rows.append(pairs)
+        batch += pairs.values()
+    entries = iter(sum_of_products(batch, work, terms))
+    out = []
+    for pairs in rows:
+        acc = [_ZERO] * cb
+        for j, entry in zip(pairs, entries):
+            acc[j] = entry
         out.append(tuple(acc))
     return tuple(out)
 

@@ -25,13 +25,17 @@ graded-lex.
 
 Besides ring operations this module provides:
 
-* ``sum_of_products``, the one multiplication kernel: the sum of x*y over
-  pairs of polynomials, accumulated in one term map.  When a pair has a
-  rational coefficient it accumulates integer numerators over one common
-  denominator, scaling each operand once, and divides each output term once
-  instead of normalising a ``Fraction`` per term product.
-  ``Polynomial.__mul__`` is its one-pair call and ``matrices.mul`` calls it
-  once per entry,
+* ``sum_of_products``, the one multiplication kernel.  It takes a batch,
+  the pair lists of every entry of one matrix product, and returns each
+  entry's sum of x*y, accumulated in one term map.  Rational operands are
+  scaled to integer numerators once per batch, over each entry's common
+  denominator, and each output term is divided once instead of normalising
+  a ``Fraction`` per term product.  When the caller's counts show enough
+  term products per operand term, each operand is encoded once as packed
+  exponent ints (Monagan and Pearce, CASC 2007), so a monomial product is
+  one integer addition; only this module knows that layout.
+  ``matrices.mul`` calls it once per product, and ``Polynomial.__mul__``
+  makes the same choice for its one pair from the two term counts,
 * ``parse_poly`` / canonical printing for the expression grammar used by the
   CLI and the JSON file format,
 * ``substitute`` (simultaneous), and the prime-shift maps ``t_shift`` that
@@ -240,7 +244,12 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            return sum_of_products(((self, other),))
+            # The kernel's choice, from the two term counts, before any batch
+            # is built: most products here are small and take the tuple path.
+            n, k = len(self.terms), len(other.terms)
+            if PACK_RATIO * (n + k) < n * k:
+                return _packed_products((((self, other),),))[0]
+            return _tuple_sum(((self, other),))
         if isinstance(other, (int, Fraction)):
             return Polynomial({m: c * other for m, c in self.terms.items()})
         return NotImplemented
@@ -271,17 +280,48 @@ _set_terms = Polynomial.terms.__set__
 _set_den = Polynomial.den.__set__
 
 
-def sum_of_products(pairs) -> Polynomial:
-    """The sum of x*y over a sequence of ``(x, y)`` pairs of polynomials.
+# A batch is multiplied with packed monomials when it makes more than this
+# many term products per operand term: packing passes over every operand
+# term and every output term once, and pays back a little on every term
+# product.  Timed one by one, the matrix products of the benchmark's
+# in-process workloads ran slower packed at ratios up to 2.73 and faster at
+# every ratio above it (README, "Products").
+PACK_RATIO = 2.8
 
-    The one multiplication kernel: every term product is accumulated into a
-    single term map, and one polynomial is built at the end, which drops the
-    coefficients that cancelled.  Over a common denominator D, the lcm of
-    the pairs' ``x.den * y.den``, the products are summed as ints: each
-    operand's coefficients are scaled to integer numerators once, a pair's
-    products by D // (x.den * y.den), and each output term is divided by D
-    once.  With D = 1 the coefficients are multiplied as they are.
+
+def sum_of_products(batch, work: int = 0, terms: int = 0) -> list:
+    """For each entry of ``batch``, a sequence of ``(x, y)`` pairs of
+    polynomials, the sum of x*y over its pairs: a list of polynomials.
+
+    The one multiplication kernel.  Every term product of an entry is
+    accumulated into one term map, and one polynomial is built at the end,
+    which drops the coefficients that cancelled.  Over an entry's common
+    denominator D, the lcm of its pairs' ``x.den * y.den``, the products are
+    summed as ints: each rational operand's coefficients are scaled to
+    integer numerators once per batch, a pair's products by
+    D // (x.den * y.den), and each output term is divided by D once.  With
+    D = 1 the coefficients are multiplied as they are.
+
+    ``work`` and ``terms`` are the batch's term products and the terms of
+    its operands, which the caller counts while it builds the batch.
+    Monomials are multiplied in one of two ways, with the same result.  When
+    ``work`` is more than ``PACK_RATIO`` times ``terms``, each operand is
+    encoded once as packed ints and a monomial product is one integer
+    addition (``_packed_products``); otherwise, and when no counts are
+    given, the monomial tuples are merged (``_tuple_sum``).
     """
+    if PACK_RATIO * terms < work:
+        return _packed_products(batch)
+    scaled: dict = {}
+    return [_tuple_sum(pairs, scaled) for pairs in batch]
+
+
+def _tuple_sum(pairs, scaled: dict = None) -> Polynomial:
+    """The sum of x*y over ``pairs``, merging monomial tuples; ``scaled``,
+    when given, keeps the numerators of the batch's rational operands."""
+    # The entry's common denominator, inline here and in
+    # ``_packed_products``: as a helper, its call per entry made
+    # ``matrices.mul`` 1.5-3 % slower on small monomial products.
     den = 1
     for x, y in pairs:
         d = x.den * y.den
@@ -299,13 +339,18 @@ def sum_of_products(pairs) -> Polynomial:
         return Polynomial(acc)
     for x, y in pairs:
         scale = den // (x.den * y.den)
-        y_terms = _numerators(y)
-        for m1, n1 in _numerators(x):
+        y_terms = _scaled(y, scaled)
+        for m1, n1 in _scaled(x, scaled):
             n1 *= scale
             for m2, n2 in y_terms:
                 m = _mono_mul(m1, m2)
                 acc[m] = get(m, 0) + n1 * n2
-    # A cancelled term is dropped before its division, not after it.
+    return _over(acc, den)
+
+
+def _over(acc: dict, den: int) -> Polynomial:
+    """The polynomial with terms ``n / den`` for the ``(m, n)`` of ``acc``.
+    A cancelled term is dropped before its division, not after it."""
     return Polynomial({m: Fraction(n, den) for m, n in acc.items() if n})
 
 
@@ -315,6 +360,92 @@ def _numerators(p: Polynomial):
     if den == 1:
         return p.terms.items()
     return [(m, c.numerator * (den // c.denominator)) for m, c in p.terms.items()]
+
+
+def _scaled(p: Polynomial, done: dict):
+    """``_numerators(p)``, computed once per ``done`` map, or each time
+    without one (a one-pair product uses each operand once)."""
+    if done is None:
+        return _numerators(p)
+    got = done.get(id(p))
+    if got is None:
+        got = done[id(p)] = _numerators(p)
+    return got
+
+
+def _packed_products(batch) -> list:
+    """``sum_of_products`` over packed monomials.
+
+    Each variable gets a bit field as wide as the largest exponent it can
+    reach in a product: the bit length of twice its largest exponent among
+    the operands.  The fields follow the sorted variables, the last in the
+    lowest bits.  A monomial is then one int, the sum of its exponents
+    shifted into their fields, and no field overflows into the next, so the
+    product of two monomials is the sum of their ints.  Each distinct
+    operand is encoded once, with its integer numerators, and each distinct
+    output monomial that survives cancellation is decoded once.
+    """
+    operands = {}
+    for pairs in batch:
+        for x, y in pairs:
+            operands[id(x)] = x
+            operands[id(y)] = y
+    top: dict = {}
+    for p in operands.values():
+        for m in p.terms:
+            for v, e in m:
+                if e > top.get(v, 0):
+                    top[v] = e
+    shifts = {}
+    fields = []
+    shift = 0
+    for v in sorted(top, reverse=True):
+        shifts[v] = shift
+        width = (2 * top[v]).bit_length()
+        fields.append((v, shift, (1 << width) - 1))
+        shift += width
+    fields.reverse()
+    packed = {}
+    for key, p in operands.items():
+        enc = []
+        for m, n in _numerators(p):
+            k = 0
+            for v, e in m:
+                k += e << shifts[v]
+            enc.append((k, n))
+        packed[key] = enc
+    decoded: dict = {}
+    out = []
+    for pairs in batch:
+        den = 1
+        for x, y in pairs:
+            d = x.den * y.den
+            if d != 1:
+                den = lcm(den, d)
+        acc: dict = {}
+        get = acc.get
+        for x, y in pairs:
+            scale = den // (x.den * y.den)
+            y_terms = packed[id(y)]
+            for k1, n1 in packed[id(x)]:
+                n1 *= scale
+                for k2, n2 in y_terms:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + n1 * n2
+        terms = {}
+        for k, n in acc.items():
+            if n:
+                m = decoded.get(k)
+                if m is None:
+                    m = []
+                    for v, s, mask in fields:
+                        e = k >> s & mask
+                        if e:
+                            m.append((v, e))
+                    m = decoded[k] = tuple(m)
+                terms[m] = n
+        out.append(Polynomial(terms) if den == 1 else _over(terms, den))
+    return out
 
 
 def as_poly(x) -> Polynomial:

@@ -5,8 +5,11 @@ every test run sees the same sample; hypothesis covers the genuinely
 randomized side.
 """
 
+import math
+from contextlib import contextmanager
 from fractions import Fraction
 
+from mfkit import poly
 from mfkit.poly import Polynomial, Variable
 from mfkit import direct_sum, make_factorization
 
@@ -39,6 +42,27 @@ def ref_sum_of_products(pairs):
                 m = ref_mono_mul(m1, m2)
                 acc[m] = acc.get(m, Fraction(0)) + Fraction(c1) * Fraction(c2)
     return {m: c for m, c in acc.items() if c}
+
+
+def kernel_counts(batch):
+    """The counts ``sum_of_products`` chooses its path by: the batch's term
+    products, and its operands' terms with each pair's operands counted."""
+    pairs = [pair for entry in batch for pair in entry]
+    return (sum(len(x.terms) * len(y.terms) for x, y in pairs),
+            sum(len(x.terms) + len(y.terms) for x, y in pairs))
+
+
+@contextmanager
+def kernel_path(path):
+    """Run ``sum_of_products`` on one monomial path, "tuple" or "packed":
+    a ``PACK_RATIO`` of 0 packs every batch with a term product, an
+    infinite one none."""
+    saved = poly.PACK_RATIO
+    poly.PACK_RATIO = 0 if path == "packed" else math.inf
+    try:
+        yield
+    finally:
+        poly.PACK_RATIO = saved
 
 
 def rand_poly(rng, variables, max_terms=3, max_deg=3, nonzero=False):

@@ -219,6 +219,20 @@ def test_unitor_inconsistent_potential(files, capsys):
                             "X.potential + f = x^2 - x + z uses the f-side variable x\n")
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["unit", "--potential", "x", "--vars", "x'"], "x'"),
+    (["unit", "--potential", "x", "--vars", "1"], "1"),
+    (["unitor", "X", "--potential", "x^3", "--var-split", "x':z"], "x'"),
+], ids=["unit_primed", "unit_digit", "unitor_primed"])
+def test_unit_and_unitor_name_a_bad_variable_before_parsing(files, capsys, argv, name):
+    # Without the check first, the expression blames an undeclared x.
+    argv = [files["x"] if a == "X" else a for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad variable name {name!r}\n"
+
+
 def test_unitor_bad_split(files):
     assert run(["unitor", files["x"], "--potential", "x",
                 "--var-split", "x"]) == 2

@@ -13,9 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfkit import matrices as mx
-from mfkit.poly import Polynomial, sum_of_products
+from mfkit import poly
+from mfkit.matfac import make_factorization
+from mfkit.poly import Polynomial, Variable, sum_of_products
+from mfkit.tensor import yoshino
+from mfkit.unit import koszul_unit
 
-from conftest import X, Y, Z, rand_poly, ref_sum_of_products
+from conftest import X, Y, Z, kernel_path, rand_poly, ref_sum_of_products
 
 SHAPES = [(1, 1), (1, 5), (5, 1), (3, 4), (4, 3), (6, 6)]
 DENSITIES = [0.0, 0.1, 0.3, 0.6, 1.0]
@@ -159,7 +163,7 @@ def rational_polys(draw):
 
 @given(st.lists(st.tuples(rational_polys(), rational_polys()), max_size=4))
 def test_sum_of_products_matches_term_by_term_reference(pairs):
-    got = sum_of_products(pairs)
+    [got] = sum_of_products([pairs])
     assert got.terms == ref_sum_of_products(pairs)
     assert_exact_form([[got]])
 
@@ -217,3 +221,82 @@ def test_scale_stores_integral_coefficients_as_ints():
     assert got[1][0].terms == {((Y, 1),): 1}
     assert type(got[1][0].terms[((Y, 1),)]) is int
     assert {type(c) for c in mx.scale(a, Fraction(2))[0][0].terms.values()} == {int}
+
+
+# ---------------------------------------------------------------------------
+# whole products on both kernel paths
+
+
+def koszul_blocks(n):
+    """P and Q of the Koszul unit of a rational cubic sum in n variables."""
+    xs = tuple(Variable(f"x{i}") for i in range(1, n + 1))
+    f = sum((Polynomial.var(v) ** 3 * Fraction(i + 1, i + 2)
+             for i, v in enumerate(xs)), Polynomial.zero())
+    u = koszul_unit(f, xs)
+    return u.mf.p, u.mf.q
+
+
+def monomial_chain():
+    """P and Q of (x, x^2) (x) (y, y^3) (x) (z^2, z), with x, y, z renamed per
+    factor: the integer monomial entries of a tensor chain."""
+    def pair(name, a, b):
+        v = Polynomial.var(Variable(name))
+        return make_factorization([[v ** a]], [[v ** b]], v ** (a + b))
+    z = yoshino(yoshino(pair("x", 1, 2), pair("y", 1, 3)), pair("z", 2, 1))
+    return z.p, z.q
+
+
+PRODUCTS = {f"koszul_n{n}": (lambda n=n: koszul_blocks(n)) for n in (3, 4, 5)}
+PRODUCTS["monomial_chain"] = monomial_chain
+
+
+@pytest.mark.parametrize("path", ["tuple", "packed"])
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_mul_on_both_paths_matches_the_naive_product(name, path):
+    p, q = PRODUCTS[name]()
+    for a, b in ((p, q), (q, p)):
+        with kernel_path(path):
+            got = mx.mul(a, b)
+        assert [list(row) for row in got] == naive_mul(a, b)
+        assert_exact_form(got)
+
+
+def packed_calls(monkeypatch):
+    """The batches ``poly._packed_products`` is called with from now on."""
+    calls = []
+    packed = poly._packed_products
+    monkeypatch.setattr(poly, "_packed_products",
+                        lambda batch: calls.append(batch) or packed(batch))
+    return calls
+
+
+@pytest.mark.parametrize("name, packs", [
+    ("koszul_n3", True), ("koszul_n4", True), ("koszul_n5", True),
+    ("monomial_chain", False)])
+def test_mul_packs_the_koszul_products_and_not_the_monomial_ones(monkeypatch, name, packs):
+    p, q = PRODUCTS[name]()
+    calls = packed_calls(monkeypatch)
+    mx.mul(p, q)
+    assert len(calls) == (1 if packs else 0)
+
+
+def test_one_pair_products_pack_only_when_both_factors_are_long(monkeypatch):
+    """x*y packs when its term products outnumber PACK_RATIO (2.8) times
+    the factors' terms: 11 * 11 > 2.8 * 22, but not 11 * 2 or 1 * 1."""
+    s = Polynomial.var(X) + Polynomial.var(Y)
+    long = s ** 10
+    calls = packed_calls(monkeypatch)
+    assert long * s == s ** 11 and Polynomial.var(X) * Polynomial.var(Y)
+    assert calls == []
+    assert long * long == s ** 20
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("path", ["tuple", "packed"])
+@pytest.mark.parametrize("name", ["koszul_n3", "monomial_chain"])
+def test_kron_on_both_paths_matches_the_naive_product(name, path):
+    p, q = PRODUCTS[name]()
+    with kernel_path(path):
+        got = mx.kron(p, q)
+    assert [list(row) for row in got] == naive_kron(p, q)
+    assert_exact_form(got)

@@ -2,7 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from math import lcm
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +27,8 @@ from mfkit.poly import (
 )
 from mfkit.unit import koszul_unit, unitor_right
 
-from conftest import PX, PY, PZ, X, Y, Z, rand_poly, ref_mono_mul, ref_sum_of_products
+from conftest import (PX, PY, PZ, X, Y, Z, kernel_counts, kernel_path, rand_poly,
+                      ref_mono_mul, ref_sum_of_products)
 
 
 @st.composite
@@ -549,7 +550,7 @@ def test_every_operation_stores_integral_coefficients_as_ints(f, g, h, c, k):
         f + g, f - g, -f, f * g, f * c, c * f, f ** k,
         substitute(f, {X: g, Y: h}), derivative(f, X),
         diff_quotient(f, 1, (X, Y)), diff_quotient(f, 2, (X, Y)),
-        sum_of_products([(f, g), (g, h)]),
+        *sum_of_products([[(f, g), (g, h)], [(h, f)]]),
     ]
     for m in (mx.scale(a, c), mx.mul(a, b), mx.kron(a, b)):
         results += [e for row in m for e in row]
@@ -591,7 +592,7 @@ def test_kernel_matches_the_fraction_reference(pairs, cancelled):
     the stored form; the first ``cancelled`` pairs are repeated negated, so
     their products cancel to 0."""
     pairs = pairs + [(x, -y) for x, y in pairs[:cancelled]]
-    got = sum_of_products(pairs)
+    [got] = sum_of_products([pairs])
     assert got.terms == ref_sum_of_products(pairs)
     assert _stored_form_ok(got)
     for x, y in pairs:
@@ -601,8 +602,11 @@ def test_kernel_matches_the_fraction_reference(pairs, cancelled):
 
 
 def test_kernel_cancels_to_zero_and_to_integers():
-    assert sum_of_products([(PX * HALF, PY * 2 * THIRD), (PX * -THIRD, PY)]).terms == {}
-    whole = sum_of_products([(PX * HALF, PX * HALF), (PX * 3 * HALF * HALF, PX)])
+    zero, whole = sum_of_products([
+        [(PX * HALF, PY * 2 * THIRD), (PX * -THIRD, PY)],
+        [(PX * HALF, PX * HALF), (PX * 3 * HALF * HALF, PX)],
+    ])
+    assert zero.terms == {}
     assert whole.terms == {((X, 2),): 1} and type(whole.terms[((X, 2),)]) is int
     assert whole.den == 1
     assert (Polynomial.const(3 * HALF) * Polynomial.const(2 * THIRD)).terms == {(): 1}
@@ -626,3 +630,113 @@ def test_unitor_bundle_has_no_float_coefficient():
     seen |= _coeff_types(b.z.potential)
     assert seen <= {int, Fraction}
     assert int in seen and Fraction in seen
+
+
+# ---------------------------------------------------------------------------
+# the kernel's two monomial paths: merged tuples and packed ints
+
+XP = X.primed()
+PATHS = pytest.mark.parametrize("path", ["tuple", "packed"])
+
+
+def mono(*factors, c=1):
+    """c times the product of the (variable, exponent) factors."""
+    return Polynomial({tuple(sorted(factors)): c})
+
+
+@st.composite
+def shared_batches(draw):
+    """A batch whose operands come from a small pool, so one object occurs
+    in several pairs and on both sides; monomials over x < x' < y with
+    exponents up to 7, so exponent sums fill and overflow 3-bit fields."""
+    pool = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        terms = {}
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            mono_ = tuple((v, e) for v in (X, XP, Y)
+                          if (e := draw(st.integers(min_value=0, max_value=7))))
+            terms[mono_] = draw(MIXED_COEFFS)
+        pool.append(Polynomial(terms))
+    index = st.integers(min_value=0, max_value=len(pool) - 1)
+    entries = draw(st.lists(st.lists(st.tuples(index, index), max_size=4), max_size=4))
+    return [[(pool[i], pool[j]) for i, j in entry] for entry in entries]
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_batches(), st.sampled_from(["tuple", "packed"]))
+def test_both_kernel_paths_match_the_fraction_reference(batch, path):
+    with kernel_path(path):
+        got = sum_of_products(batch, *kernel_counts(batch))
+    assert len(got) == len(batch)
+    for entry, pairs in zip(got, batch):
+        assert entry.terms == ref_sum_of_products(pairs)
+        assert _stored_form_ok(entry)
+
+
+KERNEL_CASES = {
+    # x: 3 + 4 = 7 fills a 3-bit field; y: 1 + 3 = 4 needs a third bit.
+    "field_filled": [(mono((X, 3), (Y, 1)), mono((X, 4), (Y, 3)))],
+    "one_more_bit": [(mono((X, 4), (Y, 1)), mono((X, 4), (Y, 1)))],
+    "x7_times_x": [(mono((X, 7), (XP, 1), (Y, 2)), mono((X, 1), (XP, 3), (Y, 1)))],
+    "x_xprime_y": [(mono((X, 1), (Y, 1)), mono((XP, 1))),
+                   (mono((XP, 2)), mono((X, 1), (Y, 1), c=-3))],
+    "constants": [(Polynomial.const(3), PX), (PX + PY, Polynomial.const(HALF)),
+                  (Polynomial.const(THIRD), Polynomial.const(6))],
+    "zero_operands": [(Polynomial.zero(), PX), (PX, PY), (PY, Polynomial.zero())],
+    "cancels_to_zero": [(PX + PY, PX - PY), (PY, PY), (-PX, PX)],
+    "mixed_denominators": [(PX * HALF + PY * THIRD, PX * Fraction(1, 5)),
+                           (PY * Fraction(1, 7), Polynomial.const(3)),
+                           (PX, PX * Fraction(3, 10))],
+    "no_pairs": [],
+}
+
+
+@PATHS
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_kernel_paths_on_edge_cases(name, path):
+    pairs = KERNEL_CASES[name]
+    with kernel_path(path):
+        [got] = sum_of_products([pairs], *kernel_counts([pairs]))
+    assert got.terms == ref_sum_of_products(pairs)
+    assert _stored_form_ok(got)
+
+
+@PATHS
+def test_kernel_paths_keep_entries_apart_and_in_order(path):
+    x2y, x3 = mono((X, 2), (Y, 1)), mono((X, 3), c=THIRD)
+    batch = [[(x2y, x3)], [], [(x3, x3), (x3, -x3)], [(x2y, PY), (PX, x2y)]]
+    with kernel_path(path):
+        got = sum_of_products(batch, *kernel_counts(batch))
+    assert [g.terms for g in got] == [ref_sum_of_products(p) for p in batch]
+    assert got[1].terms == got[2].terms == {}
+    with kernel_path(path):
+        assert sum_of_products([], 0, 0) == []
+
+
+# ---------------------------------------------------------------------------
+# closed-form oracles for dense products
+
+
+# Powers multiply one factor at a time, which the kernel's counts keep on the
+# tuple path; both paths are run here.
+@PATHS
+@pytest.mark.parametrize("k", range(31))
+def test_binomial_powers_hold_the_binomial_coefficients(k, path):
+    with kernel_path(path):
+        f = parse_poly(f"(x+y)^{k}", ["x", "y"])
+    want = {tuple((v, e) for v, e in ((X, i), (Y, k - i)) if e): comb(k, i)
+            for i in range(k + 1)}
+    assert f.terms == want
+
+
+@PATHS
+@pytest.mark.parametrize("k", range(31))
+def test_trinomial_powers_hold_the_multinomial_coefficients(k, path):
+    with kernel_path(path):
+        f = parse_poly(f"(x+y+z)^{k}", ["x", "y", "z"])
+    want = {}
+    for i in range(k + 1):
+        for j in range(k + 1 - i):
+            mono_ = tuple((v, e) for v, e in ((X, i), (Y, j), (Z, k - i - j)) if e)
+            want[mono_] = factorial(k) // (factorial(i) * factorial(j) * factorial(k - i - j))
+    assert f.terms == want

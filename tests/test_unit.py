@@ -100,6 +100,16 @@ def test_unit_matrices_match_koszul_diff(f, xs):
                 image.coeff(v) for v in words_out]
 
 
+@pytest.mark.parametrize("k", [10, 20])
+def test_unit_of_a_dense_binomial_power_passes_its_eager_check(k):
+    # make_factorization checks P*Q = Q*P = (f - t_1 t_2 f)*I entry by entry,
+    # over entries of up to k terms in x, x', y, y'.
+    f = (PX + PY) ** k
+    u = koszul_unit(f, (X, Y))
+    assert u.rank == 2
+    assert u.mf.potential == f - t_shift(f, 2, (X, Y))
+
+
 def test_pi_row_shape():
     # The row picking the empty-word coordinate is [1, 0, ..., 0] of width
     # rank: the empty word is the first even word.
