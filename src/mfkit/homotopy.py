@@ -28,6 +28,16 @@ free unknowns pinned to 0.  That form is unique, so the witness does not
 depend on row order and its printed bytes are stable; a cheaper pivot
 choice (Markowitz) would change which unknowns are free, and so the witness.
 
+The rows split into connected components, two unknowns joined when a row
+names both, and the solve eliminates only the rows of the components that
+carry a nonzero right-hand side.  The reduced form is block-diagonal over
+the components, and a component whose right-hand sides are all 0 is
+homogeneous: each of its pivot values is 0, and the witness keeps no zero
+coefficient, so leaving it unreduced leaves the witness bytes as they were.
+In a Jacobian search d_v(w) * id ~ 0 on a size-4 product at degree 2, for
+one, a single component of 40 carries the right-hand side, with 24 of the
+956 rows.
+
 The elimination runs over integer rows, with no `Fraction` arithmetic: each
 row is cleared of denominators once (a row of ints needs no clearing) and
 then only combined as
@@ -36,10 +46,10 @@ changes neither its support nor, up to that scale, its values, so the pivots,
 the rank, the first inconsistent equation and the solution -- each pivot
 value is rhs/c, read once at the end -- are exactly those of the reduced
 form over Q, and the witness bytes with them.  The solution is checked
-against every input row, and a found witness is re-checked before it is
-returned.  `NotFoundWithinDegree` only ever means "no witness with entries
-of this degree" -- nothing about higher degrees; it names the system's size,
-its rank and the first inconsistent equation.
+against every input row, those left unreduced too, and a found witness is
+re-checked before it is returned.  `NotFoundWithinDegree` only ever means
+"no witness with entries of this degree" -- nothing about higher degrees; it
+names the system's size, its rank and the first inconsistent equation.
 """
 
 from __future__ import annotations
@@ -63,11 +73,15 @@ from .poly import Polynomial, poly_to_str
 
 # A witness search has 2*|Y|*|X|*C(v + d, d) unknowns for v variables and
 # degree d.  The limit bounds the unknowns, not the time, which grows with
-# the fill-in of the elimination: on a 2-core VM, whose speed varied 2x from
-# hour to hour, the Jacobian search on a size-8 product in four variables
-# took 2.7-5.5 s at degree 3 (4480 unknowns, 14912 rows, rank 3824) and
-# about 50 s at degree 4 (8960 unknowns), nearly all of it in the solve.
-# Larger searches are refused before any row is built.
+# the fill-in of the elimination of the components that carry a nonzero
+# right-hand side.  The worst case is one such component over the whole
+# system: on a 2-core VM, whose speed varied 2x from hour to hour, the
+# Jacobian search on the size-8 product of (v + 1, v^2 - v + 1) in four
+# variables took 6.8-7.4 s at degree 3 (4480 unknowns, 14912 rows, rank
+# 3824) and 59 s at degree 4 (8960 unknowns), nearly all of it in the
+# solve; on the product of (v, v^2), whose right-hand side sits in one of
+# many components, it took 0.06 and 0.10 s.  Larger searches are refused
+# before any row is built.
 MAX_UNKNOWNS = 20000
 
 
@@ -102,9 +116,18 @@ class WitnessReport(Record):
 
 
 def _check_setup(x, y, phi: Morphism, psi: Morphism) -> None:
-    for m in (phi, psi):
+    declared = set(x.vars).union(y.vars)
+    for name, m in (("phi", phi), ("psi", psi)):
         if m.source != x or m.target != y:
             raise ShapeMismatch("morphisms must go from x to y")
+        for row in chain(m.alpha, m.beta):
+            for e in row:
+                for mono in e.terms:
+                    for v, _ in mono:
+                        if v not in declared:
+                            raise ShapeMismatch(
+                                f"{name} names the variable {v}, which neither "
+                                "factorization declares")
 
 
 def check_witness(
@@ -207,10 +230,24 @@ def _solve_gauss_jordan(rows, nunknowns: int):
     ``bench/tracer.py`` takes ``len(rows)`` and iterates ``rows`` before
     this function does, so a lazily built ``rows`` must allow both.
 
+    Only the rows of live components are eliminated.  Two unknowns are in
+    one component when a chain of rows names them, and a component is live
+    once one of its rows has rhs != 0.  A row with rhs 0 whose component is
+    not live waits, unreduced.  When a row with rhs != 0, or one that joins
+    a live component, makes a component live, its waiting rows are reduced
+    first, then the new row.  The reduced form is block-diagonal over the
+    components, and a component whose rows all have rhs 0 is homogeneous,
+    so each of its pivot values is 0: leaving it unreduced changes no value
+    of the solution.  Nor does it move the first inconsistent row: a row
+    with rhs 0 is never inconsistent, and whether a row is depends only on
+    the rows of its own component, all reduced when it arrives.
+
     Returns ``(solution, rank, bad)``.  ``solution`` maps each pivot unknown
-    to its value (free unknowns are 0) and ``bad`` is None; or the system is
+    of the live components to its value (every other unknown is 0), ``rank``
+    counts those pivots, and ``bad`` is None; or the system is
     inconsistent, ``solution`` is None and ``bad`` is the index of the first
-    row that reduces to ``0 = rhs != 0``, with ``rank`` the rank before it.
+    row that reduces to ``0 = rhs != 0``, with ``rank`` the rank of all the
+    rows before it: the rows still waiting are reduced first.
 
     Every pivot row is a primitive integer row with a positive pivot, a
     multiple of the reduced row over Q; its value is ``rhs / c`` for pivot
@@ -220,16 +257,15 @@ def _solve_gauss_jordan(rows, nunknowns: int):
     # unknown -> pivots whose rows may name it: every unknown a pivot row has
     # ever held, so a new pivot is back-eliminated without scanning all rows
     holders = defaultdict(set)
-    read = []
-    for n, given in enumerate(rows):
-        read.append(given)
+
+    def reduce(given) -> bool:
+        """Make ``given`` a pivot row, or find it dependent; False if it
+        reduces to ``0 = rhs != 0``."""
         row = _integer_row(*given)
         for u in [u for u in row[0] if u in pivots]:
             _eliminate(row, u, pivots[u])
         if not row[0]:
-            if row[1]:
-                return None, len(pivots), n
-            continue
+            return not row[1]
         p = min(row[0])
         _make_primitive(row, p)
         for q in holders.pop(p, ()):
@@ -242,11 +278,70 @@ def _solve_gauss_jordan(rows, nunknowns: int):
         for v in row[0]:
             holders[v].add(p)
         pivots[p] = row
+        return True
+
+    # A union-find over the unknowns whose find is one list read: comp[u] is
+    # the id c of u's component, or -1 once that component is live.  While c
+    # is not live, members[c] lists its unknowns (once it has more than one)
+    # and waiting[c] its rows, read but not reduced; a merge relabels the
+    # smaller components, and going live relabels c's unknowns to -1, once.
+    # Live components need no ids: a row that joins them makes one live
+    # component, with no rows waiting.
+    comp = list(range(nunknowns))
+    members = {}
+    waiting = {}
+
+    def join(ids, given):
+        """Merge the components ``ids`` that ``given`` names into one and
+        return the rows to reduce before it; or None if the merged
+        component is not live, and ``given`` waits with its rows."""
+        if -1 in ids or given[1]:
+            stale = []
+            for c in ids - {-1}:
+                for u in members.pop(c, (c,)):
+                    comp[u] = -1
+                stale += waiting.pop(c, ())
+            return stale
+        if len(ids) > 1:
+            c = max(ids, key=lambda i: len(members.get(i, ())))
+            ids.remove(c)
+            group = members.setdefault(c, [c])
+            stale = waiting.setdefault(c, [])
+            for i in ids:
+                moved = members.pop(i, [i])
+                for u in moved:
+                    comp[u] = c
+                group += moved
+                stale += waiting.pop(i, ())
+            stale.append(given)
+        elif ids:
+            waiting.setdefault(ids.pop(), []).append(given)
+        return None
+
+    find = comp.__getitem__
+    read = []
+    for n, given in enumerate(rows):
+        read.append(given)
+        ids = set(map(find, given[0]))
+        if ids != {-1}:
+            stale = join(ids, given)
+            if stale is None:
+                continue
+            for waited in stale:
+                reduce(waited)  # rhs 0 throughout, so never inconsistent
+        if not reduce(given):
+            # Reduce the rows still waiting, so that the rank is that of
+            # every row before row n.
+            for stale in waiting.values():
+                for waited in stale:
+                    reduce(waited)
+            return None, len(pivots), n
     sol = {}
     for p, (coeffs, rhs) in pivots.items():
         c = coeffs[p]
         sol[p] = rhs // c if rhs % c == 0 else Fraction(rhs, c)
-    # Check every input row exactly, in integers over the common denominator.
+    # Check every input row exactly, in integers over the common denominator:
+    # the rows still waiting, whose unknowns are all 0, too.
     den = lcm(*(v.denominator for v in sol.values()))
     scaled = [0] * nunknowns
     for u, v in sol.items():

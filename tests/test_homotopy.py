@@ -30,7 +30,7 @@ from mfkit.matfac import (
     zero_morphism,
     Morphism,
 )
-from mfkit.poly import Polynomial, derivative, poly_to_str
+from mfkit.poly import Polynomial, Variable, derivative, poly_to_str
 from mfkit.tensor import Variant, yoshino
 from mfkit.unit import unitor_right
 
@@ -193,6 +193,19 @@ def test_find_witness_is_deterministic():
     assert w1 == w2
 
 
+def test_find_witness_refuses_a_variable_neither_factorization_declares():
+    x = make_factorization([[PX + 1]], [[PX ** 2 - PX + 1]], PX ** 3 + 1)
+    foreign = scalar_morphism(PY, x)
+    for degree in range(3):
+        with pytest.raises(ShapeMismatch, match=(
+                "^phi names the variable y, which neither factorization declares$")):
+            find_witness(x, x, foreign, zero_morphism(x), degree)
+    with pytest.raises(ShapeMismatch, match="^psi names the variable y,"):
+        find_witness(x, x, zero_morphism(x), foreign, 0)
+    with pytest.raises(ShapeMismatch, match="^phi names the variable y,"):
+        check_witness(x, x, foreign, foreign, zero_witness(x, x))
+
+
 def test_find_witness_rejects_negative_degree():
     with pytest.raises(ValueError):
         find_witness(R, R, identity_morphism(R), identity_morphism(R), -1)
@@ -272,6 +285,11 @@ def satisfies(rows, sol):
     )
 
 
+def as_total(sol, nunknowns):
+    """The value of every unknown, an unknown ``sol`` leaves out being 0."""
+    return [sol.get(u, 0) for u in range(nunknowns)]
+
+
 class ReadOnceUpTo:
     """Sized rows that may be iterated once, and fail the test if a row
     past ``last`` is read."""
@@ -346,6 +364,7 @@ def test_solver_random_consistent_systems(seed):
     sol, rank, bad = _solve_gauss_jordan(rows, n)
     assert bad is None and satisfies(rows, sol)
     assert rank == len(sol) <= n
+    assert as_total(sol, n) == as_total(fraction_gauss_jordan(rows)[0], n)
     # the reduced form is unique, so the row order does not matter
     shuffled = rows[:]
     rng.shuffle(shuffled)
@@ -400,11 +419,20 @@ def fraction_gauss_jordan(rows):
 
 
 def assert_solves_like_the_oracle(rows, nunknowns):
+    """The oracle's ``(None, rank, bad)`` on an inconsistent system.  On a
+    consistent one, the oracle's value of every unknown; the solver leaves
+    out the components it did not eliminate, so it returns at most the
+    oracle's pivots, and ``rank`` counts those it returns."""
     want = fraction_gauss_jordan(rows)
     last = len(rows) if want[2] is None else want[2]
     got = _solve_gauss_jordan(ReadOnceUpTo(rows, last), nunknowns)
-    assert got == want
-    sol = got[0] or {}
+    if want[0] is None:
+        assert got == want
+        return got
+    sol, rank, bad = got
+    assert bad is None and rank == len(sol) <= want[1]
+    assert sol.keys() <= want[0].keys()
+    assert as_total(sol, nunknowns) == as_total(want[0], nunknowns)
     assert all(type(v) is int or v.denominator > 1 for v in sol.values())
     return got
 
@@ -441,8 +469,64 @@ def test_solver_matches_the_fraction_oracle(system):
     if consistent:
         assert bad is None and satisfies(rows, sol)
     if bad is not None:
-        # the rows before the first inconsistent one are consistent
-        assert _solve_gauss_jordan(rows[:bad], n)[1:] == (rank, None)
+        # the rows before the first inconsistent one are consistent, and
+        # the rank at it is theirs
+        assert fraction_gauss_jordan(rows[:bad])[1:] == (rank, None)
+
+
+def dead_unknowns(rows):
+    """The unknowns of the components whose rows all have rhs 0, two
+    unknowns being in one component when a chain of rows names both."""
+    groups = []  # [unknowns, whether a row of them has rhs != 0]
+    for coeffs, rhs in rows:
+        merged = [set(coeffs), bool(rhs)]
+        for group in [g for g in groups if not g[0].isdisjoint(coeffs)]:
+            groups.remove(group)
+            merged[0] |= group[0]
+            merged[1] |= group[1]
+        groups.append(merged)
+    return set().union(*(unknowns for unknowns, live in groups if not live))
+
+
+@st.composite
+def systems_with_a_homogeneous_block(draw):
+    """``(rows, nunknowns)``: a ``sparse_systems`` draw with rows of rhs 0
+    over further unknowns shuffled in."""
+    rows, n, _ = draw(sparse_systems())
+    m = draw(st.integers(1, 6))
+    block = draw(st.lists(st.dictionaries(st.integers(n, n + m - 1), COEFFS,
+                                          min_size=1, max_size=3), max_size=6))
+    return draw(st.permutations(rows + [(coeffs, 0) for coeffs in block])), n + m
+
+
+@given(systems_with_a_homogeneous_block())
+def test_solution_names_no_unknown_of_a_homogeneous_component(system):
+    rows, n = system
+    sol, _, _ = assert_solves_like_the_oracle(rows, n)
+    if sol is not None:
+        assert dead_unknowns(rows).isdisjoint(sol)
+
+
+def test_solver_reduces_a_waiting_component_when_a_row_joins_it_to_a_live_one():
+    # {0, 1} waits with two rows, {2} goes live at row 2, row 3 joins them;
+    # {3, 4} waits to the end and is left out
+    rows = [({0: 1, 1: -1}, 0), ({0: 2, 1: -2}, 0), ({3: 1, 4: 1}, 0),
+            ({2: 1}, 3), ({1: 1, 2: 1}, 5)]
+    assert assert_solves_like_the_oracle(rows, 5) == ({0: 2, 1: 2, 2: 3}, 3, None)
+    assert fraction_gauss_jordan(rows)[1] == 4
+
+
+def test_solver_rank_at_an_inconsistent_row_counts_the_waiting_rows():
+    # {0, 1} and {2, 3} still wait when row 4 fails
+    rows = [({0: 1, 1: 1}, 0), ({2: 1, 3: -1}, 0), ({2: 3, 3: -3}, 0),
+            ({4: 1}, 1), ({4: 2}, 3), ({0: 1}, 1)]
+    assert assert_solves_like_the_oracle(rows, 5) == (None, 3, 4)
+
+
+def test_solver_single_inhomogeneous_component():
+    # rows 0 and 1 wait until row 2, with rhs != 0, makes their component live
+    rows = [({0: 1, 1: 1}, 0), ({1: 1, 2: 1}, 0), ({0: 1, 2: 1}, 2)]
+    assert assert_solves_like_the_oracle(rows, 3) == ({0: 1, 1: -1, 2: 1}, 3, None)
 
 
 def test_solver_dense_system_with_large_coefficients():
@@ -816,3 +900,46 @@ def test_pinned_search_outcome(family, degree):
         got = " | ".join("; ".join(", ".join(str(e) for e in row) for row in m)
                          for m in (w.lambda0, w.lambda1))
     assert got == PINNED[family, degree]
+
+
+# ---------------------------------------------------------------------------
+# the witnesses of the Jacobian searches against the Fraction oracle on all
+# rows: the solver leaves out the components with no rhs != 0, and the
+# printed witness must not change
+
+
+def cube_product(size, shifted):
+    """The product of (v, v^2), or of (v + 1, v^2 - v + 1) if ``shifted``,
+    over enough of x, y, z, w to reach ``size``."""
+    x = None
+    for v in (X, Y, Z, Variable("w"))[:size.bit_length()]:
+        pv = Polynomial.var(v)
+        u, w = (pv + 1, pv ** 2 - pv + 1) if shifted else (pv, pv ** 2)
+        factor = make_factorization([[u]], [[w]], u * w)
+        x = factor if x is None else yoshino(x, factor, Variant.STANDARD)
+    assert x.size == size
+    return x
+
+
+@pytest.mark.parametrize("shifted, size, degree", [
+    *((False, size, degree) for size in (2, 4, 8) for degree in (1, 2, 3)),
+    *((True, size, degree) for size in (2, 4) for degree in (1, 2, 3)),
+    (True, 8, 1)])
+def test_jacobian_witness_matches_the_oracle_on_all_rows(shifted, size, degree):
+    x = cube_product(size, shifted)
+    phi = scalar_morphism(derivative(x.potential, X), x)
+    zero = zero_morphism(x)
+    vars_m = tuple(sorted(x.vars))
+    monos = _monomials_up_to(len(vars_m), degree)
+    rows = _Rows(x, x, phi, zero, vars_m, monos)
+    sol, _, bad = fraction_gauss_jordan(list(rows))
+    assert bad is None
+
+    def entry(base):
+        return Polynomial.from_dense(vars_m, {
+            mo: c for k, mo in enumerate(monos) if (c := sol.get(base + k))})
+
+    w = find_witness(x, x, phi, zero, degree)
+    assert [[poly_to_str(e) for e in row] for row in w.lambda0 + w.lambda1] == [
+        [poly_to_str(entry(rows.first(b, i, j))) for j in range(size)]
+        for b in (0, 1) for i in range(size)]
