@@ -16,40 +16,44 @@ N candidate monomials: ints order as the tuples (b, i, j, k) do, and hash and
 compare faster.  A search with more than `MAX_UNKNOWNS` unknowns is refused
 before any row is built.  Each distinct entry of d_X and d_Y is expanded once
 per search into its shift table -- each of its terms times each candidate
-monomial -- and every equation entry that multiplies it reads that table.
-The rows, sparse {unknown: coeff} with their right-hand sides, are then
-built from the tables one equation entry at a time, as the solve reads
-them, so a search with no witness stops building at its first inconsistent
-equation.  The equation count and that equation's place, which the
-`NotFoundWithinDegree` text names, are counted from the result monomials of
-the tables and right-hand sides, with no row built.  The solve is a reduced
-row echelon form whose pivot is always the smallest unknown of a row, with
-free unknowns pinned to 0.  That form is unique, so the witness does not
-depend on row order and its printed bytes are stable; a cheaper pivot
-choice (Markowitz) would change which unknowns are free, and so the witness.
+monomial -- and the search lists its equation entries once, in row order:
+each with the tables it reads, the unknowns they multiply and its
+right-hand side as dense terms.  The rows, sparse {unknown: coeff} with
+their right-hand sides, are built from that list one equation entry at a
+time, as the solve reads them, so a search with no witness stops building
+at its first inconsistent equation.  The equation count and that equation's
+place, which the `NotFoundWithinDegree` text names, are counted from the
+same list, with no row built.  The solve is a reduced row echelon form
+whose pivot is always the smallest unknown of a row, with free unknowns
+pinned to 0.  That form is unique, so the witness does not depend on row
+order and its printed bytes are stable; a cheaper pivot choice (Markowitz)
+would change which unknowns are free, and so the witness.
 
 The rows split into connected components, two unknowns joined when a row
 names both, and the solve eliminates only the rows of the components that
-carry a nonzero right-hand side.  The reduced form is block-diagonal over
-the components, and a component whose right-hand sides are all 0 is
-homogeneous: each of its pivot values is 0, and the witness keeps no zero
-coefficient, so leaving it unreduced leaves the witness bytes as they were.
-In a Jacobian search d_v(w) * id ~ 0 on a size-4 product at degree 2, for
-one, a single component of 40 carries the right-hand side, with 24 of the
-956 rows.
+carry a nonzero right-hand side.  Each row read merges the components it
+names into one.  If the row has a nonzero right-hand side or names a live
+unknown, that component is live: its waiting rows are reduced, then the
+row.  Otherwise the row waits with the component's other rows.  The reduced
+form is block-diagonal over the components, and a component whose
+right-hand sides are all 0 is homogeneous: each of its pivot values is 0,
+and the witness keeps no zero coefficient, so leaving it unreduced leaves
+the witness bytes as they were.  In a Jacobian search d_v(w) * id ~ 0 on a
+size-4 product at degree 2, for one, a single component of 40 carries the
+right-hand side, with 24 of the 956 rows.
 
 The elimination runs over integer rows, with no `Fraction` arithmetic: each
 row is cleared of denominators once (a row of ints needs no clearing) and
-then only combined as
-a*row - b*pivot_row and divided by the gcd of its entries.  Scaling a row
-changes neither its support nor, up to that scale, its values, so the pivots,
-the rank, the first inconsistent equation and the solution -- each pivot
-value is rhs/c, read once at the end -- are exactly those of the reduced
-form over Q, and the witness bytes with them.  The solution is checked
-against every input row, those left unreduced too, and a found witness is
-re-checked before it is returned.  `NotFoundWithinDegree` only ever means
-"no witness with entries of this degree" -- nothing about higher degrees; it
-names the system's size, its rank and the first inconsistent equation.
+then only combined as a*row - b*pivot_row and divided by the gcd of its
+entries.  Scaling a row changes neither its support nor, up to that scale,
+its values, so the pivots, the rank, the first inconsistent equation and
+the solution -- each pivot value is rhs/c, read once at the end -- are
+exactly those of the reduced form over Q, and the witness bytes with them.
+The solution is checked against every input row, those left unreduced too,
+and a found witness is re-checked before it is returned.
+`NotFoundWithinDegree` only ever means "no witness with entries of this
+degree" -- nothing about higher degrees; it names the system's size, its
+rank and the first inconsistent equation.
 """
 
 from __future__ import annotations
@@ -232,15 +236,16 @@ def _solve_gauss_jordan(rows, nunknowns: int):
 
     Only the rows of live components are eliminated.  Two unknowns are in
     one component when a chain of rows names them, and a component is live
-    once one of its rows has rhs != 0.  A row with rhs 0 whose component is
-    not live waits, unreduced.  When a row with rhs != 0, or one that joins
-    a live component, makes a component live, its waiting rows are reduced
-    first, then the new row.  The reduced form is block-diagonal over the
-    components, and a component whose rows all have rhs 0 is homogeneous,
-    so each of its pivot values is 0: leaving it unreduced changes no value
-    of the solution.  Nor does it move the first inconsistent row: a row
-    with rhs 0 is never inconsistent, and whether a row is depends only on
-    the rows of its own component, all reduced when it arrives.
+    once one of its rows has rhs != 0.  Each row read merges the components
+    it names into one, by one rule: if the merged component is live -- the
+    row has rhs != 0 or names a live unknown -- its waiting rows are
+    reduced, then the row; if not, the row waits with them, unreduced.  The
+    reduced form is block-diagonal over the components, and a component
+    whose rows all have rhs 0 is homogeneous, so each of its pivot values is
+    0: leaving it unreduced changes no value of the solution.  Nor does it
+    move the first inconsistent row: a row with rhs 0 is never inconsistent,
+    and whether a row is depends only on the rows of its own component, all
+    reduced when it arrives.
 
     Returns ``(solution, rank, bad)``.  ``solution`` maps each pivot unknown
     of the live components to its value (every other unknown is 0), ``rank``
@@ -281,54 +286,42 @@ def _solve_gauss_jordan(rows, nunknowns: int):
         return True
 
     # A union-find over the unknowns whose find is one list read: comp[u] is
-    # the id c of u's component, or -1 once that component is live.  While c
-    # is not live, members[c] lists its unknowns (once it has more than one)
-    # and waiting[c] its rows, read but not reduced; a merge relabels the
-    # smaller components, and going live relabels c's unknowns to -1, once.
-    # Live components need no ids: a row that joins them makes one live
-    # component, with no rows waiting.
+    # the id c of u's component, or ``live`` once that component is live.
+    # members[c] lists c's unknowns once it has more than one (no step reads
+    # ``live``'s), and waiting[c] its rows read but not reduced.  Each
+    # row merges the components it names into one target: ``live`` if the
+    # merged component is live, else the largest of them.  The others are
+    # relabelled to the target, and their waiting rows move to it, or, when
+    # it is ``live``, are reduced before the row.
+    live = -1
     comp = list(range(nunknowns))
     members = {}
-    waiting = {}
-
-    def join(ids, given):
-        """Merge the components ``ids`` that ``given`` names into one and
-        return the rows to reduce before it; or None if the merged
-        component is not live, and ``given`` waits with its rows."""
-        if -1 in ids or given[1]:
-            stale = []
-            for c in ids - {-1}:
-                for u in members.pop(c, (c,)):
-                    comp[u] = -1
-                stale += waiting.pop(c, ())
-            return stale
-        if len(ids) > 1:
-            c = max(ids, key=lambda i: len(members.get(i, ())))
-            ids.remove(c)
-            group = members.setdefault(c, [c])
-            stale = waiting.setdefault(c, [])
-            for i in ids:
-                moved = members.pop(i, [i])
-                for u in moved:
-                    comp[u] = c
-                group += moved
-                stale += waiting.pop(i, ())
-            stale.append(given)
-        elif ids:
-            waiting.setdefault(ids.pop(), []).append(given)
-        return None
-
+    waiting = defaultdict(list)
     find = comp.__getitem__
     read = []
     for n, given in enumerate(rows):
         read.append(given)
         ids = set(map(find, given[0]))
-        if ids != {-1}:
-            stale = join(ids, given)
-            if stale is None:
-                continue
-            for waited in stale:
-                reduce(waited)  # rhs 0 throughout, so never inconsistent
+        if given[1] or live in ids or not ids:
+            target = live
+        elif len(ids) == 1:
+            target = ids.pop()
+        else:
+            target = max(ids, key=lambda c: len(members.get(c, ())))
+        ids.discard(target)
+        stale = waiting[target]
+        for c in ids:
+            moved = members.pop(c, (c,))
+            for u in moved:
+                comp[u] = target
+            members.setdefault(target, [target]).extend(moved)
+            stale += waiting.pop(c, ())
+        if target != live:
+            stale.append(given)
+            continue
+        for waited in stale:
+            reduce(waited)  # rhs 0 throughout, so never inconsistent
+        stale.clear()
         if not reduce(given):
             # Reduce the rows still waiting, so that the rank is that of
             # every row before row n.
@@ -366,61 +359,54 @@ class _Rows:
     monomial.  Sized and re-iterable; an iteration builds an entry's rows
     only when it reaches that entry.
 
-    Unknown ``(b, i, j, k)`` is numbered ``first(b, i, j) + k``.
-    One equation entry names each unknown entry of lambda once, in one
-    product with one known entry, so each (result monomial, unknown) pair
-    is written once: a store, never a sum."""
+    ``__init__`` builds the list of equation entries, in row order, once:
+    ``(part, i, j, factors, rhs)``, with ``factors`` the ``(shift table,
+    number of its unknown k = 0)`` of each product with a nonzero known
+    entry and ``rhs`` the dense terms of the right-hand side.  Iteration,
+    ``len`` and ``where`` all read that list.  Unknown ``(b, i, j, k)`` is
+    numbered ``first(b, i, j) + k``.  One equation entry names each unknown
+    entry of lambda once, in one product with one known entry, so each
+    (result monomial, unknown) pair is written once: a store, never a sum."""
 
     def __init__(self, x, y, phi, psi, vars_m: tuple, monos: list):
-        self._vars_m = vars_m
-        self._shape = (y.size, x.size, len(monos))
-        self._supports = {}  # id of a shift table -> its result monomials
+        ny, nxs, nm = self._shape = (y.size, x.size, len(monos))
+        first = self.first
         tables = {}  # known entry -> its shift table, built once per search
 
-        def shift_tables(m):
-            out = []
-            for row in m:
-                out.append([])
-                for e in row:
-                    table = tables.get(e) if e else ()
-                    if table is None:
-                        table = tables[e] = _shift_table(e, vars_m, monos)
-                    out[-1].append(table)
-            return out
+        def table(e):
+            t = tables.get(e) if e else ()
+            if t is None:
+                t = tables[e] = _shift_table(e, vars_m, monos)
+            return t
 
         # even entry (i, j): sum_k qY[i,k] l0[k,j] + l1[i,k] pX[k,j]
         # odd entry (i, j):  sum_k pY[i,k] l1[k,j] + l0[i,k] qX[k,j]
         # so d_Y multiplies lambda_b and d_X multiplies lambda_(1-b); per
         # part, the tables of d_Y by row and of d_X by column.
-        self._parts = [
-            (part, b, shift_tables(d_y), list(zip(*shift_tables(d_x))), rhs_m)
-            for part, b, d_y, d_x, rhs_m in (
-                ("even", 0, y.q, x.p, mx.sub(psi.alpha, phi.alpha)),
-                ("odd", 1, y.p, x.q, mx.sub(psi.beta, phi.beta)))]
+        parts = [(part, b, [list(map(table, row)) for row in d_y],
+                  list(zip(*(map(table, row) for row in d_x))), rhs_m)
+                 for part, b, d_y, d_x, rhs_m in (
+                     ("even", 0, y.q, x.p, mx.sub(psi.alpha, phi.alpha)),
+                     ("odd", 1, y.p, x.q, mx.sub(psi.beta, phi.beta)))]
+        self._entries = []
+        for i in range(ny):
+            for j in range(nxs):
+                for part, b, y_rows, x_cols, rhs_m in parts:
+                    # entries [k][j] of lambda_b, then [i][k] of lambda_(1-b)
+                    bases = chain(range(first(b, 0, j), first(b, ny, j), nxs * nm),
+                                  range(first(1 - b, i, 0), first(1 - b, i, nxs), nm))
+                    factors = [(t, base) for t, base
+                               in zip(chain(y_rows[i], x_cols[j]), bases) if t]
+                    self._entries.append(
+                        (part, i, j, factors, rhs_m[i][j].dense_terms(vars_m)))
 
     def first(self, b: int, i: int, j: int) -> int:
         """The number of unknown (b, i, j, 0)."""
         ny, nxs, nm = self._shape
         return ((b * ny + i) * nxs + j) * nm
 
-    def _entries(self):
-        """Per equation entry, in row order: ``(part, i, j, factors, rhs)``,
-        ``factors`` the ``(shift table, number of its unknown k = 0)`` of
-        each product and ``rhs`` the dense terms of the right-hand side."""
-        ny, nxs, nm = self._shape
-        first = self.first
-        for i in range(ny):
-            for j in range(nxs):
-                for part, b, y_rows, x_cols, rhs_m in self._parts:
-                    # entries [k][j] of lambda_b, then [i][k] of lambda_(1-b)
-                    right = range(first(b, 0, j), first(b, ny, j), nxs * nm)
-                    left = range(first(1 - b, i, 0), first(1 - b, i, nxs), nm)
-                    yield (part, i, j,
-                           chain(zip(y_rows[i], right), zip(x_cols[j], left)),
-                           rhs_m[i][j].dense_terms(self._vars_m))
-
     def __iter__(self):
-        for _, _, _, factors, rhs in self._entries():
+        for *_, factors, rhs in self._entries:
             eq = {}  # result monomial -> {unknown: coeff}
             for table, base in factors:
                 for res, k, kc in table:
@@ -433,25 +419,24 @@ class _Rows:
                 yield eq.get(res, {}), rhs.get(res, 0)
 
     def _entry_supports(self):
-        """Per equation entry, in row order: ``(part, i, j, support)``, the
-        result monomials of its rows -- those of its shift tables and its
-        right-hand side -- counted without building the rows."""
-        for part, i, j, factors, rhs in self._entries():
+        """Per equation entry, in row order, the result monomials of its
+        rows -- those of its shift tables and its right-hand side -- counted
+        without building the rows."""
+        known = {}  # id of a shift table -> its result monomials
+        for *_, factors, rhs in self._entries:
             support = set(rhs)
             for table, _ in factors:
-                # the tables live as long as self, so their ids are stable
-                known = self._supports.get(id(table))
-                if known is None:
-                    known = self._supports[id(table)] = {res for res, _, _ in table}
-                support |= known
-            yield part, i, j, support
+                if id(table) not in known:
+                    known[id(table)] = {res for res, _, _ in table}
+                support |= known[id(table)]
+            yield support
 
     def __len__(self) -> int:
-        return sum(len(support) for *_, support in self._entry_supports())
+        return sum(map(len, self._entry_supports()))
 
     def where(self, n: int) -> tuple:
         """``(part, i, j, result monomial)`` of row ``n``."""
-        for part, i, j, support in self._entry_supports():
+        for (part, i, j, _, _), support in zip(self._entries, self._entry_supports()):
             if n < len(support):
                 return part, i, j, sorted(support)[n]
             n -= len(support)

@@ -6,11 +6,11 @@ block assembly, and entrywise substitution.
 
 The matrices the constructions build -- Kronecker-with-identity blocks,
 Koszul differentials, unitor chunks -- are mostly zeros, so the kernels skip
-zero entries: ``mul`` multiplies only nonzero pairs, and ``kron``, ``add``,
-``neg`` and ``scale`` put one shared zero polynomial wherever the result
-entry is zero by construction.  ``mul`` and ``kron`` test an entry for zero
-by reading its ``terms`` map, which is cheaper per entry than the
-polynomial's ``__bool__``.  ``mul`` groups each row's nonzero pairs by
+zero entries: ``mul`` multiplies only nonzero pairs, and every kernel puts
+one shared zero polynomial wherever the result entry is zero by
+construction.  ``mul`` and ``kron`` test an entry for zero by reading its
+``terms`` map, which is cheaper per entry than the polynomial's
+``__bool__``.  ``mul`` groups each row's nonzero pairs by
 output column, counts the product's term products and operand terms as it
 goes, and hands the pair lists of the whole product to one
 ``poly.sum_of_products`` call.  The kernel accumulates each entry's term
@@ -32,8 +32,8 @@ if TYPE_CHECKING:  # an annotation-only name, see ``poly``
 
 Matrix = tuple  # tuple of tuples of Polynomial
 
-# The zero entry of every ``mul`` result; polynomials are immutable, so one
-# object serves every product, and ``mul`` builds none per call.
+# The zero entry of every kernel's result; polynomials are immutable, so one
+# object serves every matrix, and no kernel builds one per call.
 _ZERO = Polynomial.zero()
 
 
@@ -56,28 +56,23 @@ def shape(a: Matrix) -> tuple:
 
 
 def zeros(r: int, c: int) -> Matrix:
-    z = Polynomial.zero()
-    return tuple(tuple(z for _ in range(c)) for _ in range(r))
+    return ((_ZERO,) * c,) * r
 
 
 def identity(n: int) -> Matrix:
-    one = Polynomial.const(1)
-    z = Polynomial.zero()
-    return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
+    return scalar_matrix(n, 1)
 
 
 def scalar_matrix(n: int, c) -> Matrix:
     c = as_poly(c)
-    z = Polynomial.zero()
-    return tuple(tuple(c if i == j else z for j in range(n)) for i in range(n))
+    return tuple(tuple(c if i == j else _ZERO for j in range(n)) for i in range(n))
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
     if shape(a) != shape(b):
         raise ValueError(f"shape mismatch {shape(a)} vs {shape(b)}")
-    z = Polynomial.zero()
     return tuple(
-        tuple(x + y if x and y else x or y or z for x, y in zip(ra, rb))
+        tuple(x + y if x and y else x or y or _ZERO for x, y in zip(ra, rb))
         for ra, rb in zip(a, b)
     )
 
@@ -87,14 +82,12 @@ def sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def neg(a: Matrix) -> Matrix:
-    z = Polynomial.zero()
-    return tuple(tuple(-x if x else z for x in row) for row in a)
+    return tuple(tuple(-x if x else _ZERO for x in row) for row in a)
 
 
 def scale(a: Matrix, c: Scalar) -> Matrix:
     """``c * a`` for a scalar ``c``."""
-    z = Polynomial.zero()
-    return tuple(tuple(x * c if x else z for x in row) for row in a)
+    return tuple(tuple(x * c if x else _ZERO for x in row) for row in a)
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
@@ -139,9 +132,8 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    z = Polynomial.zero()
     return tuple(
-        tuple(x * y if x.terms and y.terms else z for x in row_a for y in row_b)
+        tuple(x * y if x.terms and y.terms else _ZERO for x in row_a for y in row_b)
         for row_a in a
         for row_b in b
     )

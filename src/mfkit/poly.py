@@ -595,27 +595,12 @@ def _tokenize(text: str):
     return toks
 
 
-def _declared_checker(declared):
-    exact = set()
-    bases = set()
-    for item in declared:
-        if isinstance(item, Variable):
-            exact.add(item)
-        elif isinstance(item, str):
-            bases.add(item)
-        else:
-            raise TypeError("declared entries must be Variable or str")
-    def ok(v: Variable) -> bool:
-        return v in exact or (v.name in bases and v.prime_level <= 1)
-    return ok
-
-
 class _Parser:
     def __init__(self, toks, text_len, declared):
         self.toks = toks
         self.i = 0
         self.end = text_len
-        self.declared = declared
+        self.declared = set(declared)
 
     def _peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else (None, None, self.end)
@@ -674,7 +659,7 @@ class _Parser:
         if kind == "name":
             self._next()
             v = Variable(val[0], val[1])
-            if not self.declared(v):
+            if v.name not in self.declared or v.prime_level > 1:
                 raise UndeclaredVariable(f"undeclared variable {v}", pos)
             return Polynomial.var(v)
         if kind == "(":
@@ -712,12 +697,11 @@ class _Parser:
 def parse_poly(text: str, declared) -> Polynomial:
     """Parse the expression grammar; every variable must be declared.
 
-    ``declared`` is an iterable of Variables and/or base-name strings; a
-    string declares the unprimed variable and implicitly admits its primed
-    twin (prime level 1).
+    ``declared`` is an iterable of base names; a name declares the unprimed
+    variable and implicitly admits its primed twin (prime level 1).
     """
     toks = _tokenize(text)
-    parser = _Parser(toks, len(text), _declared_checker(declared))
+    parser = _Parser(toks, len(text), declared)
     try:
         result = parser.parse_expr()
     except RecursionError:

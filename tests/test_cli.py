@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,10 +104,10 @@ def test_validate_keeps_going_past_unreadable_and_malformed_files(files, capsys)
 def test_tensor_writes_canonical_file(files, capsys):
     out = str(files["dir"] / "ab.json")
     assert run(["tensor", files["a"], files["b"], "-o", out]) == 0
-    a = parse_factorization(open(files["a"]).read())
-    b = parse_factorization(open(files["b"]).read())
+    a = parse_factorization(Path(files["a"]).read_text())
+    b = parse_factorization(Path(files["b"]).read_text())
     want = serialize_factorization(yoshino(a, b, Variant.STANDARD))
-    assert open(out).read() == want
+    assert Path(out).read_text() == want
 
 
 def test_tensor_variant_to_stdout(files, capsys):
@@ -131,7 +132,7 @@ def test_unit_command(files, capsys):
     want = serialize_factorization(
         koszul_unit(PX - PY, (Variable("x"), Variable("y"))).mf
     )
-    assert open(out).read() == want
+    assert Path(out).read_text() == want
 
 
 def test_unit_bad_potential(files, capsys):

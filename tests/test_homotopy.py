@@ -171,6 +171,37 @@ def test_not_found_in_a_later_odd_entry():
     )
 
 
+@pytest.mark.parametrize("case", ["identity", "later odd entry", "jacobian"])
+def test_a_search_with_no_witness_expands_each_entry_once(case, monkeypatch):
+    # Iterating the rows, counting them and locating the failing one all
+    # read the one list of equation entries: each distinct nonzero known
+    # entry is expanded once for its shift table, each equation entry's
+    # right-hand side once, and the printed monomial once.
+    if case == "identity":
+        x, phi, psi, degree = M, identity_morphism(M), zero_morphism(M), 2
+    elif case == "later odd entry":
+        zero = Polynomial.zero()
+        psi = Morphism(alpha=mx.zeros(2, 2), beta=mx.from_rows([[zero, zero], [PX, zero]]),
+                       source=M, target=M)
+        x, phi, degree = M, zero_morphism(M), 1
+    else:
+        x = cube_product(4, True)
+        phi = scalar_morphism(derivative(x.potential, Y), x)
+        psi, degree = zero_morphism(x), 0
+    known = {e for d in (x.p, x.q) for row in d for e in row if e}
+    calls = []
+    dense_terms = Polynomial.dense_terms
+
+    def counted(self, variables):
+        calls.append(self)
+        return dense_terms(self, variables)
+
+    monkeypatch.setattr(Polynomial, "dense_terms", counted)
+    with pytest.raises(NotFoundWithinDegree):
+        find_witness(x, x, phi, psi, degree)
+    assert len(calls) == len(known) + 2 * x.size * x.size + 1
+
+
 def test_is_null_homotopic_returns_flag_and_witness():
     found, w = is_null_homotopic(M, M, identity_morphism(M), 2)
     assert not found
