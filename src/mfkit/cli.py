@@ -29,7 +29,8 @@ from .poly import Variable, parse_poly, poly_to_str
 
 # Every subcommand needs matfac and poly (and matrices, beneath matfac).  The
 # others are imported where they run, so that validate and print load none of
-# unit, homotopy, exterior and demo; the parser takes --variant from tensor.
+# unit, homotopy, demo and the word maps in exterior; the parser takes
+# --variant from tensor.
 
 
 class _MathFailure(Exception):

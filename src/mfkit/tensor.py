@@ -9,9 +9,12 @@ a = p⊗I, b = I⊗p', c = q⊗I, d = I⊗q', the four layouts are
     v2:        P = [[ c, -d], [ b,  a]]     Q = [[ a,  d], [-b,  c]]
     v3:        P = [[-d,  a], [ c,  b]]     Q = [[-b,  a], [ c,  d]]
 
-All four are valid and pairwise distinct; v1/v2/v3 also arise from the
-standard pair by rotating P's blocks anticlockwise and Q's clockwise once,
-twice, three times (a property test pins that down).
+All four are valid and pairwise distinct as matrix pairs; v1/v2/v3 arise
+from the standard pair by rotating P's blocks anticlockwise and Q's
+clockwise once, twice, three times (a property test pins that down).  So v2
+is the standard product conjugated by the block swap S = [[0, I], [I, 0]]
+(P_v2 = S P S, Q_v2 = S Q S), and (S, S) is an isomorphism from the standard
+product to v2.  What v1 and v3 are isomorphic to is not settled here.
 
 Variables of the two factors must be disjoint; ``rename_vars`` makes them so
 (injectively), while ``identify_vars`` substitutes non-injectively (the

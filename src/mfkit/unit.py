@@ -3,18 +3,17 @@
 The unit factorization of f in variables x_1..x_n doubles the variables and
 acts on the exterior algebra over n generators: the differential is
 
-    d = sum_i [(x_i - x_i') t_i^* + d_i(f) t_i wedge]
+    d = sum_i [(x_i - x_i') t_i^* + d_i(f) t_i wedge].
 
-(see `exterior.koszul_diff`); reading off matrices in the subset bases
-ordered by (length, lex) -- empty word first -- gives a factorization of
-f(x) - f(x') with block rank 2^(n-1).  `koszul_unit` writes those matrices
-straight from the word index maps: on a basis word, generator i either
-deletes itself (sign (-1)^pos, pos its 0-based position; coefficient
-x_i - x_i') or inserts itself (sign (-1)^#below, the count of word indices
-below i; coefficient d_i(f)).  So every column has exactly n nonzero
-entries, each a sign times one of the x_i - x_i' or the n difference
-quotients, all computed once per call.  `exterior.koszul_diff` stays as the
-oracle the tests compare it with.
+Reading off matrices in the subset bases ordered by (length, lex) -- empty
+word first -- gives a factorization of f(x) - f(x') with block rank
+2^(n-1).  `koszul_unit` writes those matrices straight from the signed word
+maps of `mfkit.exterior`: on a basis word, generator i either deletes
+itself (`exterior.delete`; coefficient x_i - x_i') or inserts itself
+(`exterior.insert`; coefficient d_i(f)).  So every column has exactly n
+nonzero entries, each a sign times one of the x_i - x_i' or the n
+difference quotients, all computed once per call.  The tests compare them
+with the element-level differential of their exterior-algebra oracle.
 
 The right unitor for X (a factorization of g(z) - f(x)) is built on the
 collapsed product Z of X with that unit, the unit restricted to the
@@ -46,7 +45,8 @@ alone; no unit factorization is built:
 
     where s = -1 (right side) or +1 (left side), d_i(D) is the entrywise
     partial derivative of p_X or q_X (whichever maps the intermediate
-    parity), and sgn is the wedge insertion sign.  This is the terminating
+    parity), and sgn(i, W-i), the sign of inserting i into W-i, is that of
+    deleting i from W (`exterior.delete`).  This is the terminating
     exponential series of the operator sum_i d_i(d_X) t_i wedge; it reduces
     to the bare embedding exactly when the glued potential-side derivatives
     all vanish (constant f).
@@ -68,7 +68,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import matrices as mx
-from .exterior import even_words, odd_words, theta_words
+from .exterior import delete, even_words, insert, odd_words, theta_words
 from .matfac import (
     MatrixFactorization,
     Morphism,
@@ -115,8 +115,8 @@ class UnitFactorization(Record):
 
 
 def _word_matrix(in_words, out_words, lin, dq):
-    """The unit differential from ``in_words`` to ``out_words`` by the word
-    maps above; ``lin[i-1]`` and ``dq[i-1]`` are the (+, -) pairs of
+    """The unit differential from ``in_words`` to ``out_words`` by the
+    signed word maps; ``lin[i-1]`` and ``dq[i-1]`` are the (+, -) pairs of
     generator i's deletion and insertion coefficients."""
     n = len(lin)
     row_of = {w: r for r, w in enumerate(out_words)}
@@ -125,13 +125,11 @@ def _word_matrix(in_words, out_words, lin, dq):
     for col, w in enumerate(in_words):
         for i in range(1, n + 1):
             if i in w:
-                pos = w.index(i)
-                image = w[:pos] + w[pos + 1:]
-                entry = lin[i - 1][pos % 2]
+                image, odd = delete(i, w)
+                entry = lin[i - 1][odd]
             else:
-                below = sum(1 for j in w if j < i)
-                image = w[:below] + (i,) + w[below:]
-                entry = dq[i - 1][below % 2]
+                image, odd = insert(i, w)
+                entry = dq[i - 1][odd]
             out[row_of[image]][col] = entry
     return out
 
@@ -158,8 +156,8 @@ def koszul_unit(f: Polynomial, xvars=None) -> UnitFactorization:
     Column w of p (even word w -> odd words) and of q (odd -> even) holds the
     image of w under the differential, written by ``_word_matrix`` with
     deletion coefficients x_i - x_i' and insertion coefficients d_i(f), each
-    computed once; ``exterior.koszul_diff`` applied to w gives the same
-    column.
+    computed once; the tests' element-level oracle ``koszul_diff`` applied
+    to w gives the same column.
     """
     xs, ev, od = _generators(f, xvars)
     n = len(xs)
@@ -214,12 +212,10 @@ def _correction_components(x: MatrixFactorization, gen_vars, sign: int):
         for eps in (0, 1):
             acc = mx.zeros(r, r)
             for i in word:
-                rest = tuple(j for j in word if j != i)
-                below = sum(1 for j in rest if j < i)
-                insert_sign = -1 if below % 2 else 1
+                rest, odd = delete(i, word)
                 mid_parity = (eps + k - 1) % 2
                 d_block = dp[i - 1] if mid_parity == 0 else dq[i - 1]
-                factor = sign * (1 if mid_parity == 0 else -1) * insert_sign
+                factor = sign * (1 if mid_parity == 0 else -1) * (-1 if odd else 1)
                 term = mx.mul(d_block, comp[(rest, eps)])
                 acc = mx.add(acc, term) if factor > 0 else mx.sub(acc, term)
             comp[(word, eps)] = mx.scale(acc, Fraction(1, k))

@@ -8,7 +8,7 @@ import functools
 import random
 
 from mfkit import matrices as mx
-from mfkit.exterior import ExtElement, contract, theta_words, wedge
+from mfkit.exterior import theta_words
 from mfkit.homotopy import HomotopyWitness, check_witness, find_witness
 from mfkit.matfac import (
     Morphism,
@@ -27,6 +27,7 @@ from mfkit.tensor import Variant, yoshino
 from mfkit.unit import koszul_unit, naturality_check, unitor_left, unitor_right
 
 from conftest import PX, PY, PZ, X, Y, Z, rand_poly
+from exterior_oracle import ExtElement, contract, wedge
 
 XP = Polynomial.var(X.primed())
 

@@ -299,10 +299,25 @@ def test_print_command(files, capsys):
     assert "P:" in out and "Q:" in out
 
 
+DEMO_PAPER_STDOUT = """\
+ok   matrix pair [[0,x],[x^2,0]] with itself factors x^3
+ok   rank-one pair ([1],[x^3]) factors x^3
+ok   anti-diagonal pairs factor x^n at (3,1), (5,2), (7,3)
+ok   first difference quotient of x - y is 1
+ok   second difference quotient of x - y is -1
+ok   contraction t4* of t2^t4^t7 is -t2^t7
+ok   unit factorization of x is ([1], [x - x'])
+ok   unit factorization of x - y has the expected 2x2 blocks
+ok   four tensor layouts of ([1],[x]), ([1],[y]) are valid and distinct
+ok   unitor: rho∘psi = id while psi∘rho != id
+ok   zero witness certifies rho∘psi ~ id
+11/11 checks passed
+"""
+
+
 def test_demo_paper(capsys):
     assert run(["demo", "paper"]) == 0
-    out = capsys.readouterr().out
-    assert "11/11 checks passed" in out
+    assert capsys.readouterr().out == DEMO_PAPER_STDOUT
 
 
 def test_usage_errors():

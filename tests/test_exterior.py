@@ -2,18 +2,11 @@ import random
 
 import pytest
 
-from mfkit.exterior import (
-    ExtElement,
-    contract,
-    even_words,
-    koszul_diff,
-    odd_words,
-    theta_words,
-    wedge,
-)
-from mfkit.poly import Polynomial, Variable, diff_quotient, substitute
+from mfkit.exterior import delete, even_words, insert, odd_words, theta_words
+from mfkit.poly import Polynomial, diff_quotient, substitute
 
 from conftest import PX, PY, X, Y, Z, rand_poly
+from exterior_oracle import ExtElement, contract, koszul_diff, wedge
 
 
 def test_theta_words_order():
@@ -87,6 +80,27 @@ def test_index_out_of_range():
         wedge(3, e)
     with pytest.raises(IndexError):
         contract(0, e)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_word_maps_match_the_oracle(n):
+    # A word map's image and sign is the oracle's single output term; the
+    # map the oracle sends to zero is refused.
+    for w in theta_words(n):
+        e = ExtElement.word(n, w)
+        for i in range(1, n + 1):
+            if i in w:
+                got, refused = delete(i, w), insert
+                term, zero = contract(i, e), wedge(i, e)
+            else:
+                got, refused = insert(i, w), delete
+                term, zero = wedge(i, e), contract(i, e)
+            assert not zero
+            with pytest.raises(ValueError):
+                refused(i, w)
+            [(image, coeff)] = term.terms.items()
+            assert coeff in (1, -1)
+            assert got == (image, 0 if coeff == 1 else 1)
 
 
 def test_wedge_anticommutes_as_operator():

@@ -6,6 +6,7 @@ import pytest
 from mfkit import matrices as mx
 from mfkit.matfac import (
     compose_morphisms,
+    direct_sum,
     identity_morphism,
     make_factorization,
     make_morphism,
@@ -23,7 +24,7 @@ from mfkit.tensor import (
     yoshino,
 )
 
-from conftest import PX, PY, PZ, X, Y, Z, rand_factorization
+from conftest import PX, PY, PZ, X, Y, Z, rand_factorization, rand_poly
 
 A1 = make_factorization([[1]], [[PX]], PX)
 B1 = make_factorization([[1]], [[PY]], PY)
@@ -99,6 +100,36 @@ def test_variants_are_block_rotations_of_standard():
             got = yoshino(a, b, v)
             assert got.p == p
             assert got.q == q
+
+
+def _of_rank(rng, variables, rank):
+    """A factorization of u*v for random u, v, of block rank 1 (u, v), 2 (the
+    anti-diagonal self-pair) or 3 (their direct sum)."""
+    u = rand_poly(rng, variables, nonzero=True)
+    v = rand_poly(rng, variables, nonzero=True)
+    one = make_factorization([[u]], [[v]], u * v)
+    zero = Polynomial.zero()
+    anti = [[zero, u], [v, zero]]
+    two = make_factorization(anti, anti, u * v)
+    return {1: one, 2: two, 3: direct_sum(two, one)}[rank]
+
+
+@pytest.mark.parametrize("rx", [1, 2, 3])
+@pytest.mark.parametrize("ry", [1, 2, 3])
+def test_block_swap_is_an_isomorphism_from_standard_to_v2(rx, ry):
+    rng = random.Random(100 + 10 * rx + ry)
+    a = _of_rank(rng, (X,), rx)
+    b = _of_rank(rng, (Y, Z), ry)
+    std, v2 = yoshino(a, b), yoshino(a, b, Variant.V2)
+    h = rx * ry
+    swap = mx.block([[mx.zeros(h, h), mx.identity(h)],
+                     [mx.identity(h), mx.zeros(h, h)]])
+    assert mx.mul(mx.mul(swap, std.p), swap) == v2.p
+    assert mx.mul(mx.mul(swap, std.q), swap) == v2.q
+    there = make_morphism(swap, swap, std, v2)
+    back = make_morphism(swap, swap, v2, std)
+    assert compose_morphisms(back, there) == identity_morphism(std)
+    assert compose_morphisms(there, back) == identity_morphism(v2)
 
 
 def test_graded_differential_squares():

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from mfkit import matrices as mx
-from mfkit.exterior import ExtElement, koszul_diff
 from mfkit.matfac import (
     PotentialMismatch,
     compose_morphisms,
@@ -27,6 +26,7 @@ from mfkit.unit import (
 )
 
 from conftest import PX, PY, PZ, X, Y, Z
+from exterior_oracle import ExtElement, koszul_diff
 
 XP = Polynomial.var(X.primed())
 YP = Polynomial.var(Y.primed())
