@@ -7,7 +7,10 @@ A factorization of f is a pair (p, q) of n x n polynomial matrices with
 where p is read as the even-to-odd map and q as the odd-to-even map of the
 Z2-graded differential.  Construction is eager: `make_factorization` refuses
 anything whose products do not come out exactly, reporting the first
-offending entry and its residual.
+offending entry and its residual.  The check is an exact zero test of
+p*q - f*I and q*p - f*I over integer numerators
+(`matrices.first_difference`), which builds no product; only a failure
+builds the product, for the diagnostic.
 
 A morphism (alpha, beta): X -> Y consists of an even block alpha and an odd
 block beta satisfying the two squares
@@ -17,7 +20,7 @@ block beta satisfying the two squares
 
 `Morphism(...)` itself only checks shapes and potentials, so invalid pairs
 can be built and inspected; `make_morphism` additionally requires both
-squares and is what the library uses internally.  Over a nonzero potential
+squares, by the same zero test, and is what the library uses internally.  Over a nonzero potential
 either square implies the other; `validate_morphism` evaluates both
 independently, and the acceptance tests check that property on its two
 residuals.
@@ -126,13 +129,18 @@ class MatrixFactorization(Record):
 
 
 def _collect_vars(mats, potential, extra):
-    vs = set(extra or ())
-    vs.update(potential.vars)
+    # The distinct monomials first: the entries of a large matrix repeat a
+    # few of them, and each is read for its variables once.
+    monos = set(potential.terms)
     for m in mats:
         for row in m:
             for e in row:
-                for mono in e.terms:
-                    vs.update(v for v, _ in mono)
+                if e.terms:
+                    monos.update(e.terms)
+    vs = set(extra or ())
+    for mono in monos:
+        for v, _ in mono:
+            vs.add(v)
     return tuple(sorted(vs))
 
 
@@ -161,8 +169,11 @@ def make_factorization(p, q, potential, extra_vars=None) -> MatrixFactorization:
         raise ShapeMismatch(
             f"expected square matrices of equal size, got {mx.shape(p)} and {mx.shape(q)}"
         )
-    _check_product("P*Q", mx.mul(p, q), potential, n)
-    _check_product("Q*P", mx.mul(q, p), potential, n)
+    for name, a, b in (("P*Q", p, q), ("Q*P", q, p)):
+        if mx.first_difference(a, b, w=potential) is not None:
+            _check_product(name, mx.mul(a, b), potential, n)
+            raise RuntimeError(f"the zero test found {name} != w*I, "
+                               "but its product matches")
     vars_all = _collect_vars((p, q), potential, extra_vars)
     return MatrixFactorization(p=p, q=q, potential=potential, size=n, vars=vars_all)
 
@@ -246,10 +257,15 @@ def validate_morphism(m: Morphism) -> MorphismReport:
 def make_morphism(alpha, beta, source, target) -> Morphism:
     """Construct a morphism and insist both squares hold."""
     m = Morphism(alpha=alpha, beta=beta, source=source, target=target)
+    x, y = source, target
+    if (mx.first_difference(m.beta, x.p, c=y.p, d=m.alpha) is None
+            and mx.first_difference(m.alpha, x.q, c=y.q, d=m.beta) is None):
+        return m
     report = validate_morphism(m)
-    if not report.ok:
-        raise NotAMorphism(report)
-    return m
+    if report.ok:
+        raise RuntimeError("the zero test found a square that does not "
+                           "commute, but its residuals are zero")
+    raise NotAMorphism(report)
 
 
 def identity_morphism(x: MatrixFactorization) -> Morphism:
@@ -320,12 +336,18 @@ def parse_factorization(text: str) -> MatrixFactorization:
     if len(set(names)) != len(names):
         raise ValueError(f"'vars' repeats a name: {names}")
     declared = tuple(Variable(n) for n in names)
+    # Each distinct text is parsed once: most entries of a large document
+    # repeat a few texts ("0" above all), and polynomials are immutable.
+    parsed = {}
 
     def parse_entry(text, label):
         if not isinstance(text, str):
             raise ValueError(
                 f"expected a polynomial string in '{label}', got {text!r}")
-        return parse_poly(text, names)
+        got = parsed.get(text)
+        if got is None:
+            got = parsed[text] = parse_poly(text, names)
+        return got
 
     def parse_matrix(rows, label):
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):

@@ -18,13 +18,18 @@ products in one term map, so it builds one polynomial per nonzero entry and
 none per term product, and the counts tell it whether to encode each
 operand once for the whole product.  Polynomials are immutable and their
 form is unique, so the results equal the entry-by-entry ones exactly.
+
+``first_difference`` decides a*b = w*I or a*b = c*d without building
+either product: it gathers the pairs as ``mul`` does and hands each entry's
+pairs, signed, to the kernel's zero test ``poly.first_nonzero_sum``.  The
+eager checks of ``matfac`` run on it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from .poly import Polynomial, as_poly, substitute, sum_of_products
+from .poly import Polynomial, as_poly, first_nonzero_sum, substitute, sum_of_products
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # an annotation-only name, see ``poly``
@@ -35,6 +40,7 @@ Matrix = tuple  # tuple of tuples of Polynomial
 # The zero entry of every kernel's result; polynomials are immutable, so one
 # object serves every matrix, and no kernel builds one per call.
 _ZERO = Polynomial.zero()
+_ONE = Polynomial.const(1)
 
 
 def from_rows(rows) -> Matrix:
@@ -90,10 +96,11 @@ def scale(a: Matrix, c: Scalar) -> Matrix:
     return tuple(tuple(x * c if x else _ZERO for x in row) for row in a)
 
 
-def mul(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
+def _gather(a: Matrix, b: Matrix) -> tuple:
+    """The pair lists of a*b: per row of a, a map from each output column
+    to its nonzero (x, y), with the product's term products and operand
+    terms counted as the kernel's path choice reads them."""
+    if shape(a)[1] != shape(b)[0]:
         raise ValueError(f"cannot multiply {shape(a)} by {shape(b)}")
     # Per row of b: its nonzero (j, y), and the terms of those y.
     b_nonzero = []
@@ -108,8 +115,7 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
         b_nonzero.append((nonzero, n))
         terms += n
     work = 0
-    rows = []  # per row of a: output column -> its nonzero (x, y)
-    batch = []  # every entry's pairs, row by row
+    rows = []
     for row in a:
         pairs = defaultdict(list)
         for x, (b_row, n) in zip(row, b_nonzero):
@@ -120,8 +126,16 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
                 for j, y in b_row:
                     pairs[j].append((x, y))
         rows.append(pairs)
+    return rows, work, terms
+
+
+def mul(a: Matrix, b: Matrix) -> Matrix:
+    rows, work, terms = _gather(a, b)
+    batch = []  # every entry's pairs, row by row
+    for pairs in rows:
         batch += pairs.values()
     entries = iter(sum_of_products(batch, work, terms))
+    cb = len(b[0]) if b else 0
     out = []
     for pairs in rows:
         acc = [_ZERO] * cb
@@ -129,6 +143,41 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
             acc[j] = entry
         out.append(tuple(acc))
     return tuple(out)
+
+
+def first_difference(a: Matrix, b: Matrix, w: Polynomial = None,
+                     c: Matrix = None, d: Matrix = None):
+    """(i, j) of the first entry, in row-major order, where a*b differs
+    from w*I (when ``w`` is given) or from c*d, or None where none does.
+
+    Neither product is built: each entry of a*b - w*I or a*b - c*d goes to
+    ``poly.first_nonzero_sum`` as its signed pair lists, gathered as
+    ``mul`` gathers them.  A diagonal entry of a*b - w*I subtracts the one
+    pair (w, 1), so one with no pairs of a*b but w != 0 differs.  The
+    counts of a*b, plus those of c*d, choose the kernel's path.
+    """
+    rows, work, terms = _gather(a, b)
+    if w is None:
+        minus_rows, more_work, more_terms = _gather(c, d)
+        if shape(c)[0] != len(rows) or shape(d)[1] != shape(b)[1]:
+            raise ValueError(f"cannot compare a {len(rows)}x{shape(b)[1]} "
+                             f"product with a {shape(c)[0]}x{shape(d)[1]} one")
+        work += more_work
+        terms += more_terms
+    else:
+        if shape(b)[1] != len(rows):
+            raise ValueError(f"a {len(rows)}x{shape(b)[1]} product has no diagonal")
+        diagonal = ((w, _ONE),)
+        minus_rows = ([{i: diagonal} for i in range(len(rows))] if w.terms
+                      else ({},) * len(rows))
+    batch = []
+    where = []
+    for i, (plus, minus) in enumerate(zip(rows, minus_rows)):
+        for j in sorted(plus.keys() | minus.keys() if minus else plus):
+            batch.append((plus.get(j, ()), minus.get(j, ())))
+            where.append((i, j))
+    index = first_nonzero_sum(batch, work, terms)
+    return None if index is None else where[index]
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

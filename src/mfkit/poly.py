@@ -36,6 +36,11 @@ Besides ring operations this module provides:
   one integer addition; only this module knows that layout.
   ``matrices.mul`` calls it once per product, and ``Polynomial.__mul__``
   makes the same choice for its one pair from the two term counts,
+* ``first_nonzero_sum``, its zero test: the first entry of a batch of
+  signed pair lists whose sum is not zero.  It shares the path choice and
+  the operand encodings, and sums each entry's integer numerators over its
+  common denominator without building a product, so the eager checks of
+  ``matfac`` decide P*Q = w*I without dividing,
 * ``parse_poly`` / canonical printing for the expression grammar used by the
   CLI and the JSON file format,
 * ``substitute`` (simultaneous), and the prime-shift maps ``t_shift`` that
@@ -319,17 +324,17 @@ def sum_of_products(batch, work: int = 0, terms: int = 0) -> list:
 def _tuple_sum(pairs, scaled: dict = None) -> Polynomial:
     """The sum of x*y over ``pairs``, merging monomial tuples; ``scaled``,
     when given, keeps the numerators of the batch's rational operands."""
-    # The entry's common denominator, inline here and in
-    # ``_packed_products``: as a helper, its call per entry made
-    # ``matrices.mul`` 1.5-3 % slower on small monomial products.
+    # The entry's common denominator and its integral sum, inline here: as
+    # helper calls per entry (``_common_den``, ``_tuple_acc``), they made
+    # ``matrices.mul`` 1.5-5 % slower on small monomial products.
     den = 1
     for x, y in pairs:
         d = x.den * y.den
         if d != 1:
             den = lcm(den, d)
-    acc: dict = {}
-    get = acc.get
     if den == 1:
+        acc: dict = {}
+        get = acc.get
         for x, y in pairs:
             y_terms = y.terms.items()
             for m1, c1 in x.terms.items():
@@ -337,15 +342,41 @@ def _tuple_sum(pairs, scaled: dict = None) -> Polynomial:
                     m = _mono_mul(m1, m2)
                     acc[m] = get(m, 0) + c1 * c2
         return Polynomial(acc)
+    return _over(_tuple_acc({}, pairs, den, scaled, 1), den)
+
+
+def _tuple_acc(acc: dict, pairs, den: int, scaled, sign: int) -> dict:
+    """Add ``sign`` times the integer numerators of x*y over ``den``, for
+    the pairs, into ``acc``, keyed by monomial tuples; ``scaled`` is as in
+    ``_tuple_sum``.  With ``den`` 1 the coefficients are the numerators."""
+    get = acc.get
+    if den == 1:
+        for x, y in pairs:
+            y_terms = y.terms.items()
+            for m1, c1 in x.terms.items():
+                c1 *= sign
+                for m2, c2 in y_terms:
+                    m = _mono_mul(m1, m2)
+                    acc[m] = get(m, 0) + c1 * c2
+        return acc
     for x, y in pairs:
-        scale = den // (x.den * y.den)
+        scale = sign * den // (x.den * y.den)
         y_terms = _scaled(y, scaled)
         for m1, n1 in _scaled(x, scaled):
             n1 *= scale
             for m2, n2 in y_terms:
                 m = _mono_mul(m1, m2)
                 acc[m] = get(m, 0) + n1 * n2
-    return _over(acc, den)
+    return acc
+
+
+def _common_den(pairs, den: int = 1) -> int:
+    """The lcm of ``den`` and every pair's ``x.den * y.den``."""
+    for x, y in pairs:
+        d = x.den * y.den
+        if d != 1:
+            den = lcm(den, d)
+    return den
 
 
 def _over(acc: dict, den: int) -> Polynomial:
@@ -373,8 +404,11 @@ def _scaled(p: Polynomial, done: dict):
     return got
 
 
-def _packed_products(batch) -> list:
-    """``sum_of_products`` over packed monomials.
+def _pack(pair_lists) -> tuple:
+    """The packed encoding of every operand of ``pair_lists``: a map from
+    each operand's id to its ``(packed monomial, integer numerator)`` list,
+    and the ``(variable, shift, mask)`` fields that decode a packed
+    monomial, highest bits first.
 
     Each variable gets a bit field as wide as the largest exponent it can
     reach in a product: the bit length of twice its largest exponent among
@@ -382,11 +416,10 @@ def _packed_products(batch) -> list:
     lowest bits.  A monomial is then one int, the sum of its exponents
     shifted into their fields, and no field overflows into the next, so the
     product of two monomials is the sum of their ints.  Each distinct
-    operand is encoded once, with its integer numerators, and each distinct
-    output monomial that survives cancellation is decoded once.
+    operand is encoded once.
     """
     operands = {}
-    for pairs in batch:
+    for pairs in pair_lists:
         for x, y in pairs:
             operands[id(x)] = x
             operands[id(y)] = y
@@ -414,26 +447,34 @@ def _packed_products(batch) -> list:
                 k += e << shifts[v]
             enc.append((k, n))
         packed[key] = enc
+    return packed, fields
+
+
+def _packed_acc(acc: dict, pairs, den: int, packed: dict, sign: int) -> dict:
+    """``_tuple_acc`` over the packed operands of ``_pack``: the keys of
+    ``acc`` are packed monomials."""
+    get = acc.get
+    for x, y in pairs:
+        scale = sign * den // (x.den * y.den)
+        y_terms = packed[id(y)]
+        for k1, n1 in packed[id(x)]:
+            n1 *= scale
+            for k2, n2 in y_terms:
+                k = k1 + k2
+                acc[k] = get(k, 0) + n1 * n2
+    return acc
+
+
+def _packed_products(batch) -> list:
+    """``sum_of_products`` over packed monomials (``_pack``): each distinct
+    output monomial that survives cancellation is decoded once."""
+    packed, fields = _pack(batch)
     decoded: dict = {}
     out = []
     for pairs in batch:
-        den = 1
-        for x, y in pairs:
-            d = x.den * y.den
-            if d != 1:
-                den = lcm(den, d)
-        acc: dict = {}
-        get = acc.get
-        for x, y in pairs:
-            scale = den // (x.den * y.den)
-            y_terms = packed[id(y)]
-            for k1, n1 in packed[id(x)]:
-                n1 *= scale
-                for k2, n2 in y_terms:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + n1 * n2
+        den = _common_den(pairs)
         terms = {}
-        for k, n in acc.items():
+        for k, n in _packed_acc({}, pairs, den, packed, 1).items():
             if n:
                 m = decoded.get(k)
                 if m is None:
@@ -446,6 +487,37 @@ def _packed_products(batch) -> list:
                 terms[m] = n
         out.append(Polynomial(terms) if den == 1 else _over(terms, den))
     return out
+
+
+def first_nonzero_sum(batch, work: int = 0, terms: int = 0):
+    """The index of the first entry of ``batch`` whose signed sum is not
+    zero, or None when every entry's is.
+
+    An entry is a pair ``(plus, minus)`` of pair lists, and its signed sum
+    is the sum of x*y over ``plus`` less the sum over ``minus``: the zero
+    test beside ``sum_of_products``, which decides "a product equals its
+    target" without building it.  Over the entry's common denominator D,
+    the sum is zero exactly when, for every monomial, the sum of its
+    integer numerators is zero, so the test divides nothing and builds no
+    ``Fraction`` and no polynomial.  ``work`` and ``terms`` choose the
+    monomial path as in ``sum_of_products``, and the operands are scaled
+    and packed by the same helpers.
+    """
+    if PACK_RATIO * terms < work:
+        acc_into = _packed_acc
+        operands, _ = _pack(pairs for entry in batch for pairs in entry)
+    else:
+        acc_into = _tuple_acc
+        operands = {}
+    for index, (plus, minus) in enumerate(batch):
+        den = _common_den(plus)
+        acc = {}
+        if minus:
+            den = _common_den(minus, den)
+            acc_into(acc, minus, den, operands, -1)
+        if any(acc_into(acc, plus, den, operands, 1).values()):
+            return index
+    return None
 
 
 def as_poly(x) -> Polynomial:

@@ -7,6 +7,7 @@ import pytest
 
 from mfkit.cli import run
 from mfkit.matfac import (
+    NotAFactorization,
     make_factorization,
     parse_factorization,
     serialize_factorization,
@@ -53,6 +54,40 @@ def test_validate_math_failure(files, capsys):
     err = capsys.readouterr().err
     assert "FAIL" in err
     assert "deviates" in err
+
+
+# Documents the eager check refuses, with the line `validate` prints for
+# each: a residual off the potential, a rational one above the diagonal,
+# one side of a product over potential 0, and a diagonal entry of P*Q that
+# no pair reaches.
+FAILING_DOCUMENTS = {
+    "lower": ({"vars": ["x", "y"], "potential": "x^3 + y",
+               "P": [["x", "0"], ["1/2*y", "x"]], "Q": [["x^2", "0"], ["0", "x^2"]]},
+              "(P*Q)[0][0] deviates from the potential by -1*y"),
+    "upper": ({"vars": ["x", "y"], "potential": "x^3",
+               "P": [["x", "1/2*y"], ["0", "x"]], "Q": [["x^2", "0"], ["0", "x^2"]]},
+              "(P*Q)[0][1] deviates from the potential by 1/2*x^2*y"),
+    "one_sided": ({"vars": [], "potential": "0",
+                   "P": [["0", "1"], ["0", "0"]], "Q": [["1", "0"], ["0", "0"]]},
+                  "(Q*P)[0][1] deviates from the potential by 1"),
+    "no_pairs": ({"vars": ["x"], "potential": "x^3",
+                  "P": [["x", "0"], ["0", "0"]], "Q": [["x^2", "0"], ["0", "x^2"]]},
+                 "(P*Q)[1][1] deviates from the potential by -1*x^3"),
+}
+
+
+@pytest.mark.parametrize("name", FAILING_DOCUMENTS)
+def test_validate_failure_lines_keep_their_bytes(tmp_path, capsys, name):
+    doc, line = FAILING_DOCUMENTS[name]
+    with pytest.raises(NotAFactorization) as err:
+        parse_factorization(json.dumps(doc))
+    assert str(err.value) == line
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{path}: FAIL - {line}\n"
+    assert captured.out == ""
 
 
 def test_validate_missing_file(files, capsys):

@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from mfkit import matfac, poly
 from mfkit import matrices as mx
 from mfkit.matfac import (
     MatrixFactorization,
@@ -23,7 +25,8 @@ from mfkit.matfac import (
     zero_morphism,
 )
 from mfkit.poly import Polynomial, Variable, poly_to_str
-from mfkit.tensor import yoshino
+from mfkit.tensor import tensor_morphisms, yoshino
+from mfkit.unit import koszul_unit
 
 from conftest import PX, PY, X, Y, rand_factorization, rand_poly
 
@@ -61,11 +64,15 @@ def test_rejects_wrong_potential():
     assert "deviates" in str(e)
 
 
-def _size8_product():
+def _size8_factors():
     a = make_factorization(M_BLOCKS, M_BLOCKS, PX ** 3)
     half = PY * Fraction(2, 3)
     b = make_factorization([[0, PY], [half, 0]], [[0, PY], [half, 0]], PY * half)
-    return yoshino(a, b)
+    return a, b
+
+
+def _size8_product():
+    return yoshino(*_size8_factors())
 
 
 @pytest.mark.parametrize("matrix, row, col, want", [
@@ -215,6 +222,61 @@ def test_compose_shape_mismatch(m_cubed, rank_one_cubed):
         compose_morphisms(f, f)
 
 
+# A factorization of 0 whose two squares are independent: in a morphism
+# X -> X, either can fail while the other holds.
+SPLIT = make_factorization([[0, 0], [0, PX]], [[PX, 0], [0, 0]], 0)
+
+
+@pytest.mark.parametrize("alpha, beta, want", [
+    ([[1, 0], [0, 1]], [[1, 0], [0, Fraction(1, 3)]],
+     "even square residual at [1][1]: -2/3*x"),
+    ([[Fraction(1, 2), 0], [0, 1]], [[1, 0], [0, 1]],
+     "odd square residual at [0][0]: -1/2*x"),
+    ([[0, 0], [0, 1]], [[1, 0], [0, 0]],
+     "even square residual at [1][1]: -1*x; odd square residual at [0][0]: -1*x"),
+])
+def test_not_a_morphism_names_the_failing_square(alpha, beta, want):
+    with pytest.raises(NotAMorphism) as err:
+        make_morphism(alpha, beta, SPLIT, SPLIT)
+    assert str(err.value) == want
+    assert err.value.report.describe() == want
+
+
+def test_valid_inputs_build_no_product(monkeypatch):
+    """make_factorization and make_morphism decide valid inputs by the zero
+    test alone: neither calls the product kernel nor builds a product."""
+    xs = tuple(Variable(f"x{i}") for i in range(1, 4))
+    f = sum((Polynomial.var(v) ** 3 * Fraction(i + 1, i + 2) for i, v in enumerate(xs)),
+            Polynomial.zero())
+    unit = koszul_unit(f, xs).mf
+    a, b = _size8_factors()
+    z = yoshino(a, b)
+    tensored = tensor_morphisms(scalar_morphism(PY, b), scalar_morphism(PX + 2, a))
+    morphisms = [scalar_morphism(Polynomial.var(xs[0]) + Fraction(1, 2), unit),
+                 scalar_morphism(PX * PY, z), tensored]
+    assert (unit.size, z.size, tensored.source.size) == (4, 8, 8)
+
+    def refuse(*args):
+        raise AssertionError("an eager check built a product")
+
+    monkeypatch.setattr(poly, "sum_of_products", refuse)
+    monkeypatch.setattr(mx, "sum_of_products", refuse)
+    monkeypatch.setattr(mx, "mul", refuse)
+    for x in (unit, z):
+        assert make_factorization(x.p, x.q, x.potential, extra_vars=x.vars) == x
+    for m in morphisms:
+        assert make_morphism(m.alpha, m.beta, m.source, m.target) == m
+
+
+def test_a_difference_the_product_does_not_show_is_an_internal_error(
+        monkeypatch, m_cubed):
+    monkeypatch.setattr(mx, "first_difference", lambda *args, **kwargs: (0, 0))
+    with pytest.raises(RuntimeError, match="zero test"):
+        make_factorization(M_BLOCKS, M_BLOCKS, PX ** 3)
+    with pytest.raises(RuntimeError, match="zero test"):
+        make_morphism(mx.identity(2), mx.identity(2), m_cubed, m_cubed)
+
+
 # ---------------------------------------------------------------------------
 # the file format
 
@@ -277,6 +339,22 @@ def test_parse_rejects_bad_documents():
         parse_factorization(extra)
     with pytest.raises(ValueError):
         parse_factorization(GOLDEN.replace('"x"', "5", 1))
+
+
+def test_parse_reads_each_distinct_entry_text_once(monkeypatch):
+    texts = []
+    parse_poly = matfac.parse_poly
+    monkeypatch.setattr(matfac, "parse_poly",
+                        lambda text, names: texts.append(text) or parse_poly(text, names))
+    doc = {"vars": ["x"], "potential": "x^3",
+           "P": [["0", "x"], ["x^2", "0"]], "Q": [["0", "x"], ["x^2", "0"]]}
+    x = parse_factorization(json.dumps(doc))
+    assert sorted(texts) == ["0", "x", "x^2", "x^3"]
+    assert x.p[0][1] is x.q[0][1]
+    # A bad entry after repeated texts is still named as before.
+    doc["Q"][1][1] = 0
+    with pytest.raises(ValueError, match="expected a polynomial string in 'Q', got 0"):
+        parse_factorization(json.dumps(doc))
 
 
 def test_parse_rejects_undeclared_entry_variable():

@@ -300,3 +300,122 @@ def test_kron_on_both_paths_matches_the_naive_product(name, path):
         got = mx.kron(p, q)
     assert [list(row) for row in got] == naive_kron(p, q)
     assert_exact_form(got)
+
+
+# ---------------------------------------------------------------------------
+# the zero test against the full product
+
+
+def first_entry_differing(prod, target):
+    """(i, j) of the first entry of ``prod``, row by row, that differs from
+    the same entry of ``target``, or None."""
+    for i, (row, want_row) in enumerate(zip(prod, target)):
+        for j, (got, want) in enumerate(zip(row, want_row)):
+            if got != want:
+                return (i, j)
+    return None
+
+
+def check_first_difference(path, a, b, w=None, c=None, d=None):
+    """``first_difference`` on ``path`` against ``mul`` followed by an
+    entrywise comparison with w*I or c*d; returns the position found."""
+    target = mx.scalar_matrix(len(a), w) if c is None else mx.mul(c, d)
+    want = first_entry_differing(mx.mul(a, b), target)
+    with kernel_path(path):
+        assert mx.first_difference(a, b, w=w, c=c, d=d) == want
+    return want
+
+
+def small_fractions(nonzero=False):
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return values.filter(bool) if nonzero else values
+
+
+def invertible_pair(data, n):
+    """A row-permuted upper triangular n x n matrix U over Q and its
+    inverse V, as lists of Fractions: U*V = V*U = I."""
+    u = [[data.draw(small_fractions(nonzero=True)) if i == j
+          else data.draw(small_fractions()) if j > i else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    v = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(n):
+        v[j][j] = 1 / u[j][j]
+        for i in range(j - 1, -1, -1):
+            v[i][j] = -sum(u[i][k] * v[k][j] for k in range(i + 1, j + 1)) / u[i][i]
+    order = data.draw(st.permutations(range(n)))
+    return [u[k] for k in order], [[row[k] for k in order] for row in v]
+
+
+@pytest.mark.parametrize("path", ["tuple", "packed"])
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.data())
+def test_first_difference_against_w_times_identity(path, n, data):
+    """a = f*U and b = g*U^-1 factor w = f*g, and their off-diagonal pairs
+    cancel; an added entry or a zeroed row of a (a diagonal entry with no
+    pairs) breaks them.  f or g may be 0, and so w."""
+    f, g = data.draw(rational_polys()), data.draw(rational_polys())
+    u, v = invertible_pair(data, n)
+    a = [[f * c for c in row] for row in u]
+    b = mx.from_rows([[g * c for c in row] for row in v])
+    if data.draw(st.booleans()):
+        r, s = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        a[r][s] = a[r][s] + data.draw(rational_polys())
+    if data.draw(st.booleans()):
+        a[data.draw(st.integers(0, n - 1))] = [0] * n
+    a = mx.from_rows(a)
+    w = f * g
+    check_first_difference(path, a, b, w=w)
+    check_first_difference(path, b, a, w=w)
+
+
+@pytest.mark.parametrize("path", ["tuple", "packed"])
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=3), st.data())
+def test_first_difference_against_another_product(path, rows, inner, cols, data):
+    """c = [a | u] and d = [b ; v], their inner index permuted, so
+    a*b - c*d = -u*v: the pairs of a*b cancel against those of c*d, and the
+    entries differ exactly where u_i * v_j != 0.  Zero rows and columns
+    come from the zero entries the matrices draw."""
+    a = data.draw(rational_matrices(rows, inner))
+    b = data.draw(rational_matrices(inner, cols))
+    u = data.draw(rational_matrices(rows, 1))
+    v = data.draw(rational_matrices(1, cols))
+    order = data.draw(st.permutations(range(inner + 1)))
+    c = mx.from_rows([[(row + col)[k] for k in order] for row, col in zip(a, u)])
+    d = mx.from_rows([(b + v)[k] for k in order])
+    want = check_first_difference(path, a, b, c=c, d=d)
+    assert (want is None) == mx.is_zero(mx.mul(u, v))
+    check_first_difference(path, c, d, c=a, d=b)
+
+
+def test_first_difference_names_a_diagonal_entry_without_pairs():
+    px = Polynomial.var(X)
+    a = mx.from_rows([[px, 0], [0, 0]])
+    b = mx.from_rows([[px ** 2, 0], [0, px ** 2]])
+    for path in ("tuple", "packed"):
+        with kernel_path(path):
+            assert mx.first_difference(a, b, w=px ** 3) == (1, 1)
+            assert mx.first_difference(a, b, w=Polynomial.zero()) == (0, 0)
+            assert mx.first_difference(mx.zeros(2, 2), b, w=Polynomial.zero()) is None
+
+
+def test_first_difference_reads_each_row_in_column_order():
+    # Row 0 of a*b gathers column 1 before column 0 (x meets b's row 0,
+    # whose only entry is in column 1); the first difference is still [0][0].
+    px, py = Polynomial.var(X), Polynomial.var(Y)
+    a = mx.from_rows([[px, py], [0, 0]])
+    b = mx.from_rows([[0, 1], [1, 0]])
+    for path in ("tuple", "packed"):
+        with kernel_path(path):
+            assert mx.first_difference(a, b, w=Polynomial.zero()) == (0, 0)
+            assert mx.first_difference(a, b, c=mx.from_rows([[py, 0], [0, 0]]),
+                                       d=mx.identity(2)) == (0, 1)
+
+
+def test_first_difference_rejects_shape_mismatch():
+    with pytest.raises(ValueError):
+        mx.first_difference(mx.zeros(2, 3), mx.zeros(3, 2), c=mx.zeros(2, 2),
+                            d=mx.zeros(2, 3))
+    with pytest.raises(ValueError):
+        mx.first_difference(mx.zeros(2, 3), mx.zeros(3, 3), w=Polynomial.zero())
