@@ -47,7 +47,7 @@ def from_rows(rows) -> Matrix:
     """A matrix from rows of ints, Fractions or polynomials; a tuple of
     tuples of polynomials is already one and is returned as it is."""
     if type(rows) is tuple and all(
-            type(row) is tuple and all(type(e) is Polynomial for e in row)
+            type(row) is tuple and {Polynomial}.issuperset(map(type, row))
             for row in rows):
         mat = rows
     else:

@@ -115,6 +115,8 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
         return a + b
     if b[-1][0] < a[0][0]:
         return b + a
+    if len(a) == 1 == len(b):  # one shared variable: x^i * x^j
+        return ((a[0][0], a[0][1] + b[0][1]),)
     exps = dict(a)
     for v, e in b:
         exps[v] = exps.get(v, 0) + e

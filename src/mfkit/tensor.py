@@ -1,13 +1,18 @@
 """Tensor products of matrix factorizations over disjoint variable sets.
 
 For X = (p, q) of f (size n) and Y = (p', q') of g (size m) the product is a
-size-2nm factorization of f + g assembled from Kronecker blocks.  Writing
+size-2nm factorization of f + g made of Kronecker blocks.  Writing
 a = p⊗I, b = I⊗p', c = q⊗I, d = I⊗q', the four layouts are
 
     standard:  P = [[ a,  b], [-d,  c]]     Q = [[ c, -b], [ d,  a]]
     v1:        P = [[ b,  c], [ a, -d]]     Q = [[ d,  c], [ a, -b]]
     v2:        P = [[ c, -d], [ b,  a]]     Q = [[ a,  d], [-b,  c]]
     v3:        P = [[-d,  a], [ c,  b]]     Q = [[-b,  a], [ c,  d]]
+
+``_LAYOUTS`` is this table.  P and Q are written from it row by row, with
+no Kronecker product: row i*m + r of p⊗I is row i of p at columns j*m + r,
+and of I⊗p' is row r of p' at columns i*m + s.  So each entry is a factor's
+own polynomial, its negation or the shared zero, and nothing is multiplied.
 
 All four are valid and pairwise distinct as matrix pairs; v1/v2/v3 arise
 from the standard pair by rotating P's blocks anticlockwise and Q's
@@ -59,27 +64,41 @@ def _require_disjoint(xvars, yvars) -> None:
         )
 
 
-def _kron_blocks(xp, xq, yp, yq):
-    i_n = mx.identity(len(xp))
-    i_m = mx.identity(len(yp))
-    a = mx.kron(xp, i_m)
-    b = mx.kron(i_n, yp)
-    c = mx.kron(xq, i_m)
-    d = mx.kron(i_n, yq)
-    return a, b, c, d
+# P's and Q's quadrants, row-major; "-" negates a block.
+_LAYOUTS = {
+    Variant.STANDARD: ("a b -d c", "c -b d a"),
+    Variant.V1: ("b c a -d", "d c a -b"),
+    Variant.V2: ("c -d b a", "a d -b c"),
+    Variant.V3: ("-d a c b", "-b a c d"),
+}
 
 
-def _layout(variant: Variant, a, b, c, d):
-    n = mx.neg
-    if variant is Variant.STANDARD:
-        return [[a, b], [n(d), c]], [[c, n(b)], [d, a]]
-    if variant is Variant.V1:
-        return [[b, c], [a, n(d)]], [[d, c], [a, n(b)]]
-    if variant is Variant.V2:
-        return [[c, n(d)], [b, a]], [[a, d], [n(b), c]]
-    if variant is Variant.V3:
-        return [[n(d), a], [c, b]], [[n(b), a], [c, d]]
-    raise ValueError(f"unknown variant {variant!r}")
+def _write_layout(variant: Variant, xp, xq, yp, yq) -> tuple:
+    """P and Q of ``variant``'s layout of a = xp⊗I, b = I⊗yp, c = xq⊗I and
+    d = I⊗yq; each factor matrix is negated at most once."""
+    if variant not in _LAYOUTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    n, m = len(xp), len(yp)
+    nm = n * m
+    tokens = " ".join(_LAYOUTS[variant]).split()  # P's quadrants, then Q's
+    factors = dict(zip("abcd", (xp, yp, xq, yq)))
+    signed = {}  # each token's matrix, its zeros the shared one
+    for t in set(tokens):
+        mat = factors[t[-1]]
+        signed[t] = mx.neg(mat) if t[0] == "-" else tuple(
+            tuple(e if e.terms else mx._ZERO for e in row) for row in mat)
+    rows = []
+    for left, right in zip(tokens[::2], tokens[1::2]):
+        for i in range(n):
+            for r in range(m):
+                row = [mx._ZERO] * (2 * nm)
+                for off, t in ((0, left), (nm, right)):
+                    if t[-1] in "ac":  # xp or xq ⊗ I
+                        row[off + r:off + nm:m] = signed[t][i]
+                    else:  # I ⊗ yp or yq
+                        row[off + i * m:off + i * m + m] = signed[t][r]
+                rows.append(tuple(row))
+    return tuple(rows[:2 * nm]), tuple(rows[2 * nm:])
 
 
 def yoshino(
@@ -89,13 +108,9 @@ def yoshino(
 ) -> MatrixFactorization:
     """The tensor product factorization of f + g in the chosen layout."""
     _require_disjoint(x.vars, y.vars)
-    p_blocks, q_blocks = _layout(variant, *_kron_blocks(x.p, x.q, y.p, y.q))
-    return make_factorization(
-        mx.block(p_blocks),
-        mx.block(q_blocks),
-        x.potential + y.potential,
-        extra_vars=x.vars + y.vars,
-    )
+    p, q = _write_layout(variant, x.p, x.q, y.p, y.q)
+    return make_factorization(p, q, x.potential + y.potential,
+                              extra_vars=x.vars + y.vars)
 
 
 def tensor_morphisms(b: Morphism, a: Morphism) -> Morphism:

@@ -24,7 +24,7 @@ alone; no unit factorization is built:
     difference quotients become the partials d_i(f), so the collapsed unit
     K has the same word maps with deletion entries 0 and insertion entries
     +-d_i(f); Z is the standard tensor layout of X with K (potential g - f),
-    written directly and checked once;
+    written from their entries by ``tensor._write_layout``, checked once;
 2.  the two matrices of that layout are swapped (a grading shift), so that
     the X tensor empty-word slice sits in the even half.  The even part is
     then [X^1*D^1 | X^0*D^0] and the odd part [X^0*D^1 | X^1*D^0], where
@@ -88,10 +88,9 @@ from .poly import (
 )
 from .tensor import (
     Variant,
-    _kron_blocks,
-    _layout,
     _require_disjoint,
     _tensor_blocks,
+    _write_layout,
 )
 
 
@@ -239,10 +238,9 @@ def _collapsed_product(x: MatrixFactorization, f: Polynomial, fvars, side="right
     lin = [(zero, zero)] * n
     kp = _word_matrix(even, odd, lin, dq)
     kq = _word_matrix(odd, even, lin, dq)
-    p_blocks, q_blocks = _layout(Variant.STANDARD, *_kron_blocks(x.p, x.q, kp, kq))
+    p, q = _write_layout(Variant.STANDARD, x.p, x.q, kp, kq)
     # Grading shift: swap the two matrices so the empty-word slice is even.
-    z = make_factorization(mx.block(q_blocks), mx.block(p_blocks), x.potential,
-                           extra_vars=x.vars + xs)
+    z = make_factorization(q, p, x.potential, extra_vars=x.vars + xs)
 
     empty_word = mx.from_rows([[1] + [0] * (m - 1)])
     proj = mx.block([[mx.zeros(r, r * m), mx.kron(mx.identity(r), empty_word)]])

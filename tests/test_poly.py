@@ -262,6 +262,22 @@ def test_mono_mul_matches_dict_merge(a, b):
     assert _mono_mul(b, a) == ref_mono_mul(a, b)
 
 
+_MONOMIALS = st.dictionaries(
+    st.sampled_from([X, XP, Y, Y.primed(), Z]), st.integers(1, 5), max_size=4,
+).map(lambda exps: tuple(sorted(exps.items())))
+
+
+@given(_MONOMIALS, _MONOMIALS)
+@example(((X, 2),), ((X, 3),))                          # one shared variable
+@example(((X, 1), (Y, 2)), ((X, 3), (Y, 1), (Z, 1)))    # several shared
+@example(((X, 1), (XP, 2)), ((X, 1), (XP, 1)))          # primed twins shared
+@example(((XP, 1),), ((X, 4),))                         # twins, none shared
+@settings(max_examples=300, deadline=None)
+def test_mono_mul_property(a, b):
+    assert _mono_mul(a, b) == ref_mono_mul(a, b)
+    assert _mono_mul(b, a) == ref_mono_mul(a, b)
+
+
 def test_float_scalars_are_refused():
     with pytest.raises(TypeError):
         Polynomial.const(0.5)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mfkit import matrices as mx
+from mfkit import poly, unit
 from mfkit.matfac import (
     compose_morphisms,
     direct_sum,
@@ -102,10 +103,10 @@ def test_variants_are_block_rotations_of_standard():
             assert got.q == q
 
 
-def _of_rank(rng, variables, rank):
-    """A factorization of u*v for random u, v, of block rank 1 (u, v), 2 (the
-    anti-diagonal self-pair) or 3 (their direct sum)."""
-    u = rand_poly(rng, variables, nonzero=True)
+def _of_rank(rng, variables, rank, c=1):
+    """A factorization of u*v for random u, v (u scaled by ``c``), of block
+    rank 1 (u, v), 2 (the anti-diagonal self-pair) or 3 (their direct sum)."""
+    u = rand_poly(rng, variables, nonzero=True) * c
     v = rand_poly(rng, variables, nonzero=True)
     one = make_factorization([[u]], [[v]], u * v)
     zero = Polynomial.zero()
@@ -130,6 +131,94 @@ def test_block_swap_is_an_isomorphism_from_standard_to_v2(rx, ry):
     back = make_morphism(swap, swap, v2, std)
     assert compose_morphisms(back, there) == identity_morphism(std)
     assert compose_morphisms(there, back) == identity_morphism(v2)
+
+
+def kron_oracle(variant, x, y):
+    """P and Q of ``variant`` assembled from the Kronecker blocks a = p⊗I,
+    b = I⊗p', c = q⊗I, d = I⊗q' by ``mx.kron``, ``mx.neg`` and
+    ``mx.block``: the layout table of ``mfkit.tensor``'s docstring, written
+    out here apart from the table ``yoshino`` reads."""
+    i_n, i_m = mx.identity(x.size), mx.identity(y.size)
+    a, b = mx.kron(x.p, i_m), mx.kron(i_n, y.p)
+    c, d = mx.kron(x.q, i_m), mx.kron(i_n, y.q)
+    n = mx.neg
+    p, q = {
+        Variant.STANDARD: ([[a, b], [n(d), c]], [[c, n(b)], [d, a]]),
+        Variant.V1: ([[b, c], [a, n(d)]], [[d, c], [a, n(b)]]),
+        Variant.V2: ([[c, n(d)], [b, a]], [[a, d], [n(b), c]]),
+        Variant.V3: ([[n(d), a], [c, b]], [[n(b), a], [c, d]]),
+    }[variant]
+    return mx.block(p), mx.block(q)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("rx", [1, 2, 3])
+@pytest.mark.parametrize("ry", [1, 2, 3])
+def test_yoshino_matches_the_kronecker_oracle(variant, rx, ry):
+    """Rational entries and zero entries, with n != m in most cases, so a
+    sign or an offset out of place shows."""
+    rng = random.Random(300 + 10 * rx + ry)
+    a = _of_rank(rng, (X,), rx, Fraction(1, 2))
+    b = _of_rank(rng, (Y, Z), ry, Fraction(-2, 3))
+    got = yoshino(a, b, variant)
+    assert (got.p, got.q) == kron_oracle(variant, a, b)
+    assert all(e is mx._ZERO for m in (got.p, got.q) for row in m
+               for e in row if not e)
+
+
+def _refuse_products(monkeypatch):
+    """From here on, any polynomial product, Kronecker product or block
+    assembly raises."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product was formed")
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Polynomial, name, refuse)
+    for owner, name in ((poly, "sum_of_products"), (mx, "sum_of_products"),
+                        (mx, "kron"), (mx, "block")):
+        monkeypatch.setattr(owner, name, refuse)
+
+
+def test_yoshino_writes_the_factors_own_entries(monkeypatch):
+    rng = random.Random(31)
+    x = yoshino(_of_rank(rng, (X,), 2), _of_rank(rng, (Y,), 2))
+    y = _of_rank(rng, (Z,), 2, Fraction(1, 3))
+    assert (x.size, y.size) == (8, 2)
+    _refuse_products(monkeypatch)
+    got = yoshino(x, y)
+    assert got.size == 32
+    # a = p⊗I puts p[i][j] at (i*m + r, j*m + r); b = I⊗p' puts p'[r][s]
+    # at (i*m + r, nm + i*m + s); here m = 2 and nm = 16.
+    i, j, e = mx.first_nonzero(x.p)
+    assert got.p[2 * i][2 * j] is e
+    assert got.p[2 * i + 1][2 * j + 1] is e
+    r, s, e = mx.first_nonzero(y.p)
+    assert got.p[r][16 + s] is e
+    assert got.p[2 * 7 + r][16 + 2 * 7 + s] is e
+
+
+def test_collapsed_product_writes_the_factors_own_entries(monkeypatch):
+    """The unitor's Z, for X of z^2 - x*y and f = x*y: size 2 * 2 * 2."""
+    pxy = PX * PY
+    x = make_factorization([[PZ, PX], [PY, PZ]], [[PZ, -PX], [-PY, PZ]],
+                           PZ * PZ - pxy)
+    built = []
+    real = unit.make_factorization
+
+    def keep_z(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        raise LookupError("Z is built")
+
+    monkeypatch.setattr(unit, "make_factorization", keep_z)
+    _refuse_products(monkeypatch)
+    with pytest.raises(LookupError, match="Z is built"):
+        unit._collapsed_product(x, pxy, (X, Y))
+    (z,) = built
+    assert z.size == 8
+    # Z's Q is the standard layout's P: its a = p⊗I block, with m = 2.
+    assert z.q[0][0] is x.p[0][0]
+    assert z.q[1][1] is x.p[0][0]
+    assert z.q[2][0] is x.p[1][0]
 
 
 def test_graded_differential_squares():
