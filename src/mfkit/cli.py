@@ -17,7 +17,7 @@ import sys
 from .matfac import (
     NotAFactorization,
     NotAMorphism,
-    compose_morphisms,
+    _composes_to_identity,
     identity_morphism,
     parse_factorization,
     scalar_morphism,
@@ -127,10 +127,18 @@ def _cmd_unit(args) -> int:
 
 
 def _parse_var_split(raw: str):
+    """The f-side and g-side names of ``--var-split``, each checked as a
+    variable name, and no name on both sides."""
     parts = raw.split(":")
     if len(parts) != 2:
         raise ValueError("--var-split must look like 'x,y:z' (f-side : g-side)")
-    return _split_names(parts[0]), _split_names(parts[1])
+    fside, gside = _split_names(parts[0]), _split_names(parts[1])
+    for name in fside + gside:
+        Variable(name)
+    both = [name for name in fside if name in gside]
+    if both:
+        raise ValueError(f"--var-split names {', '.join(both)} on both sides")
+    return fside, gside
 
 
 def _cmd_unitor(args) -> int:
@@ -148,7 +156,7 @@ def _cmd_unitor(args) -> int:
     else:
         bundle = unitor_left(x, pot, pvars)
     # rho . psi = id was asserted during construction; probe psi . rho.
-    if compose_morphisms(bundle.psi, bundle.rho) == identity_morphism(bundle.z):
+    if _composes_to_identity(bundle.psi, bundle.rho):
         print("rho∘psi = id: PASS; psi∘rho = id: PASS (unexpected)")
         raise _MathFailure("psi∘rho unexpectedly equals the identity")
     print("rho∘psi = id: PASS; psi∘rho = id: FAIL (expected)")

@@ -9,8 +9,8 @@ Z2-graded differential.  Construction is eager: `make_factorization` refuses
 anything whose products do not come out exactly, reporting the first
 offending entry and its residual.  The check is an exact zero test of
 p*q - f*I and q*p - f*I over integer numerators
-(`matrices.first_difference`), which builds no product; only a failure
-builds the product, for the diagnostic.
+(`matrices.first_difference_both_ways`), which builds no product; only a
+failure builds the product, for the diagnostic.
 
 A morphism (alpha, beta): X -> Y consists of an even block alpha and an odd
 block beta satisfying the two squares
@@ -169,11 +169,12 @@ def make_factorization(p, q, potential, extra_vars=None) -> MatrixFactorization:
         raise ShapeMismatch(
             f"expected square matrices of equal size, got {mx.shape(p)} and {mx.shape(q)}"
         )
-    for name, a, b in (("P*Q", p, q), ("Q*P", q, p)):
-        if mx.first_difference(a, b, w=potential) is not None:
-            _check_product(name, mx.mul(a, b), potential, n)
-            raise RuntimeError(f"the zero test found {name} != w*I, "
-                               "but its product matches")
+    hit = mx.first_difference_both_ways(p, q, potential)
+    if hit is not None:
+        name, a, b = (("P*Q", p, q), ("Q*P", q, p))[hit[0]]
+        _check_product(name, mx.mul(a, b), potential, n)
+        raise RuntimeError(f"the zero test found {name} != w*I, "
+                           "but its product matches")
     vars_all = _collect_vars((p, q), potential, extra_vars)
     return MatrixFactorization(p=p, q=q, potential=potential, size=n, vars=vars_all)
 
@@ -295,6 +296,14 @@ def compose_morphisms(g: Morphism, f: Morphism) -> Morphism:
         source=f.source,
         target=g.target,
     )
+
+
+def _composes_to_identity(g: Morphism, f: Morphism) -> bool:
+    """Is g after f the identity?  Each block is decided by the exact zero
+    test of ``matrices.first_difference``; no product is built."""
+    one = Polynomial.const(1)
+    return all(mx.first_difference(gb, fb, w=one) is None
+               for gb, fb in ((g.alpha, f.alpha), (g.beta, f.beta)))
 
 
 # -- file format -----------------------------------------------------------

@@ -22,7 +22,9 @@ form is unique, so the results equal the entry-by-entry ones exactly.
 ``first_difference`` decides a*b = w*I or a*b = c*d without building
 either product: it gathers the pairs as ``mul`` does and hands each entry's
 pairs, signed, to the kernel's zero test ``poly.first_nonzero_sum``.  The
-eager checks of ``matfac`` run on it.
+eager checks of ``matfac`` run on it.  ``first_difference_both_ways``
+decides a*b = b*a = w*I, a factorization's check, with each matrix's
+nonzero entries listed once and one zero test for both products.
 """
 
 from __future__ import annotations
@@ -96,41 +98,52 @@ def scale(a: Matrix, c: Scalar) -> Matrix:
     return tuple(tuple(x * c if x else _ZERO for x in row) for row in a)
 
 
-def _gather(a: Matrix, b: Matrix) -> tuple:
-    """The pair lists of a*b: per row of a, a map from each output column
-    to its nonzero (x, y), with the product's term products and operand
-    terms counted as the kernel's path choice reads them."""
-    if shape(a)[1] != shape(b)[0]:
-        raise ValueError(f"cannot multiply {shape(a)} by {shape(b)}")
-    # Per row of b: its nonzero (j, y), and the terms of those y.
-    b_nonzero = []
-    terms = 0
-    for row in b:
+def _nonzero_rows(a: Matrix) -> list:
+    """Per row of a: its nonzero (j, entry), and the terms of those
+    entries."""
+    out = []
+    for row in a:
         nonzero = []
         n = 0
         for j, y in enumerate(row):
             if y.terms:
                 nonzero.append((j, y))
                 n += len(y.terms)
-        b_nonzero.append((nonzero, n))
-        terms += n
+        out.append((nonzero, n))
+    return out
+
+
+def _gather(a_rows: list, b_rows: list) -> tuple:
+    """The pair lists of a*b from the ``_nonzero_rows`` of a and b: per row
+    of a, a map from each output column to its nonzero (x, y), with the
+    product's term products and operand terms counted as the kernel's path
+    choice reads them."""
+    terms = sum(n for _, n in b_rows)
     work = 0
     rows = []
-    for row in a:
+    for a_row, _ in a_rows:
         pairs = defaultdict(list)
-        for x, (b_row, n) in zip(row, b_nonzero):
-            if n and x.terms:
-                k = len(x.terms)
-                work += k * n
-                terms += k
+        for k, x in a_row:
+            b_row, n = b_rows[k]
+            if n:
+                t = len(x.terms)
+                work += t * n
+                terms += t
                 for j, y in b_row:
                     pairs[j].append((x, y))
         rows.append(pairs)
     return rows, work, terms
 
 
+def _product_pairs(a: Matrix, b: Matrix) -> tuple:
+    """``_gather`` of a*b, once a*b is known to be defined."""
+    if shape(a)[1] != shape(b)[0]:
+        raise ValueError(f"cannot multiply {shape(a)} by {shape(b)}")
+    return _gather(_nonzero_rows(a), _nonzero_rows(b))
+
+
 def mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, work, terms = _gather(a, b)
+    rows, work, terms = _product_pairs(a, b)
     batch = []  # every entry's pairs, row by row
     for pairs in rows:
         batch += pairs.values()
@@ -145,6 +158,24 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
+def _scalar_rows(w: Polynomial, n: int):
+    """The pair lists of w*I_n: the one pair (w, 1) at each diagonal entry,
+    and no pair at all when w is zero."""
+    if not w.terms:
+        return ({},) * n
+    diagonal = ((w, _ONE),)
+    return [{i: diagonal} for i in range(n)]
+
+
+def _signed_entries(plus_rows, minus_rows, batch: list, where: list) -> None:
+    """Append each entry of plus - minus to ``batch`` as its signed pair
+    lists, row by row in column order, and its (i, j) to ``where``."""
+    for i, (plus, minus) in enumerate(zip(plus_rows, minus_rows)):
+        for j in sorted(plus.keys() | minus.keys() if minus else plus):
+            batch.append((plus.get(j, ()), minus.get(j, ())))
+            where.append((i, j))
+
+
 def first_difference(a: Matrix, b: Matrix, w: Polynomial = None,
                      c: Matrix = None, d: Matrix = None):
     """(i, j) of the first entry, in row-major order, where a*b differs
@@ -156,9 +187,9 @@ def first_difference(a: Matrix, b: Matrix, w: Polynomial = None,
     pair (w, 1), so one with no pairs of a*b but w != 0 differs.  The
     counts of a*b, plus those of c*d, choose the kernel's path.
     """
-    rows, work, terms = _gather(a, b)
+    rows, work, terms = _product_pairs(a, b)
     if w is None:
-        minus_rows, more_work, more_terms = _gather(c, d)
+        minus_rows, more_work, more_terms = _product_pairs(c, d)
         if shape(c)[0] != len(rows) or shape(d)[1] != shape(b)[1]:
             raise ValueError(f"cannot compare a {len(rows)}x{shape(b)[1]} "
                              f"product with a {shape(c)[0]}x{shape(d)[1]} one")
@@ -167,17 +198,43 @@ def first_difference(a: Matrix, b: Matrix, w: Polynomial = None,
     else:
         if shape(b)[1] != len(rows):
             raise ValueError(f"a {len(rows)}x{shape(b)[1]} product has no diagonal")
-        diagonal = ((w, _ONE),)
-        minus_rows = ([{i: diagonal} for i in range(len(rows))] if w.terms
-                      else ({},) * len(rows))
+        minus_rows = _scalar_rows(w, len(rows))
     batch = []
     where = []
-    for i, (plus, minus) in enumerate(zip(rows, minus_rows)):
-        for j in sorted(plus.keys() | minus.keys() if minus else plus):
-            batch.append((plus.get(j, ()), minus.get(j, ())))
-            where.append((i, j))
+    _signed_entries(rows, minus_rows, batch, where)
     index = first_nonzero_sum(batch, work, terms)
     return None if index is None else where[index]
+
+
+def first_difference_both_ways(a: Matrix, b: Matrix, w: Polynomial):
+    """``(0, i, j)`` for the first entry, in row-major order, where a*b
+    differs from w*I, else ``(1, i, j)`` for the first where b*a does, or
+    None where neither does; a and b are square and of one size.
+
+    ``first_difference(a, b, w)`` and then ``first_difference(b, a, w)``,
+    with each matrix's nonzero entries listed once for both products, and
+    the entries of both in one ``poly.first_nonzero_sum`` call, so each
+    operand is packed at most once.  The counts of both products choose the
+    kernel's path.
+    """
+    n = len(a)
+    if shape(a) != (n, n) or shape(b) != (n, n):
+        raise ValueError(f"expected square matrices of equal size, "
+                         f"got {shape(a)} and {shape(b)}")
+    a_rows = _nonzero_rows(a)
+    b_rows = _nonzero_rows(b)
+    ab, work, terms = _gather(a_rows, b_rows)
+    ba, more_work, more_terms = _gather(b_rows, a_rows)
+    diagonal = _scalar_rows(w, n)
+    batch = []
+    where = []
+    _signed_entries(ab, diagonal, batch, where)
+    split = len(where)
+    _signed_entries(ba, diagonal, batch, where)
+    index = first_nonzero_sum(batch, work + more_work, terms + more_terms)
+    if index is None:
+        return None
+    return (0 if index < split else 1, *where[index])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

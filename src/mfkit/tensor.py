@@ -122,12 +122,19 @@ def tensor_morphisms(b: Morphism, a: Morphism) -> Morphism:
 
         alpha = diag(alpha_a ⊗ beta_b,  beta_a ⊗ alpha_b)
         beta  = diag(beta_a  ⊗ beta_b,  alpha_a ⊗ alpha_b)
+
+    The products are built and checked once each: when both morphisms are
+    endomorphisms, the one product is source and target.  The result is
+    checked eagerly (``make_morphism``).
     """
     for xa in (a.source, a.target):
         for xb in (b.source, b.target):
             _require_disjoint(xa.vars, xb.vars)
     src = yoshino(a.source, b.source)
-    tgt = yoshino(a.target, b.target)
+    if a.source is a.target and b.source is b.target:
+        tgt = src
+    else:
+        tgt = yoshino(a.target, b.target)
     alpha, beta = _tensor_blocks(a.alpha, a.beta, b.alpha, b.beta)
     return make_morphism(alpha, beta, src, tgt)
 

@@ -274,6 +274,25 @@ def test_unitor_bad_split(files):
                 "--var-split", "x"]) == 2
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("split, message", [
+    ("x:1", "bad variable name '1'"),
+    ("x:z'", 'bad variable name "z\'"'),
+    ("1:z", "bad variable name '1'"),
+    ("x,y:z,2", "bad variable name '2'"),
+    ("x:x", "--var-split names x on both sides"),
+    ("x,z:z,x", "--var-split names x, z on both sides"),
+], ids=["g_digit", "g_primed", "f_digit", "g_second", "x_twice", "two_twice"])
+def test_unitor_checks_both_sides_of_the_split(files, capsys, side, split, message):
+    # Every name is checked, on the side the unitor uses and on the other.
+    pot = "x" if side == "right" else "z"
+    assert run(["unitor", files["x"], "--side", side, "--potential", pot,
+                "--var-split", split]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_homotopy_witness_found(files, capsys):
     code = run(["homotopy", "--max-degree", "1", files["a"],
                 "--phi", "scalar:x", "--psi", "zero"])

@@ -270,9 +270,14 @@ def test_valid_inputs_build_no_product(monkeypatch):
 
 def test_a_difference_the_product_does_not_show_is_an_internal_error(
         monkeypatch, m_cubed):
+    for product in (0, 1):
+        monkeypatch.setattr(mx, "first_difference_both_ways",
+                            lambda *args, product=product: (product, 0, 0))
+        with pytest.raises(RuntimeError) as err:
+            make_factorization(M_BLOCKS, M_BLOCKS, PX ** 3)
+        assert str(err.value) == (f"the zero test found {('P*Q', 'Q*P')[product]} "
+                                  "!= w*I, but its product matches")
     monkeypatch.setattr(mx, "first_difference", lambda *args, **kwargs: (0, 0))
-    with pytest.raises(RuntimeError, match="zero test"):
-        make_factorization(M_BLOCKS, M_BLOCKS, PX ** 3)
     with pytest.raises(RuntimeError, match="zero test"):
         make_morphism(mx.identity(2), mx.identity(2), m_cubed, m_cubed)
 

@@ -364,8 +364,11 @@ def test_first_difference_against_w_times_identity(path, n, data):
         a[data.draw(st.integers(0, n - 1))] = [0] * n
     a = mx.from_rows(a)
     w = f * g
-    check_first_difference(path, a, b, w=w)
-    check_first_difference(path, b, a, w=w)
+    ab = check_first_difference(path, a, b, w=w)
+    ba = check_first_difference(path, b, a, w=w)
+    want = (0, *ab) if ab else (1, *ba) if ba else None
+    with kernel_path(path):
+        assert mx.first_difference_both_ways(a, b, w) == want
 
 
 @pytest.mark.parametrize("path", ["tuple", "packed"])
@@ -419,3 +422,6 @@ def test_first_difference_rejects_shape_mismatch():
                             d=mx.zeros(2, 3))
     with pytest.raises(ValueError):
         mx.first_difference(mx.zeros(2, 3), mx.zeros(3, 3), w=Polynomial.zero())
+    for a, b in ((mx.zeros(2, 3), mx.zeros(3, 2)), (mx.zeros(2, 2), mx.zeros(3, 3))):
+        with pytest.raises(ValueError):
+            mx.first_difference_both_ways(a, b, Polynomial.zero())

@@ -268,6 +268,32 @@ def test_tensor_morphisms_of_rational_scalars_store_ints():
     assert {type(c) for c in coeffs} == {int}
 
 
+def test_tensor_of_endomorphisms_builds_one_product(monkeypatch):
+    """Two endomorphisms' product is built once, as source and target; it
+    equals the tensor of the same blocks between distinct equal objects."""
+    m = make_factorization([[0, PX], [PX ** 2, 0]], [[0, PX], [PX ** 2, 0]],
+                           PX ** 3)
+    m_copy = make_factorization(m.p, m.q, m.potential)
+    b1_copy = make_factorization([[1]], [[PY]], PY)
+    a, b = scalar_morphism(PX + Fraction(1, 2), m), scalar_morphism(PY, B1)
+    apart = tensor_morphisms(make_morphism(b.alpha, b.beta, B1, b1_copy),
+                             make_morphism(a.alpha, a.beta, m, m_copy))
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return yoshino(*args)
+
+    monkeypatch.setattr("mfkit.tensor.yoshino", counted)
+    got = tensor_morphisms(b, a)
+    assert len(built) == 1
+    assert got.source is got.target
+    assert got == apart
+    built.clear()
+    tensor_morphisms(b, make_morphism(a.alpha, a.beta, m, m_copy))
+    assert len(built) == 2
+
+
 def test_tensor_morphisms_interchange():
     a1 = scalar_morphism(PX, A1)
     a2 = scalar_morphism(PX + 1, A1)

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfkit import matrices as mx
+from mfkit import poly, unit
 from mfkit.matfac import (
     PotentialMismatch,
     compose_morphisms,
@@ -15,8 +18,15 @@ from mfkit.matfac import (
     validate_morphism,
 )
 from mfkit.poly import Polynomial, Variable, substitute, t_shift
-from mfkit.tensor import VariableOverlap, identify_vars, rename_vars, yoshino
+from mfkit.tensor import (
+    VariableOverlap,
+    _tensor_blocks,
+    identify_vars,
+    rename_vars,
+    yoshino,
+)
 from mfkit.unit import (
+    NaturalityReport,
     _collapsed_product,
     _correction_components,
     koszul_unit,
@@ -500,34 +510,147 @@ def test_unitors_and_naturality_build_no_unit(monkeypatch):
     assert naturality_check(scalar_morphism(PX, X_RANK2), PX, (X,)).ok
 
 
+# X_RANK1 built a second time: equal to it, but a distinct object, so a
+# morphism between the two is not an endomorphism.
+X_RANK1_COPY = make_factorization([[1]], [[PZ - PX]], PZ - PX)
+
+
 def test_naturality_failure_names_the_entry(monkeypatch):
     """A broken square: the target's rho is doubled, so the two composites
     differ by rho_Y.(p x id) = p.rho_X, and describe() names the first
     block, entry and residual."""
-    built = []
-
     def doubled_target(x, f, fvars):
         gens, z, rho = _collapsed_product(x, f, fvars)
-        built.append(x)
-        if len(built) == 2:
+        if x is X_RANK1_COPY:
             rho = compose_morphisms(scalar_morphism(2, x), rho)
         return gens, z, rho
 
+    p = make_morphism(mx.identity(1), mx.identity(1), X_RANK1, X_RANK1_COPY)
     monkeypatch.setattr("mfkit.unit._collapsed_product", doubled_target)
-    report = naturality_check(identity_morphism(X_RANK1), PX, (X,))
+    report = naturality_check(p, PX, (X,))
     assert not report.ok
     assert report.describe() == "alpha[0][1] deviates by 1"
     monkeypatch.undo()
-    assert naturality_check(identity_morphism(X_RANK1), PX, (X,)).describe() == "ok"
+    assert naturality_check(p, PX, (X,)).describe() == "ok"
 
 
 def test_unitor_invariant_failure_names_the_entry(monkeypatch):
     """rho . psi = id is checked entry by entry; a failure names the block,
-    the entry and its residual."""
-    monkeypatch.setattr("mfkit.unit.compose_morphisms",
-                        lambda g, f: scalar_morphism(2, f.source))
+    the entry and its residual.  Doubling psi's components keeps psi a
+    morphism and makes rho . psi twice the identity."""
+    def doubled(x, gen_vars, sign):
+        return {key: mx.scale(c, 2)
+                for key, c in _correction_components(x, gen_vars, sign).items()}
+
+    monkeypatch.setattr("mfkit.unit._correction_components", doubled)
     with pytest.raises(RuntimeError) as err:
         unitor_right(X_RANK1, PX, (X,))
     assert str(err.value) == (
         "unitor invariant failed: rho . psi is not the identity: "
         "alpha[0][0] deviates by 1")
+
+
+def _naturality_by_composites(p, f, fvars):
+    """The naturality report as the composites give it: both collapsed
+    products built (by ``unit._collapsed_product`` as patched), both
+    composites composed and compared."""
+    (_, even, _), zx, rho_x = unit._collapsed_product(p.source, f, fvars)
+    _, zy, rho_y = unit._collapsed_product(p.target, f, fvars)
+    i_m = mx.identity(len(even))
+    beta, alpha = _tensor_blocks(p.alpha, p.beta, i_m, i_m)
+    p_tensor_id = make_morphism(alpha=alpha, beta=beta, source=zx, target=zy)
+    left = compose_morphisms(rho_y, p_tensor_id)
+    right = compose_morphisms(p, rho_x)
+    return NaturalityReport(
+        ok=left == right,
+        alpha_residual=mx.sub(left.alpha, right.alpha),
+        beta_residual=mx.sub(left.beta, right.beta),
+    )
+
+
+def test_naturality_of_an_endomorphism_builds_one_collapsed_product(monkeypatch):
+    x, f, xs, _, _ = {c[0]: c[1:] for c in ORACLE_CASES}["pairs-n2"]
+    built = []
+
+    def counted(x, f, fvars):
+        built.append(x)
+        return _collapsed_product(x, f, fvars)
+
+    monkeypatch.setattr("mfkit.unit._collapsed_product", counted)
+    for p in (identity_morphism(x), scalar_morphism(Fraction(-2, 3), x),
+              scalar_morphism(PX - 1, X_RANK2)):
+        fvars = xs if p.source is x else (X,)
+        pot = f if p.source is x else PX
+        built.clear()
+        report = naturality_check(p, pot, fvars)
+        assert built == [p.source]
+        assert report.ok
+        assert report == _naturality_by_composites(p, pot, fvars)
+
+
+# Products, sums and differences of the entries only: the checks are zero
+# tests, and only a failing one builds a product.
+def _refuse(*_):
+    raise AssertionError("a product was built")
+
+
+@pytest.mark.parametrize("case", ["cubic-n1-rank1", "cubic-n1-rank2", "pairs-n1"])
+def test_unitors_with_one_generator_build_no_product(monkeypatch, case):
+    """With one generator, psi's components are +-d(D) and rho . psi = id is
+    a zero test: no matrix or kernel product is formed."""
+    x, f, xs, g, ws = {c[0]: c[1:] for c in ORACLE_CASES}[case]
+    want = (unitor_right(x, f, xs), unitor_left(x, g, ws))
+    monkeypatch.setattr(mx, "mul", _refuse)
+    monkeypatch.setattr(mx, "sum_of_products", _refuse)
+    monkeypatch.setattr(poly, "sum_of_products", _refuse)
+    assert (unitor_right(x, f, xs), unitor_left(x, g, ws)) == want
+
+
+def test_naturality_builds_no_product(monkeypatch):
+    x, f, xs, _, _ = {c[0]: c[1:] for c in ORACLE_CASES}["pairs-n2"]
+    inclusion = make_morphism([[1], [0]], [[1], [0]], X_RANK1, X_RANK2)
+    cases = [(identity_morphism(x), f, xs), (scalar_morphism(Fraction(3, 4), x), f, xs),
+             (inclusion, PX, (X,)), (scalar_morphism(PZ, X_RANK2), PX, (X,))]
+    monkeypatch.setattr(mx, "mul", _refuse)
+    monkeypatch.setattr(mx, "sum_of_products", _refuse)
+    monkeypatch.setattr(poly, "sum_of_products", _refuse)
+    for p, pot, fvars in cases:
+        report = naturality_check(p, pot, fvars)
+        assert report.ok and report.describe() == "ok"
+        assert mx.is_zero(report.alpha_residual) and mx.is_zero(report.beta_residual)
+
+
+X_RANK2_COPY = direct_sum(
+    X_RANK1_COPY, make_factorization([[PZ - PX]], [[1]], PZ - PX))
+SCALARS = [Polynomial.const(0), Polynomial.const(1), Polynomial.const(Fraction(-3, 2)),
+           PX, PZ - 2, PX * PZ + Fraction(1, 3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(X_RANK1, X_RANK1_COPY), (X_RANK2, X_RANK2_COPY)]),
+       st.sampled_from(["endo", "to copy", "from copy", "copy endo"]),
+       st.sampled_from(SCALARS), st.sampled_from(SCALARS))
+def test_naturality_matches_the_composites(pair, direction, scalar, rho_scale):
+    """The report of the zero tests equals the one the composites give, on
+    passing squares and on squares broken by scaling the copy's rho (an
+    endomorphism of the copy scales both sides and still passes)."""
+    x, copy = pair
+    source, target = {"endo": (x, x), "to copy": (x, copy),
+                      "from copy": (copy, x), "copy endo": (copy, copy)}[direction]
+    m = mx.scalar_matrix(x.size, scalar)
+    p = make_morphism(m, m, source, target)
+
+    def scaled_copy(y, f, fvars):
+        gens, z, rho = _collapsed_product(y, f, fvars)
+        if y is copy:
+            rho = compose_morphisms(scalar_morphism(rho_scale, y), rho)
+        return gens, z, rho
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("mfkit.unit._collapsed_product", scaled_copy)
+        got = naturality_check(p, PX, (X,))
+        want = _naturality_by_composites(p, PX, (X,))
+    assert got == want
+    assert got.describe() == want.describe()
+    broken = direction in ("to copy", "from copy") and rho_scale != 1 and scalar != 0
+    assert got.ok is not broken
