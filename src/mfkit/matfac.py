@@ -129,14 +129,18 @@ class MatrixFactorization(Record):
 
 
 def _collect_vars(mats, potential, extra):
-    # The distinct monomials first: the entries of a large matrix repeat a
-    # few of them, and each is read for its variables once.
-    monos = set(potential.terms)
+    # The distinct entries first, then their distinct monomials: a Yoshino
+    # layout repeats its factors' few entry objects, and each object and
+    # each monomial is read for its variables once.
+    entries = {}
     for m in mats:
         for row in m:
             for e in row:
                 if e.terms:
-                    monos.update(e.terms)
+                    entries[id(e)] = e
+    monos = set(potential.terms)
+    for e in entries.values():
+        monos.update(e.terms)
     vs = set(extra or ())
     for mono in monos:
         for v, _ in mono:

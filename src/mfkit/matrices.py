@@ -20,18 +20,25 @@ operand once for the whole product.  Polynomials are immutable and their
 form is unique, so the results equal the entry-by-entry ones exactly.
 
 ``first_difference`` decides a*b = w*I or a*b = c*d without building
-either product: it gathers the pairs as ``mul`` does and hands each entry's
-pairs, signed, to the kernel's zero test ``poly.first_nonzero_sum``.  The
-eager checks of ``matfac`` run on it.  ``first_difference_both_ways``
-decides a*b = b*a = w*I, a factorization's check, with each matrix's
-nonzero entries listed once and one zero test for both products.
+either product, and is the one zero test: the eager checks of ``matfac``
+run on it.  It lists each matrix's nonzero entries once, encodes each
+distinct entry object once as packed monomials with integer numerators
+(``poly._pack``, in fields wide enough for the products and for w), and
+sums each row of a*b - w*I or a*b - c*d in one map keyed by packed
+monomial and column, over the row's common denominator.  The first row
+with a nonzero value names the entry; nothing is decoded and no
+``Fraction`` is made.  ``PACK_RATIO`` plays no part here: it chooses only
+how ``mul`` builds a product.  ``first_difference_both_ways`` decides
+a*b = b*a = w*I, a factorization's check, with each matrix listed and
+encoded once for both products.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from math import lcm
 
-from .poly import Polynomial, as_poly, first_nonzero_sum, substitute, sum_of_products
+from .poly import Polynomial, _pack, as_poly, substitute, sum_of_products
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # an annotation-only name, see ``poly``
@@ -42,7 +49,6 @@ Matrix = tuple  # tuple of tuples of Polynomial
 # The zero entry of every kernel's result; polynomials are immutable, so one
 # object serves every matrix, and no kernel builds one per call.
 _ZERO = Polynomial.zero()
-_ONE = Polynomial.const(1)
 
 
 def from_rows(rows) -> Matrix:
@@ -113,15 +119,15 @@ def _nonzero_rows(a: Matrix) -> list:
     return out
 
 
-def _gather(a_rows: list, b_rows: list) -> tuple:
-    """The pair lists of a*b from the ``_nonzero_rows`` of a and b: per row
-    of a, a map from each output column to its nonzero (x, y), with the
-    product's term products and operand terms counted as the kernel's path
-    choice reads them."""
+def _gather(a: Matrix, b: Matrix) -> tuple:
+    """The pair lists of a*b: per row of a, a map from each output column
+    to its nonzero (x, y), with the product's term products and operand
+    terms counted as the kernel's path choice reads them."""
+    b_rows = _nonzero_rows(b)
     terms = sum(n for _, n in b_rows)
     work = 0
     rows = []
-    for a_row, _ in a_rows:
+    for a_row, _ in _nonzero_rows(a):
         pairs = defaultdict(list)
         for k, x in a_row:
             b_row, n = b_rows[k]
@@ -135,15 +141,14 @@ def _gather(a_rows: list, b_rows: list) -> tuple:
     return rows, work, terms
 
 
-def _product_pairs(a: Matrix, b: Matrix) -> tuple:
-    """``_gather`` of a*b, once a*b is known to be defined."""
+def _check_product_shape(a: Matrix, b: Matrix) -> None:
     if shape(a)[1] != shape(b)[0]:
         raise ValueError(f"cannot multiply {shape(a)} by {shape(b)}")
-    return _gather(_nonzero_rows(a), _nonzero_rows(b))
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, work, terms = _product_pairs(a, b)
+    _check_product_shape(a, b)
+    rows, work, terms = _gather(a, b)
     batch = []  # every entry's pairs, row by row
     for pairs in rows:
         batch += pairs.values()
@@ -158,22 +163,74 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def _scalar_rows(w: Polynomial, n: int):
-    """The pair lists of w*I_n: the one pair (w, 1) at each diagonal entry,
-    and no pair at all when w is zero."""
-    if not w.terms:
-        return ({},) * n
-    diagonal = ((w, _ONE),)
-    return [{i: diagonal} for i in range(n)]
+def _right_rows(rows: list, packed: dict, width: int) -> list:
+    """Per row of a matrix, from its ``_nonzero_rows``, as the right factor
+    of a zero test reads it: the lcm r of the row's denominators, and its
+    terms as ``(packed monomial + (column << width), numerator over r)``."""
+    out = []
+    for row, _ in rows:
+        r = 1
+        for _, y in row:
+            if y.den != 1:
+                r = lcm(r, y.den)
+        out.append((r, [(m + (j << width), c * (r // y.den))
+                        for j, y in row for m, c in packed[id(y)]]))
+    return out
 
 
-def _signed_entries(plus_rows, minus_rows, batch: list, where: list) -> None:
-    """Append each entry of plus - minus to ``batch`` as its signed pair
-    lists, row by row in column order, and its (i, j) to ``where``."""
-    for i, (plus, minus) in enumerate(zip(plus_rows, minus_rows)):
-        for j in sorted(plus.keys() | minus.keys() if minus else plus):
-            batch.append((plus.get(j, ()), minus.get(j, ())))
-            where.append((i, j))
+def _first_row_difference(products, w, packed: dict, width: int):
+    """(i, j) of the first nonzero entry, in row-major order, of the sum of
+    sign * left*right over ``products``, less w*I when ``w`` is given; or
+    None.  A product is ``(left, right, sign)``: the ``_nonzero_rows`` of
+    its left factor and the ``_right_rows`` of its right one.
+
+    Row by row, every term product of the row goes into one map keyed by
+    ``packed monomial + (column << width)``, as an integer numerator over
+    the row's common denominator: the lcm of its pairs' denominators (and
+    of w's).  An integral row is summed as it is.  The row's entries are all
+    zero exactly when every value of the map is.
+    """
+    w_terms = packed[id(w)] if w is not None else ()
+    w_den = w.den if w is not None else 1
+    for i in range(len(products[0][0])):
+        den = w_den
+        for left, right, _ in products:
+            for k, x in left[i][0]:
+                d = x.den * right[k][0]
+                if d != 1:
+                    den = lcm(den, d)
+        acc: dict = {}
+        get = acc.get
+        for left, right, sign in products:
+            for k, x in left[i][0]:
+                r, ys = right[k]
+                s = sign if den == 1 else sign * den // (x.den * r)
+                for m1, c1 in packed[id(x)]:
+                    if s != 1:
+                        c1 *= s
+                    for m2, c2 in ys:
+                        m = m1 + m2
+                        acc[m] = get(m, 0) + c1 * c2
+        if w_terms:
+            s = den // w_den
+            for m, c in w_terms:
+                m += i << width
+                acc[m] = get(m, 0) - c * s
+        if any(acc.values()):
+            return i, min(m for m, c in acc.items() if c) >> width
+    return None
+
+
+def _zero_test(mats: list, w) -> tuple:
+    """The ``_nonzero_rows`` of each matrix of ``mats``, the packed encoding
+    (``poly._pack``) of their distinct nonzero entries and of ``w``, and its
+    width."""
+    rows = [_nonzero_rows(a) for a in mats]
+    operands = {id(y): y for a in rows for row, _ in a for _, y in row}
+    if w is not None:
+        operands[id(w)] = w
+    packed, _, width = _pack(operands)
+    return rows, packed, width
 
 
 def first_difference(a: Matrix, b: Matrix, w: Polynomial = None,
@@ -181,29 +238,23 @@ def first_difference(a: Matrix, b: Matrix, w: Polynomial = None,
     """(i, j) of the first entry, in row-major order, where a*b differs
     from w*I (when ``w`` is given) or from c*d, or None where none does.
 
-    Neither product is built: each entry of a*b - w*I or a*b - c*d goes to
-    ``poly.first_nonzero_sum`` as its signed pair lists, gathered as
-    ``mul`` gathers them.  A diagonal entry of a*b - w*I subtracts the one
-    pair (w, 1), so one with no pairs of a*b but w != 0 differs.  The
-    counts of a*b, plus those of c*d, choose the kernel's path.
+    Neither product is built, and no entry is decoded: each distinct entry
+    is packed once, and each row of a*b - w*I or a*b - c*d is summed in one
+    map of integer numerators (``_first_row_difference``).
     """
-    rows, work, terms = _product_pairs(a, b)
+    _check_product_shape(a, b)
     if w is None:
-        minus_rows, more_work, more_terms = _product_pairs(c, d)
-        if shape(c)[0] != len(rows) or shape(d)[1] != shape(b)[1]:
-            raise ValueError(f"cannot compare a {len(rows)}x{shape(b)[1]} "
+        _check_product_shape(c, d)
+        if shape(c)[0] != len(a) or shape(d)[1] != shape(b)[1]:
+            raise ValueError(f"cannot compare a {len(a)}x{shape(b)[1]} "
                              f"product with a {shape(c)[0]}x{shape(d)[1]} one")
-        work += more_work
-        terms += more_terms
-    else:
-        if shape(b)[1] != len(rows):
-            raise ValueError(f"a {len(rows)}x{shape(b)[1]} product has no diagonal")
-        minus_rows = _scalar_rows(w, len(rows))
-    batch = []
-    where = []
-    _signed_entries(rows, minus_rows, batch, where)
-    index = first_nonzero_sum(batch, work, terms)
-    return None if index is None else where[index]
+    elif shape(b)[1] != len(a):
+        raise ValueError(f"a {len(a)}x{shape(b)[1]} product has no diagonal")
+    rows, packed, width = _zero_test([a, b, c, d] if w is None else [a, b], w)
+    products = [(rows[0], _right_rows(rows[1], packed, width), 1)]
+    if w is None:
+        products.append((rows[2], _right_rows(rows[3], packed, width), -1))
+    return _first_row_difference(products, w, packed, width)
 
 
 def first_difference_both_ways(a: Matrix, b: Matrix, w: Polynomial):
@@ -212,29 +263,19 @@ def first_difference_both_ways(a: Matrix, b: Matrix, w: Polynomial):
     None where neither does; a and b are square and of one size.
 
     ``first_difference(a, b, w)`` and then ``first_difference(b, a, w)``,
-    with each matrix's nonzero entries listed once for both products, and
-    the entries of both in one ``poly.first_nonzero_sum`` call, so each
-    operand is packed at most once.  The counts of both products choose the
-    kernel's path.
+    with each matrix's nonzero entries listed and packed once for both.
     """
     n = len(a)
     if shape(a) != (n, n) or shape(b) != (n, n):
         raise ValueError(f"expected square matrices of equal size, "
                          f"got {shape(a)} and {shape(b)}")
-    a_rows = _nonzero_rows(a)
-    b_rows = _nonzero_rows(b)
-    ab, work, terms = _gather(a_rows, b_rows)
-    ba, more_work, more_terms = _gather(b_rows, a_rows)
-    diagonal = _scalar_rows(w, n)
-    batch = []
-    where = []
-    _signed_entries(ab, diagonal, batch, where)
-    split = len(where)
-    _signed_entries(ba, diagonal, batch, where)
-    index = first_nonzero_sum(batch, work + more_work, terms + more_terms)
-    if index is None:
-        return None
-    return (0 if index < split else 1, *where[index])
+    (a_rows, b_rows), packed, width = _zero_test([a, b], w)
+    for which, left, right in ((0, a_rows, b_rows), (1, b_rows, a_rows)):
+        hit = _first_row_difference(
+            [(left, _right_rows(right, packed, width), 1)], w, packed, width)
+        if hit is not None:
+            return (which, *hit)
+    return None
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -31,16 +31,15 @@ Besides ring operations this module provides:
   scaled to integer numerators once per batch, over each entry's common
   denominator, and each output term is divided once instead of normalising
   a ``Fraction`` per term product.  When the caller's counts show enough
-  term products per operand term, each operand is encoded once as packed
-  exponent ints (Monagan and Pearce, CASC 2007), so a monomial product is
-  one integer addition; only this module knows that layout.
-  ``matrices.mul`` calls it once per product, and ``Polynomial.__mul__``
-  makes the same choice for its one pair from the two term counts,
-* ``first_nonzero_sum``, its zero test: the first entry of a batch of
-  signed pair lists whose sum is not zero.  It shares the path choice and
-  the operand encodings, and sums each entry's integer numerators over its
-  common denominator without building a product, so the eager checks of
-  ``matfac`` decide P*Q = w*I without dividing,
+  term products per operand term (``PACK_RATIO``), each operand is encoded
+  once as packed exponent ints (Monagan and Pearce, CASC 2007), so a
+  monomial product is one integer addition.  ``matrices.mul`` calls it
+  once per product, and ``Polynomial.__mul__`` makes the same choice for
+  its one pair from the two term counts,
+* ``_pack``, that encoding: packed monomials with integer numerators, in
+  fields wide enough for the product of any two of the encoded
+  polynomials.  The zero tests of ``matrices`` (the eager checks of
+  ``matfac``) always run on it, whatever ``PACK_RATIO`` says,
 * ``parse_poly`` / canonical printing for the expression grammar used by the
   CLI and the JSON file format,
 * ``substitute`` (simultaneous), and the prime-shift maps ``t_shift`` that
@@ -292,7 +291,8 @@ _set_den = Polynomial.den.__set__
 # term and every output term once, and pays back a little on every term
 # product.  Timed one by one, the matrix products of the benchmark's
 # in-process workloads ran slower packed at ratios up to 2.73 and faster at
-# every ratio above it (README, "Products").
+# every ratio above it (README, "Products").  It chooses only how products
+# are built: the zero tests of ``matrices`` decode nothing, and always pack.
 PACK_RATIO = 2.8
 
 
@@ -327,16 +327,16 @@ def _tuple_sum(pairs, scaled: dict = None) -> Polynomial:
     """The sum of x*y over ``pairs``, merging monomial tuples; ``scaled``,
     when given, keeps the numerators of the batch's rational operands."""
     # The entry's common denominator and its integral sum, inline here: as
-    # helper calls per entry (``_common_den``, ``_tuple_acc``), they made
-    # ``matrices.mul`` 1.5-5 % slower on small monomial products.
+    # helper calls per entry, they made ``matrices.mul`` 1.5-5 % slower on
+    # small monomial products.
     den = 1
     for x, y in pairs:
         d = x.den * y.den
         if d != 1:
             den = lcm(den, d)
+    acc: dict = {}
+    get = acc.get
     if den == 1:
-        acc: dict = {}
-        get = acc.get
         for x, y in pairs:
             y_terms = y.terms.items()
             for m1, c1 in x.terms.items():
@@ -344,41 +344,15 @@ def _tuple_sum(pairs, scaled: dict = None) -> Polynomial:
                     m = _mono_mul(m1, m2)
                     acc[m] = get(m, 0) + c1 * c2
         return Polynomial(acc)
-    return _over(_tuple_acc({}, pairs, den, scaled, 1), den)
-
-
-def _tuple_acc(acc: dict, pairs, den: int, scaled, sign: int) -> dict:
-    """Add ``sign`` times the integer numerators of x*y over ``den``, for
-    the pairs, into ``acc``, keyed by monomial tuples; ``scaled`` is as in
-    ``_tuple_sum``.  With ``den`` 1 the coefficients are the numerators."""
-    get = acc.get
-    if den == 1:
-        for x, y in pairs:
-            y_terms = y.terms.items()
-            for m1, c1 in x.terms.items():
-                c1 *= sign
-                for m2, c2 in y_terms:
-                    m = _mono_mul(m1, m2)
-                    acc[m] = get(m, 0) + c1 * c2
-        return acc
     for x, y in pairs:
-        scale = sign * den // (x.den * y.den)
+        scale = den // (x.den * y.den)
         y_terms = _scaled(y, scaled)
         for m1, n1 in _scaled(x, scaled):
             n1 *= scale
             for m2, n2 in y_terms:
                 m = _mono_mul(m1, m2)
                 acc[m] = get(m, 0) + n1 * n2
-    return acc
-
-
-def _common_den(pairs, den: int = 1) -> int:
-    """The lcm of ``den`` and every pair's ``x.den * y.den``."""
-    for x, y in pairs:
-        d = x.den * y.den
-        if d != 1:
-            den = lcm(den, d)
-    return den
+    return _over(acc, den)
 
 
 def _over(acc: dict, den: int) -> Polynomial:
@@ -406,25 +380,21 @@ def _scaled(p: Polynomial, done: dict):
     return got
 
 
-def _pack(pair_lists) -> tuple:
-    """The packed encoding of every operand of ``pair_lists``: a map from
-    each operand's id to its ``(packed monomial, integer numerator)`` list,
-    and the ``(variable, shift, mask)`` fields that decode a packed
-    monomial, highest bits first.
+def _pack(operands: dict) -> tuple:
+    """The packed encoding of the polynomials ``operands``, a map from id to
+    polynomial: a map from each id to its ``(packed monomial, integer
+    numerator)`` list, with each coefficient multiplied by the polynomial's
+    ``den``; the ``(variable, shift, mask)`` fields that decode a packed
+    monomial, highest bits first; and the fields' total width.
 
     Each variable gets a bit field as wide as the largest exponent it can
-    reach in a product: the bit length of twice its largest exponent among
-    the operands.  The fields follow the sorted variables, the last in the
-    lowest bits.  A monomial is then one int, the sum of its exponents
-    shifted into their fields, and no field overflows into the next, so the
-    product of two monomials is the sum of their ints.  Each distinct
-    operand is encoded once.
+    reach in a product of two operands: the bit length of twice its largest
+    exponent among them.  The fields follow the sorted variables, the last
+    in the lowest bits.  A monomial is then one int, the sum of its
+    exponents shifted into their fields, and no field overflows into the
+    next, so the product of two monomials is the sum of their ints, and it
+    is below ``1 << width``.  Each operand is encoded once.
     """
-    operands = {}
-    for pairs in pair_lists:
-        for x, y in pairs:
-            operands[id(x)] = x
-            operands[id(y)] = y
     top: dict = {}
     for p in operands.values():
         for m in p.terms:
@@ -449,34 +419,38 @@ def _pack(pair_lists) -> tuple:
                 k += e << shifts[v]
             enc.append((k, n))
         packed[key] = enc
-    return packed, fields
-
-
-def _packed_acc(acc: dict, pairs, den: int, packed: dict, sign: int) -> dict:
-    """``_tuple_acc`` over the packed operands of ``_pack``: the keys of
-    ``acc`` are packed monomials."""
-    get = acc.get
-    for x, y in pairs:
-        scale = sign * den // (x.den * y.den)
-        y_terms = packed[id(y)]
-        for k1, n1 in packed[id(x)]:
-            n1 *= scale
-            for k2, n2 in y_terms:
-                k = k1 + k2
-                acc[k] = get(k, 0) + n1 * n2
-    return acc
+    return packed, fields, shift
 
 
 def _packed_products(batch) -> list:
     """``sum_of_products`` over packed monomials (``_pack``): each distinct
     output monomial that survives cancellation is decoded once."""
-    packed, fields = _pack(batch)
+    operands = {}
+    for pairs in batch:
+        for x, y in pairs:
+            operands[id(x)] = x
+            operands[id(y)] = y
+    packed, fields, _ = _pack(operands)
     decoded: dict = {}
     out = []
     for pairs in batch:
-        den = _common_den(pairs)
+        den = 1
+        for x, y in pairs:
+            d = x.den * y.den
+            if d != 1:
+                den = lcm(den, d)
+        acc: dict = {}
+        get = acc.get
+        for x, y in pairs:
+            scale = den // (x.den * y.den)
+            y_terms = packed[id(y)]
+            for k1, n1 in packed[id(x)]:
+                n1 *= scale
+                for k2, n2 in y_terms:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + n1 * n2
         terms = {}
-        for k, n in _packed_acc({}, pairs, den, packed, 1).items():
+        for k, n in acc.items():
             if n:
                 m = decoded.get(k)
                 if m is None:
@@ -489,37 +463,6 @@ def _packed_products(batch) -> list:
                 terms[m] = n
         out.append(Polynomial(terms) if den == 1 else _over(terms, den))
     return out
-
-
-def first_nonzero_sum(batch, work: int = 0, terms: int = 0):
-    """The index of the first entry of ``batch`` whose signed sum is not
-    zero, or None when every entry's is.
-
-    An entry is a pair ``(plus, minus)`` of pair lists, and its signed sum
-    is the sum of x*y over ``plus`` less the sum over ``minus``: the zero
-    test beside ``sum_of_products``, which decides "a product equals its
-    target" without building it.  Over the entry's common denominator D,
-    the sum is zero exactly when, for every monomial, the sum of its
-    integer numerators is zero, so the test divides nothing and builds no
-    ``Fraction`` and no polynomial.  ``work`` and ``terms`` choose the
-    monomial path as in ``sum_of_products``, and the operands are scaled
-    and packed by the same helpers.
-    """
-    if PACK_RATIO * terms < work:
-        acc_into = _packed_acc
-        operands, _ = _pack(pairs for entry in batch for pairs in entry)
-    else:
-        acc_into = _tuple_acc
-        operands = {}
-    for index, (plus, minus) in enumerate(batch):
-        den = _common_den(plus)
-        acc = {}
-        if minus:
-            den = _common_den(minus, den)
-            acc_into(acc, minus, den, operands, -1)
-        if any(acc_into(acc, plus, den, operands, 1).values()):
-            return index
-    return None
 
 
 def as_poly(x) -> Polynomial:

@@ -56,7 +56,9 @@ def kernel_counts(batch):
 def kernel_path(path):
     """Run ``sum_of_products`` on one monomial path, "tuple" or "packed":
     a ``PACK_RATIO`` of 0 packs every batch with a term product, an
-    infinite one none."""
+    infinite one none.  ``PACK_RATIO`` chooses only how products are
+    built: the zero tests of ``matrices`` have one packed path, so under
+    either setting they run the same code."""
     saved = poly.PACK_RATIO
     poly.PACK_RATIO = 0 if path == "packed" else math.inf
     try:

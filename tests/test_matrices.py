@@ -425,3 +425,125 @@ def test_first_difference_rejects_shape_mismatch():
     for a, b in ((mx.zeros(2, 3), mx.zeros(3, 2)), (mx.zeros(2, 2), mx.zeros(3, 3))):
         with pytest.raises(ValueError):
             mx.first_difference_both_ways(a, b, Polynomial.zero())
+
+
+# ---------------------------------------------------------------------------
+# the one packed zero test: shared objects, wide potentials, denominators
+
+
+def check_zero_test(a, b, w=None, c=None, d=None):
+    """``first_difference`` against ``mul`` followed by an entrywise
+    comparison with w*I or c*d, and with ``w`` also
+    ``first_difference_both_ways`` against both products; returns the
+    position ``first_difference`` names."""
+    target = mx.scalar_matrix(len(a), w) if c is None else mx.mul(c, d)
+    want = first_entry_differing(mx.mul(a, b), target)
+    assert mx.first_difference(a, b, w=w, c=c, d=d) == want
+    if c is None:
+        back = first_entry_differing(mx.mul(b, a), target)
+        both = (0, *want) if want else (1, *back) if back else None
+        assert mx.first_difference_both_ways(a, b, w) == both
+    return want
+
+
+def permuted_pair(a, b, order):
+    """c and d with c*d = a*b: a's columns and b's rows in ``order``; every
+    entry is a's or b's own object."""
+    return (mx.from_rows([[row[k] for k in order] for row in a]),
+            mx.from_rows([b[k] for k in order]))
+
+
+def test_zero_test_with_one_object_at_many_places_of_both_sides():
+    """One rational object s sits at many places of a and of b, beside
+    entries over 3 in a and over 5 in b, so each row's common denominator
+    mixes both sides'."""
+    px, py = Polynomial.var(X), Polynomial.var(Y)
+    s = px * Fraction(1, 2) + py
+    u = (px - 1) * Fraction(1, 3)
+    v = py * Fraction(2, 5) + Fraction(1, 5)
+    a = mx.from_rows([[s, u, s, 0], [s, s, 0, u], [0, s, s, s], [u, 0, s, s]])
+    b = mx.from_rows([[s, v, 0, s], [v, s, s, 0], [s, 0, s, v], [s, s, v, s]])
+    c, d = permuted_pair(a, b, [2, 0, 3, 1])
+    assert check_zero_test(a, b, c=c, d=d) is None
+    assert check_zero_test(a, b, w=s * s) is not None
+    for i, j in [(0, 0), (0, 2), (2, 3), (3, 1)]:
+        e = [list(row) for row in d]
+        e[i][j] = e[i][j] + Fraction(1, 7)
+        assert check_zero_test(a, b, c=c, d=mx.from_rows(e)) is not None
+
+
+def test_zero_test_with_a_potential_wider_than_every_entry_product():
+    """x*x has x at degree 2, and y does not occur in it: a potential's
+    x^9 and y must still get bit fields of their own."""
+    px, py = Polynomial.var(X), Polynomial.var(Y)
+    p = mx.from_rows([[px]])
+    assert check_zero_test(p, p, w=px ** 9 + py) == (0, 0)
+    for w in (py, px ** 2 + py, px ** 2 + px ** 8, px ** 3, py ** 5 * px ** 2):
+        assert check_zero_test(p, p, w=w) == (0, 0)
+    assert check_zero_test(p, p, w=px ** 2) is None
+    two = mx.from_rows([[px, 0], [0, px ** 2]])
+    assert check_zero_test(two, two, w=px ** 9 + py) == (0, 0)
+    assert check_zero_test(two, mx.from_rows([[px, 0], [0, 1]]), w=px ** 2) is None
+    # x^3 * x^3 needs a field for x^6: in one for x^3 alone, it would carry
+    # into the column bits and read as x^2 in column 1, which c*d holds.
+    cube = mx.from_rows([[px ** 3]])
+    assert check_zero_test(cube, mx.from_rows([[px ** 3, 0]]), c=mx.from_rows([[px]]),
+                           d=mx.from_rows([[0, px]])) == (0, 0)
+
+
+def test_zero_test_of_a_square_whose_variables_occur_only_in_c_and_d():
+    py = Polynomial.var(Y)
+    a = mx.from_rows([[1, 2]])
+    b = mx.from_rows([[3], [4]])
+    assert check_zero_test(a, b, c=mx.from_rows([[py, 1]]),
+                           d=mx.from_rows([[py], [11 - py ** 2]])) is None
+    assert check_zero_test(a, b, c=mx.from_rows([[py]]), d=mx.from_rows([[py]])) == (0, 0)
+    assert check_zero_test(mx.zeros(1, 2), b, c=mx.from_rows([[py, -py]]),
+                           d=mx.from_rows([[py], [py]])) is None
+    a, b = mx.identity(2), mx.from_rows([[1, 0], [0, 2]])
+    c = mx.from_rows([[py, 1], [0, 1]])
+    assert check_zero_test(a, b, c=c, d=mx.from_rows([[0, 0], [1, 2]])) == (0, 1)
+    assert check_zero_test(a, b, c=c, d=mx.from_rows([[py ** 9, 0], [1, 2]])) == (0, 0)
+
+
+def first_primes(n):
+    primes = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def test_zero_test_of_a_12x12_matrix_with_distinct_prime_denominators():
+    """Each of the 144 entries of a has its own prime denominator, so no
+    two rows share a common denominator."""
+    px, py = Polynomial.var(X), Polynomial.var(Y)
+    primes = iter(first_primes(144))
+    a = mx.from_rows([[(px + j - i) * Fraction(1, next(primes)) for j in range(12)]
+                      for i in range(12)])
+    b = mx.from_rows([[py ** (k % 3) * (k - j) if (k + j) % 3 else 0 for j in range(12)]
+                      for k in range(12)])
+    c, d = permuted_pair(a, b, [(5 * k) % 12 for k in range(12)])
+    assert check_zero_test(a, b, c=c, d=d) is None
+    for i, j in [(0, 0), (6, 11), (11, 11)]:
+        e = [list(row) for row in d]
+        e[i][j] = e[i][j] + Fraction(1, 2)
+        assert check_zero_test(a, b, c=c, d=mx.from_rows(e)) is not None
+    assert check_zero_test(a, b, w=px) is not None
+    assert check_zero_test(a, mx.zeros(12, 12), w=Polynomial.zero()) is None
+
+
+def test_zero_tests_do_not_read_the_pack_ratio(monkeypatch):
+    """``PACK_RATIO`` chooses how products are built; a zero test packs
+    whatever it says, so one that cannot be compared is never compared."""
+    px = Polynomial.var(X)
+    w = px ** 3
+    p = mx.from_rows([[0, px], [px ** 2, 0]])
+    monkeypatch.setattr(poly, "PACK_RATIO", object())
+    assert mx.first_difference(p, p, w=w) is None
+    assert mx.first_difference(p, p, w=px) == (0, 0)
+    assert mx.first_difference(p, p, c=p, d=p) is None
+    assert mx.first_difference_both_ways(p, p, w) is None
+    assert make_factorization(p, p, w).size == 2
