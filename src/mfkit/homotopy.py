@@ -6,7 +6,10 @@ lambda = (lambda0: X_even -> Y_odd, lambda1: X_odd -> Y_even) with
     q_Y * lambda0 + lambda1 * p_X == psi.alpha - phi.alpha   (even part)
     p_Y * lambda1 + lambda0 * q_X == psi.beta  - phi.beta    (odd part)
 
-`check_witness` evaluates both residuals exactly.  `find_witness` searches
+`check_witness` decides both equations exactly, in one zero test
+(`matrices.failure`) with psi - phi entered as two terms against the
+identity; it builds the residual matrices only when an equation fails, and
+a passing report holds zero matrices.  `find_witness` searches
 for lambda with entries of bounded total degree: each candidate entry is a
 linear combination of all monomials up to the bound with unknown rational
 coefficients, and the two equations become an exact linear system over Q.
@@ -50,7 +53,8 @@ its values, so the pivots, the rank, the first inconsistent equation and
 the solution -- each pivot value is rhs/c, read once at the end -- are
 exactly those of the reduced form over Q, and the witness bytes with them.
 The solution is checked against every input row, those left unreduced too,
-and a found witness is re-checked before it is returned.
+and a found witness is re-checked (`check_witness`, no product built)
+before it is returned.
 `NotFoundWithinDegree` only ever means "no witness with entries of this
 degree" -- nothing about higher degrees; it names the system's size, its
 rank and the first inconsistent equation.
@@ -141,26 +145,25 @@ def check_witness(
     psi: Morphism,
     w: HomotopyWitness,
 ) -> WitnessReport:
-    """Evaluate both homotopy equations for the given witness, exactly."""
+    """Decide both homotopy equations for the given witness exactly, in one
+    ``matrices.failure`` call: only a failure builds the residual matrices,
+    and a pass holds zero matrices."""
     _check_setup(x, y, phi, psi)
     l0 = mx.from_rows(w.lambda0)
     l1 = mx.from_rows(w.lambda1)
     want = (y.size, x.size)
     if mx.shape(l0) != want or mx.shape(l1) != want:
         raise ShapeMismatch(f"witness blocks must be {want}")
-    even = mx.sub(
-        mx.add(mx.mul(y.q, l0), mx.mul(l1, x.p)),
-        mx.sub(psi.alpha, phi.alpha),
-    )
-    odd = mx.sub(
-        mx.add(mx.mul(y.p, l1), mx.mul(l0, x.q)),
-        mx.sub(psi.beta, phi.beta),
-    )
-    return WitnessReport(
-        ok=mx.is_zero(even) and mx.is_zero(odd),
-        even_residual=even,
-        odd_residual=odd,
-    )
+    # psi - phi enters each equation as two terms against the identity.
+    i_x = mx.identity(x.size)
+    hit = mx.failure(
+        [(y.q, l0, 1), (l1, x.p, 1), (psi.alpha, i_x, -1), (phi.alpha, i_x, 1)],
+        [(y.p, l1, 1), (l0, x.q, 1), (psi.beta, i_x, -1), (phi.beta, i_x, 1)])
+    if hit is None:
+        zero = mx.zeros(*want)
+        return WitnessReport(ok=True, even_residual=zero, odd_residual=zero)
+    even, odd = hit[3]
+    return WitnessReport(ok=False, even_residual=even, odd_residual=odd)
 
 
 def _monomials_of_degree(nvars: int, total: int):

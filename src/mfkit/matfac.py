@@ -7,10 +7,10 @@ A factorization of f is a pair (p, q) of n x n polynomial matrices with
 where p is read as the even-to-odd map and q as the odd-to-even map of the
 Z2-graded differential.  Construction is eager: `make_factorization` refuses
 anything whose products do not come out exactly, reporting the first
-offending entry and its residual.  The check is an exact zero test of
-p*q - f*I and q*p - f*I over integer numerators
-(`matrices.first_difference_both_ways`), which builds no product; only a
-failure builds the product, for the diagnostic.
+offending entry and its residual.  The check is one exact zero test of the
+two equations p*q = f*I and q*p = f*I over integer numerators
+(`matrices.failure`), which builds no product; only a failure builds the
+residuals, for the diagnostic.
 
 A morphism (alpha, beta): X -> Y consists of an even block alpha and an odd
 block beta satisfying the two squares
@@ -19,11 +19,12 @@ block beta satisfying the two squares
     alpha * q_X == q_Y * beta        (odd sources)
 
 `Morphism(...)` itself only checks shapes and potentials, so invalid pairs
-can be built and inspected; `make_morphism` additionally requires both
-squares, by the same zero test, and is what the library uses internally.  Over a nonzero potential
-either square implies the other; `validate_morphism` evaluates both
-independently, and the acceptance tests check that property on its two
-residuals.
+can be built and inspected; `validate_morphism` decides both squares in one
+zero test, and builds their residual matrices only when one fails (a pass
+holds zero matrices); `make_morphism` is `Morphism` plus that check, and is
+what the library uses internally.  Over a nonzero potential either square
+implies the other; `validate_morphism` evaluates both independently, and
+the acceptance tests check that property on its two residuals.
 
 The JSON file format lives here too: canonical, byte-stable output --
 `serialize(parse(serialize(x)))` is the identity on bytes.
@@ -148,15 +149,6 @@ def _collect_vars(mats, potential, extra):
     return tuple(sorted(vs))
 
 
-def _check_product(name: str, prod, potential: Polynomial, n: int) -> None:
-    zero = Polynomial.zero()
-    for i in range(n):
-        for j in range(n):
-            expected = potential if i == j else zero
-            if prod[i][j] != expected:
-                raise NotAFactorization(name, i, j, prod[i][j] - expected)
-
-
 def make_factorization(p, q, potential, extra_vars=None) -> MatrixFactorization:
     """Validate and build: p*q == q*p == potential*I, exactly.
 
@@ -169,16 +161,14 @@ def make_factorization(p, q, potential, extra_vars=None) -> MatrixFactorization:
     n = len(p)
     if n == 0:
         raise ShapeMismatch("empty matrix")
-    if mx.shape(p) != (n, n) or mx.shape(q) != (n, n):
+    if len(p[0]) != n or len(q) != n or len(q[0]) != n:
         raise ShapeMismatch(
             f"expected square matrices of equal size, got {mx.shape(p)} and {mx.shape(q)}"
         )
-    hit = mx.first_difference_both_ways(p, q, potential)
+    hit = mx.failure([(p, q, 1)], [(q, p, 1)], w=potential)
     if hit is not None:
-        name, a, b = (("P*Q", p, q), ("Q*P", q, p))[hit[0]]
-        _check_product(name, mx.mul(a, b), potential, n)
-        raise RuntimeError(f"the zero test found {name} != w*I, "
-                           "but its product matches")
+        k, i, j, residuals = hit
+        raise NotAFactorization(("P*Q", "Q*P")[k], i, j, residuals[k][i][j])
     vars_all = _collect_vars((p, q), potential, extra_vars)
     return MatrixFactorization(p=p, q=q, potential=potential, size=n, vars=vars_all)
 
@@ -248,29 +238,26 @@ class MorphismReport(Record):
 
 
 def validate_morphism(m: Morphism) -> MorphismReport:
-    """Check both commuting squares exactly; residual matrices on failure."""
+    """Check both commuting squares exactly, in one ``matrices.failure``
+    call; only a failure builds the residual matrices, and a pass holds zero
+    matrices."""
     x, y = m.source, m.target
-    eq1 = mx.sub(mx.mul(m.beta, x.p), mx.mul(y.p, m.alpha))
-    eq2 = mx.sub(mx.mul(m.alpha, x.q), mx.mul(y.q, m.beta))
-    return MorphismReport(
-        ok=mx.is_zero(eq1) and mx.is_zero(eq2),
-        eq1_residual=eq1,
-        eq2_residual=eq2,
-    )
+    hit = mx.failure([(m.beta, x.p, 1), (y.p, m.alpha, -1)],
+                     [(m.alpha, x.q, 1), (y.q, m.beta, -1)])
+    if hit is None:
+        zero = mx.zeros(y.size, x.size)
+        return MorphismReport(ok=True, eq1_residual=zero, eq2_residual=zero)
+    eq1, eq2 = hit[3]
+    return MorphismReport(ok=False, eq1_residual=eq1, eq2_residual=eq2)
 
 
 def make_morphism(alpha, beta, source, target) -> Morphism:
     """Construct a morphism and insist both squares hold."""
     m = Morphism(alpha=alpha, beta=beta, source=source, target=target)
-    x, y = source, target
-    if (mx.first_difference(m.beta, x.p, c=y.p, d=m.alpha) is None
-            and mx.first_difference(m.alpha, x.q, c=y.q, d=m.beta) is None):
-        return m
     report = validate_morphism(m)
-    if report.ok:
-        raise RuntimeError("the zero test found a square that does not "
-                           "commute, but its residuals are zero")
-    raise NotAMorphism(report)
+    if not report.ok:
+        raise NotAMorphism(report)
+    return m
 
 
 def identity_morphism(x: MatrixFactorization) -> Morphism:
@@ -303,11 +290,10 @@ def compose_morphisms(g: Morphism, f: Morphism) -> Morphism:
 
 
 def _composes_to_identity(g: Morphism, f: Morphism) -> bool:
-    """Is g after f the identity?  Each block is decided by the exact zero
-    test of ``matrices.first_difference``; no product is built."""
-    one = Polynomial.const(1)
-    return all(mx.first_difference(gb, fb, w=one) is None
-               for gb, fb in ((g.alpha, f.alpha), (g.beta, f.beta)))
+    """Is g after f the identity?  Both blocks are decided in one exact
+    zero test, ``matrices.first_difference``; no product is built."""
+    return mx.first_difference([(g.alpha, f.alpha, 1)], [(g.beta, f.beta, 1)],
+                               w=Polynomial.const(1)) is None
 
 
 # -- file format -----------------------------------------------------------

@@ -19,18 +19,22 @@ none per term product, and the counts tell it whether to encode each
 operand once for the whole product.  Polynomials are immutable and their
 form is unique, so the results equal the entry-by-entry ones exactly.
 
-``first_difference`` decides a*b = w*I or a*b = c*d without building
-either product, and is the one zero test: the eager checks of ``matfac``
-run on it.  It lists each matrix's nonzero entries once, encodes each
-distinct entry object once as packed monomials with integer numerators
-(``poly._pack``, in fields wide enough for the products and for w), and
-sums each row of a*b - w*I or a*b - c*d in one map keyed by packed
-monomial and column, over the row's common denominator.  The first row
-with a nonzero value names the entry; nothing is decoded and no
-``Fraction`` is made.  ``PACK_RATIO`` plays no part here: it chooses only
-how ``mul`` builds a product.  ``first_difference_both_ways`` decides
-a*b = b*a = w*I, a factorization's check, with each matrix listed and
-encoded once for both products.
+``first_difference`` is the one zero test: each check mfkit makes is one
+call of it, or of ``failure``, over all the check's equations.  An
+equation is a list of signed products ``(a, b, sign)`` and reads
+sum(sign * a*b) = w*I, or = 0 without w: P*Q = Q*P = w*I, the two morphism
+squares, rho.psi = id, a naturality square, a homotopy witness's two
+equations.  No product is built.  Each distinct matrix is listed once for
+all the equations, each distinct entry object and w are encoded once as
+packed monomials with integer numerators (``poly._pack``, in fields wide
+enough for the products and for w), and each row of an equation is summed
+in one map keyed by packed monomial and column, over the row's common
+denominator.  The first row with a nonzero value names the entry; nothing
+is decoded and no ``Fraction`` is made.  ``PACK_RATIO`` plays no part
+here: it chooses only how ``mul`` builds a product.  ``failure`` runs the
+same test and, only when an equation fails, builds every equation's
+residual by ``mul`` (``residual``) to word the failure; residuals that do
+not show the entry the test named are an internal error.
 """
 
 from __future__ import annotations
@@ -105,17 +109,14 @@ def scale(a: Matrix, c: Scalar) -> Matrix:
 
 
 def _nonzero_rows(a: Matrix) -> list:
-    """Per row of a: its nonzero (j, entry), and the terms of those
-    entries."""
+    """Per row of a: its nonzero (j, entry)."""
     out = []
     for row in a:
         nonzero = []
-        n = 0
         for j, y in enumerate(row):
             if y.terms:
                 nonzero.append((j, y))
-                n += len(y.terms)
-        out.append((nonzero, n))
+        out.append(nonzero)
     return out
 
 
@@ -124,30 +125,27 @@ def _gather(a: Matrix, b: Matrix) -> tuple:
     to its nonzero (x, y), with the product's term products and operand
     terms counted as the kernel's path choice reads them."""
     b_rows = _nonzero_rows(b)
-    terms = sum(n for _, n in b_rows)
+    b_terms = [sum(len(y.terms) for _, y in row) for row in b_rows]
+    terms = sum(b_terms)
     work = 0
     rows = []
-    for a_row, _ in _nonzero_rows(a):
+    for a_row in _nonzero_rows(a):
         pairs = defaultdict(list)
         for k, x in a_row:
-            b_row, n = b_rows[k]
+            n = b_terms[k]
             if n:
                 t = len(x.terms)
                 work += t * n
                 terms += t
-                for j, y in b_row:
+                for j, y in b_rows[k]:
                     pairs[j].append((x, y))
         rows.append(pairs)
     return rows, work, terms
 
 
-def _check_product_shape(a: Matrix, b: Matrix) -> None:
+def mul(a: Matrix, b: Matrix) -> Matrix:
     if shape(a)[1] != shape(b)[0]:
         raise ValueError(f"cannot multiply {shape(a)} by {shape(b)}")
-
-
-def mul(a: Matrix, b: Matrix) -> Matrix:
-    _check_product_shape(a, b)
     rows, work, terms = _gather(a, b)
     batch = []  # every entry's pairs, row by row
     for pairs in rows:
@@ -168,7 +166,7 @@ def _right_rows(rows: list, packed: dict, width: int) -> list:
     of a zero test reads it: the lcm r of the row's denominators, and its
     terms as ``(packed monomial + (column << width), numerator over r)``."""
     out = []
-    for row, _ in rows:
+    for row in rows:
         r = 1
         for _, y in row:
             if y.den != 1:
@@ -195,14 +193,14 @@ def _first_row_difference(products, w, packed: dict, width: int):
     for i in range(len(products[0][0])):
         den = w_den
         for left, right, _ in products:
-            for k, x in left[i][0]:
+            for k, x in left[i]:
                 d = x.den * right[k][0]
                 if d != 1:
                     den = lcm(den, d)
         acc: dict = {}
         get = acc.get
         for left, right, sign in products:
-            for k, x in left[i][0]:
+            for k, x in left[i]:
                 r, ys = right[k]
                 s = sign if den == 1 else sign * den // (x.den * r)
                 for m1, c1 in packed[id(x)]:
@@ -221,61 +219,77 @@ def _first_row_difference(products, w, packed: dict, width: int):
     return None
 
 
-def _zero_test(mats: list, w) -> tuple:
-    """The ``_nonzero_rows`` of each matrix of ``mats``, the packed encoding
-    (``poly._pack``) of their distinct nonzero entries and of ``w``, and its
-    width."""
-    rows = [_nonzero_rows(a) for a in mats]
-    operands = {id(y): y for a in rows for row, _ in a for _, y in row}
+def first_difference(*equations, w: Polynomial = None):
+    """``(k, i, j)`` of the first entry, in row-major order, where equation
+    k, the first that fails, does not hold; or None where all hold.
+
+    An equation is a list of ``(a, b, sign)`` terms, sign 1 or -1, and reads
+    sum(sign * a*b) = w*I when ``w`` is given, else = 0.  No product is
+    built, and no entry is decoded: each distinct matrix (by ``id``) is
+    listed once, each distinct entry and w are packed once for all the
+    equations, and each row of an equation is summed in one map of integer
+    numerators (``_first_row_difference``).
+    """
+    rows = {}  # id of a matrix -> its _nonzero_rows
+    for terms in equations:
+        if not terms:
+            raise ValueError("an equation has no term")
+        a, b, _ = terms[0]
+        n, m = len(a), len(b[0]) if b else 0
+        if w is not None and n != m:
+            raise ValueError(f"a {n}x{m} product has no diagonal")
+        for a, b, _ in terms:
+            if (len(a[0]) if a else 0) != len(b):
+                raise ValueError(f"cannot multiply {shape(a)} by {shape(b)}")
+            if len(a) != n or (len(b[0]) if b else 0) != m:
+                raise ValueError(f"cannot add a {len(a)}x{shape(b)[1]} product "
+                                 f"to a {n}x{m} one")
+            if id(a) not in rows:
+                rows[id(a)] = _nonzero_rows(a)
+            if id(b) not in rows:
+                rows[id(b)] = _nonzero_rows(b)
+    operands = {id(y): y for a in rows.values() for row in a for _, y in row}
     if w is not None:
         operands[id(w)] = w
     packed, _, width = _pack(operands)
-    return rows, packed, width
-
-
-def first_difference(a: Matrix, b: Matrix, w: Polynomial = None,
-                     c: Matrix = None, d: Matrix = None):
-    """(i, j) of the first entry, in row-major order, where a*b differs
-    from w*I (when ``w`` is given) or from c*d, or None where none does.
-
-    Neither product is built, and no entry is decoded: each distinct entry
-    is packed once, and each row of a*b - w*I or a*b - c*d is summed in one
-    map of integer numerators (``_first_row_difference``).
-    """
-    _check_product_shape(a, b)
-    if w is None:
-        _check_product_shape(c, d)
-        if shape(c)[0] != len(a) or shape(d)[1] != shape(b)[1]:
-            raise ValueError(f"cannot compare a {len(a)}x{shape(b)[1]} "
-                             f"product with a {shape(c)[0]}x{shape(d)[1]} one")
-    elif shape(b)[1] != len(a):
-        raise ValueError(f"a {len(a)}x{shape(b)[1]} product has no diagonal")
-    rows, packed, width = _zero_test([a, b, c, d] if w is None else [a, b], w)
-    products = [(rows[0], _right_rows(rows[1], packed, width), 1)]
-    if w is None:
-        products.append((rows[2], _right_rows(rows[3], packed, width), -1))
-    return _first_row_difference(products, w, packed, width)
-
-
-def first_difference_both_ways(a: Matrix, b: Matrix, w: Polynomial):
-    """``(0, i, j)`` for the first entry, in row-major order, where a*b
-    differs from w*I, else ``(1, i, j)`` for the first where b*a does, or
-    None where neither does; a and b are square and of one size.
-
-    ``first_difference(a, b, w)`` and then ``first_difference(b, a, w)``,
-    with each matrix's nonzero entries listed and packed once for both.
-    """
-    n = len(a)
-    if shape(a) != (n, n) or shape(b) != (n, n):
-        raise ValueError(f"expected square matrices of equal size, "
-                         f"got {shape(a)} and {shape(b)}")
-    (a_rows, b_rows), packed, width = _zero_test([a, b], w)
-    for which, left, right in ((0, a_rows, b_rows), (1, b_rows, a_rows)):
-        hit = _first_row_difference(
-            [(left, _right_rows(right, packed, width), 1)], w, packed, width)
+    right = {}  # id of a matrix -> its _right_rows
+    for k, terms in enumerate(equations):
+        for _, b, _ in terms:
+            if id(b) not in right:
+                right[id(b)] = _right_rows(rows[id(b)], packed, width)
+        products = [(rows[id(a)], right[id(b)], sign) for a, b, sign in terms]
+        hit = _first_row_difference(products, w, packed, width)
         if hit is not None:
-            return (which, *hit)
+            return (k, *hit)
     return None
+
+
+def residual(terms, w: Polynomial = None) -> Matrix:
+    """sum(sign * a*b) over the ``(a, b, sign)`` terms of an equation, less
+    w*I when ``w`` is given: the equation's residual, built by ``mul``."""
+    out = None
+    for a, b, sign in terms:
+        prod = mul(a, b) if sign == 1 else neg(mul(a, b))
+        out = prod if out is None else add(out, prod)
+    if w is not None:
+        out = sub(out, scalar_matrix(len(out), w))
+    return out
+
+
+def failure(*equations, w: Polynomial = None):
+    """None where every equation holds (``first_difference``), else
+    ``(k, i, j, residuals)``: the first failing entry, and each equation's
+    ``residual``.  Only a failure builds the residuals."""
+    hit = first_difference(*equations, w=w)
+    if hit is None:
+        return None
+    residuals = tuple(residual(terms, w) for terms in equations)
+    first = next(((k, *at[:2]) for k, r in enumerate(residuals)
+                  if (at := first_nonzero(r))), None)
+    if first != hit:
+        raise RuntimeError(f"the zero test named entry {hit}, but the "
+                           f"residuals' first nonzero entry is {first}")
+    return (*hit, residuals)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -308,10 +322,6 @@ def map_entries(fn, a: Matrix) -> Matrix:
 
 def subs_matrix(a: Matrix, mapping) -> Matrix:
     return map_entries(lambda e: substitute(e, mapping), a)
-
-
-def is_zero(a: Matrix) -> bool:
-    return all(not e for row in a for e in row)
 
 
 def first_nonzero(a: Matrix):

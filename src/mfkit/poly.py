@@ -413,7 +413,7 @@ def _pack(operands: dict) -> tuple:
     packed = {}
     for key, p in operands.items():
         enc = []
-        for m, n in _numerators(p):
+        for m, n in p.terms.items() if p.den == 1 else _numerators(p):
             k = 0
             for v, e in m:
                 k += e << shifts[v]

@@ -53,9 +53,9 @@ alone; no unit factorization is built:
 
 Even words contribute to the X-parity-preserving chunks, odd words to the
 parity-swapping ones.  Both rho and psi are validated eagerly, and
-rho . psi = id is asserted before a bundle is returned, by the exact zero
-test of ``matrices.first_difference``: the composite is built only when
-the test fails, to name the entry.  The left unitor
+rho . psi = id is asserted before a bundle is returned, by one exact zero
+test of both blocks (``matrices.failure``): the residuals are built only
+when the test fails, to name the entry.  The left unitor
 mirrors the construction with the unit taken in the z-variables, collapsed
 on z' = z; the correction sign flips because the z-derivative of the
 potential has the opposite sign.  X may not use a primed generator variable
@@ -76,9 +76,7 @@ from .matfac import (
     Morphism,
     PotentialMismatch,
     Record,
-    _composes_to_identity,
     _set,
-    compose_morphisms,
     make_factorization,
     make_morphism,
 )
@@ -281,17 +279,13 @@ def _build_bundle(x: MatrixFactorization, f: Polynomial, fvars, side: str):
                            for eps in (0, 1))
     psi = make_morphism(alpha=alpha_psi, beta=beta_psi, source=x, target=z)
 
-    if not _composes_to_identity(rho, psi):
-        # Only a failure builds rho . psi, to name the entry.
-        round_trip = compose_morphisms(rho, psi)
-        ident = mx.identity(r)
-        for block_name in ("alpha", "beta"):
-            hit = mx.first_nonzero(mx.sub(getattr(round_trip, block_name), ident))
-            if hit:
-                i, j, residual = hit
-                raise RuntimeError(
-                    f"unitor invariant failed: rho . psi is not the identity: "
-                    f"{block_name}[{i}][{j}] deviates by {residual}")
+    hit = mx.failure([(rho.alpha, psi.alpha, 1)], [(rho.beta, psi.beta, 1)],
+                     w=Polynomial.const(1))
+    if hit is not None:
+        k, i, j, residuals = hit
+        raise RuntimeError(
+            f"unitor invariant failed: rho . psi is not the identity: "
+            f"{('alpha', 'beta')[k]}[{i}][{j}] deviates by {residuals[k][i][j]}")
     return UnitorBundle(z=z, rho=rho, psi=psi, side=side)
 
 
@@ -336,10 +330,10 @@ def naturality_check(p: Morphism, f: Polynomial, fvars=None) -> NaturalityReport
     Builds the collapsed products of p's source and target with their
     projections rho (no psi is needed; an endomorphism builds one), and
     forms the tensored morphism on them (``tensor_morphisms``' blocks,
-    swapped to the shifted layout).  Each block's square is decided by the
-    exact zero test of ``matrices.first_difference``, which builds neither
-    composite.  Only a failing square builds the composites, for the
-    residuals; when both hold, the residuals are zero matrices.
+    swapped to the shifted layout).  Both blocks' squares are decided in
+    one exact zero test (``matrices.failure``), which builds neither
+    composite.  Only a failing square builds the residuals
+    rho_Y.(p tensor id) - p.rho_X; when both hold, they are zero matrices.
     """
     (_, even, _), zx, rho_x = _collapsed_product(p.source, f, fvars)
     if p.source is p.target:
@@ -350,14 +344,10 @@ def naturality_check(p: Morphism, f: Polynomial, fvars=None) -> NaturalityReport
     # Z swaps the tensor layout's two matrices, so its blocks swap too.
     beta, alpha = _tensor_blocks(p.alpha, p.beta, i_m, i_m)
     p_tensor_id = make_morphism(alpha=alpha, beta=beta, source=zx, target=zy)
-    squares = ((rho_y.alpha, p_tensor_id.alpha, p.alpha, rho_x.alpha),
-               (rho_y.beta, p_tensor_id.beta, p.beta, rho_x.beta))
-    if all(mx.first_difference(a, b, c=c, d=d) is None for a, b, c, d in squares):
+    hit = mx.failure([(rho_y.alpha, p_tensor_id.alpha, 1), (p.alpha, rho_x.alpha, -1)],
+                     [(rho_y.beta, p_tensor_id.beta, 1), (p.beta, rho_x.beta, -1)])
+    if hit is None:
         zero = mx.zeros(p.target.size, zx.size)
         return NaturalityReport(ok=True, alpha_residual=zero, beta_residual=zero)
-    alpha_res, beta_res = (mx.sub(mx.mul(a, b), mx.mul(c, d)) for a, b, c, d in squares)
-    return NaturalityReport(
-        ok=mx.is_zero(alpha_res) and mx.is_zero(beta_res),
-        alpha_residual=alpha_res,
-        beta_residual=beta_res,
-    )
+    alpha_res, beta_res = hit[3]
+    return NaturalityReport(ok=False, alpha_residual=alpha_res, beta_residual=beta_res)

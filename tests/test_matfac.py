@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from mfkit import matfac, poly
+from mfkit import matfac, poly, unit
 from mfkit import matrices as mx
+from mfkit.homotopy import HomotopyWitness, WitnessReport, check_witness, find_witness
 from mfkit.matfac import (
     MatrixFactorization,
     Morphism,
+    MorphismReport,
     NotAFactorization,
     NotAMorphism,
     PotentialMismatch,
@@ -25,10 +27,10 @@ from mfkit.matfac import (
     zero_morphism,
 )
 from mfkit.poly import Polynomial, Variable, poly_to_str
-from mfkit.tensor import tensor_morphisms, yoshino
-from mfkit.unit import koszul_unit
+from mfkit.tensor import _tensor_blocks, tensor_morphisms, yoshino
+from mfkit.unit import NaturalityReport, koszul_unit, naturality_check, unitor_right
 
-from conftest import PX, PY, X, Y, rand_factorization, rand_poly
+from conftest import PX, PY, PZ, X, Y, rand_factorization, rand_poly
 
 M_BLOCKS = [[0, PX], [PX ** 2, 0]]
 
@@ -177,7 +179,7 @@ def test_invalid_squares_are_constructible(m_cubed):
     )
     report = validate_morphism(bad)
     assert not report.ok
-    assert not mx.is_zero(report.eq1_residual)
+    assert mx.first_nonzero(report.eq1_residual) is not None
     assert "residual at" in report.describe()
 
 
@@ -227,14 +229,17 @@ def test_compose_shape_mismatch(m_cubed, rank_one_cubed):
 SPLIT = make_factorization([[0, 0], [0, PX]], [[PX, 0], [0, 0]], 0)
 
 
-@pytest.mark.parametrize("alpha, beta, want", [
+SPLIT_SQUARES = [
     ([[1, 0], [0, 1]], [[1, 0], [0, Fraction(1, 3)]],
      "even square residual at [1][1]: -2/3*x"),
     ([[Fraction(1, 2), 0], [0, 1]], [[1, 0], [0, 1]],
      "odd square residual at [0][0]: -1/2*x"),
     ([[0, 0], [0, 1]], [[1, 0], [0, 0]],
      "even square residual at [1][1]: -1*x; odd square residual at [0][0]: -1*x"),
-])
+]
+
+
+@pytest.mark.parametrize("alpha, beta, want", SPLIT_SQUARES)
 def test_not_a_morphism_names_the_failing_square(alpha, beta, want):
     with pytest.raises(NotAMorphism) as err:
         make_morphism(alpha, beta, SPLIT, SPLIT)
@@ -242,19 +247,73 @@ def test_not_a_morphism_names_the_failing_square(alpha, beta, want):
     assert err.value.report.describe() == want
 
 
-def test_valid_inputs_build_no_product(monkeypatch):
-    """make_factorization and make_morphism decide valid inputs by the zero
-    test alone: neither calls the product kernel nor builds a product."""
+# A factorization of x^3 of size 1 beside M's size 2, a valid morphism
+# between them, a potential with a unit, and X factoring z^3 - x^3: the
+# homotopy, naturality and unitor checks on them, at different sizes.
+R_CUBED = make_factorization([[PX]], [[PX ** 2]], PX ** 3)
+ZX = make_factorization([[PZ - PX]], [[PZ ** 2 + PX * PZ + PX ** 2]], PZ ** 3 - PX ** 3)
+
+
+def _r_to_m(m_cubed):
+    return make_morphism([[1], [0]], [[0], [PX]], R_CUBED, m_cubed)
+
+
+def _morphism_report_by_products(m):
+    """The morphism report as both products give it: each square's
+    residual by ``mul`` and ``sub``."""
+    x, y = m.source, m.target
+    eq1 = mx.sub(mx.mul(m.beta, x.p), mx.mul(y.p, m.alpha))
+    eq2 = mx.sub(mx.mul(m.alpha, x.q), mx.mul(y.q, m.beta))
+    ok = mx.first_nonzero(eq1) is None and mx.first_nonzero(eq2) is None
+    return MorphismReport(ok=ok, eq1_residual=eq1, eq2_residual=eq2)
+
+
+def _witness_report_by_products(x, y, phi, psi, w):
+    """The witness report as the products give it: each homotopy
+    equation's residual by ``mul``, ``add`` and ``sub``."""
+    l0, l1 = mx.from_rows(w.lambda0), mx.from_rows(w.lambda1)
+    even = mx.sub(mx.add(mx.mul(y.q, l0), mx.mul(l1, x.p)), mx.sub(psi.alpha, phi.alpha))
+    odd = mx.sub(mx.add(mx.mul(y.p, l1), mx.mul(l0, x.q)), mx.sub(psi.beta, phi.beta))
+    ok = mx.first_nonzero(even) is None and mx.first_nonzero(odd) is None
+    return WitnessReport(ok=ok, even_residual=even, odd_residual=odd)
+
+
+def _naturality_report_by_products(p, f, fvars):
+    """The naturality report as the products give it: both collapsed
+    products (by ``unit._collapsed_product`` as patched), and each square's
+    residual rho_Y.(p x id) - p.rho_X by ``mul`` and ``sub``."""
+    (_, even, _), zx, rho_x = unit._collapsed_product(p.source, f, fvars)
+    _, zy, rho_y = unit._collapsed_product(p.target, f, fvars)
+    i_m = mx.identity(len(even))
+    beta, alpha = _tensor_blocks(p.alpha, p.beta, i_m, i_m)
+    p_id = make_morphism(alpha=alpha, beta=beta, source=zx, target=zy)
+    alpha_res, beta_res = (mx.sub(mx.mul(a, b), mx.mul(c, d)) for a, b, c, d in (
+        (rho_y.alpha, p_id.alpha, p.alpha, rho_x.alpha),
+        (rho_y.beta, p_id.beta, p.beta, rho_x.beta)))
+    ok = mx.first_nonzero(alpha_res) is None and mx.first_nonzero(beta_res) is None
+    return NaturalityReport(ok=ok, alpha_residual=alpha_res, beta_residual=beta_res)
+
+
+def test_valid_inputs_build_no_product(monkeypatch, m_cubed):
+    """Every check decides valid inputs by the zero test alone: none calls
+    the product kernel or builds a product, and the residuals of a passing
+    report are zero matrices."""
     xs = tuple(Variable(f"x{i}") for i in range(1, 4))
     f = sum((Polynomial.var(v) ** 3 * Fraction(i + 1, i + 2) for i, v in enumerate(xs)),
             Polynomial.zero())
-    unit = koszul_unit(f, xs).mf
+    unit_mf = koszul_unit(f, xs).mf
     a, b = _size8_factors()
     z = yoshino(a, b)
     tensored = tensor_morphisms(scalar_morphism(PY, b), scalar_morphism(PX + 2, a))
-    morphisms = [scalar_morphism(Polynomial.var(xs[0]) + Fraction(1, 2), unit),
-                 scalar_morphism(PX * PY, z), tensored]
-    assert (unit.size, z.size, tensored.source.size) == (4, 8, 8)
+    morphisms = [scalar_morphism(Polynomial.var(xs[0]) + Fraction(1, 2), unit_mf),
+                 scalar_morphism(PX * PY, z), tensored, _r_to_m(m_cubed)]
+    assert (unit_mf.size, z.size, tensored.source.size) == (4, 8, 8)
+    s_x, zero = scalar_morphism(PX, m_cubed), zero_morphism(m_cubed)
+    found = find_witness(m_cubed, m_cubed, s_x, zero, 2)
+    searches = [(m_cubed, m_cubed, s_x, zero, 2), (R_CUBED, m_cubed, _r_to_m(m_cubed),
+                                                   _r_to_m(m_cubed), 1)]
+    found_too = [find_witness(*args) for args in searches]
+    bundle = unitor_right(ZX, PX ** 3, (X,))
 
     def refuse(*args):
         raise AssertionError("an eager check built a product")
@@ -262,24 +321,83 @@ def test_valid_inputs_build_no_product(monkeypatch):
     monkeypatch.setattr(poly, "sum_of_products", refuse)
     monkeypatch.setattr(mx, "sum_of_products", refuse)
     monkeypatch.setattr(mx, "mul", refuse)
-    for x in (unit, z):
+    for x in (unit_mf, z):
         assert make_factorization(x.p, x.q, x.potential, extra_vars=x.vars) == x
     for m in morphisms:
         assert make_morphism(m.alpha, m.beta, m.source, m.target) == m
+        zeros = mx.zeros(m.target.size, m.source.size)
+        assert validate_morphism(m) == MorphismReport(True, zeros, zeros)
+    zeros = mx.zeros(2, 2)
+    assert check_witness(m_cubed, m_cubed, s_x, zero, found) == WitnessReport(
+        True, zeros, zeros)
+    assert [find_witness(*args) for args in searches] == found_too
+    assert naturality_check(scalar_morphism(PZ, ZX), PX ** 3, (X,)).ok
+    assert unitor_right(ZX, PX ** 3, (X,)) == bundle
+
+
+def test_reports_equal_the_reports_the_products_give(monkeypatch, m_cubed):
+    """Each report, passing or failing, is the one the products give."""
+    r_to_m = _r_to_m(m_cubed)
+    morphisms = [identity_morphism(m_cubed), scalar_morphism(PX + 2, m_cubed), r_to_m,
+                 Morphism([[1, 0], [0, 0]], [[1, 0], [0, 0]], m_cubed, m_cubed),
+                 Morphism([[1], [PX]], [[0], [PX]], R_CUBED, m_cubed)]
+    morphisms += [Morphism(alpha, beta, SPLIT, SPLIT) for alpha, beta, _ in SPLIT_SQUARES]
+    for m in morphisms:
+        assert validate_morphism(m) == _morphism_report_by_products(m)
+    assert [validate_morphism(m).ok for m in morphisms] == [True] * 3 + [False] * 5
+
+    s_x, zero = scalar_morphism(PX, m_cubed), zero_morphism(m_cubed)
+    found = find_witness(m_cubed, m_cubed, s_x, zero, 2)
+    nudged = HomotopyWitness(mx.add(found.lambda0, mx.identity(2)), found.lambda1, 2)
+    r_zero = zero_morphism(R_CUBED, m_cubed)
+    flat = HomotopyWitness(mx.zeros(2, 1), mx.zeros(2, 1), 0)
+    searches = [(m_cubed, m_cubed, s_x, zero, found), (m_cubed, m_cubed, s_x, zero, nudged),
+                (m_cubed, m_cubed, identity_morphism(m_cubed), zero, found),
+                (R_CUBED, m_cubed, r_zero, r_zero, flat), (R_CUBED, m_cubed, r_to_m, r_zero, flat),
+                (m_cubed, R_CUBED, zero_morphism(m_cubed, R_CUBED),
+                 zero_morphism(m_cubed, R_CUBED), HomotopyWitness(
+                     mx.zeros(1, 2), mx.from_rows([[0, PX]]), 1))]
+    for args in searches:
+        assert check_witness(*args) == _witness_report_by_products(*args)
+    assert [check_witness(*args).ok for args in searches] == [True, False, False,
+                                                              True, False, False]
+
+    for p in (identity_morphism(ZX), scalar_morphism(PZ - 1, ZX)):
+        assert naturality_check(p, PX ** 3, (X,)) == _naturality_report_by_products(
+            p, PX ** 3, (X,))
+    zx_copy = make_factorization(ZX.p, ZX.q, ZX.potential)
+    collapsed = unit._collapsed_product
+
+    def doubled_target(x, f, fvars):
+        gens, z, rho = collapsed(x, f, fvars)
+        if x is zx_copy:
+            rho = compose_morphisms(scalar_morphism(2, x), rho)
+        return gens, z, rho
+
+    p = make_morphism(mx.identity(1), mx.identity(1), ZX, zx_copy)
+    monkeypatch.setattr(unit, "_collapsed_product", doubled_target)
+    report = naturality_check(p, PX ** 3, (X,))
+    assert not report.ok
+    assert report == _naturality_report_by_products(p, PX ** 3, (X,))
 
 
 def test_a_difference_the_product_does_not_show_is_an_internal_error(
         monkeypatch, m_cubed):
-    for product in (0, 1):
-        monkeypatch.setattr(mx, "first_difference_both_ways",
-                            lambda *args, product=product: (product, 0, 0))
-        with pytest.raises(RuntimeError) as err:
-            make_factorization(M_BLOCKS, M_BLOCKS, PX ** 3)
-        assert str(err.value) == (f"the zero test found {('P*Q', 'Q*P')[product]} "
-                                  "!= w*I, but its product matches")
-    monkeypatch.setattr(mx, "first_difference", lambda *args, **kwargs: (0, 0))
-    with pytest.raises(RuntimeError, match="zero test"):
-        make_morphism(mx.identity(2), mx.identity(2), m_cubed, m_cubed)
+    """A zero test that names an entry the residuals do not hold is an
+    internal error, raised by ``matrices.failure`` for every check."""
+    phi = scalar_morphism(PX, m_cubed)
+    witness = HomotopyWitness(mx.zeros(2, 2), mx.zeros(2, 2), 0)
+    checks = [lambda: make_factorization(M_BLOCKS, M_BLOCKS, PX ** 3),
+              lambda: make_morphism(mx.identity(2), mx.identity(2), m_cubed, m_cubed),
+              lambda: check_witness(m_cubed, m_cubed, phi, phi, witness)]
+    for named in ((0, 0, 0), (1, 0, 0)):
+        monkeypatch.setattr(mx, "first_difference",
+                            lambda *equations, w=None, named=named: named)
+        for check in checks:
+            with pytest.raises(RuntimeError) as err:
+                check()
+            assert str(err.value) == (f"the zero test named entry {named}, but the "
+                                      "residuals' first nonzero entry is None")
 
 
 # ---------------------------------------------------------------------------

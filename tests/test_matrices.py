@@ -111,11 +111,11 @@ def test_zero_rows_and_columns():
     a = mx.from_rows([[0, 0, 0], [1, Polynomial.var(X), 0], [0, 0, 0]])
     b = mx.from_rows([[Polynomial.var(Y), 0], [0, 0], [2, 0]])
     assert_same(mx.mul(a, b), naive_mul(a, b))
-    assert mx.is_zero(mx.mul(a, mx.zeros(3, 4)))
-    assert mx.is_zero(mx.mul(mx.zeros(2, 3), a))
-    assert mx.is_zero(mx.kron(mx.zeros(2, 2), a))
+    assert mx.first_nonzero(mx.mul(a, mx.zeros(3, 4))) is None
+    assert mx.first_nonzero(mx.mul(mx.zeros(2, 3), a)) is None
+    assert mx.first_nonzero(mx.kron(mx.zeros(2, 2), a)) is None
     assert mx.add(mx.zeros(3, 3), a) == a
-    assert mx.is_zero(mx.neg(mx.zeros(2, 5)))
+    assert mx.first_nonzero(mx.neg(mx.zeros(2, 5))) is None
 
 
 def test_mul_rejects_shape_mismatch():
@@ -304,26 +304,54 @@ def test_kron_on_both_paths_matches_the_naive_product(name, path):
 
 # ---------------------------------------------------------------------------
 # the zero test against the full product
+#
+# An equation is a list of (a, b, sign) terms and reads sum(sign * a*b) = w*I
+# (or = 0 without w).  The oracle builds each residual with mul, add and neg
+# and names its first nonzero entry.
 
 
-def first_entry_differing(prod, target):
-    """(i, j) of the first entry of ``prod``, row by row, that differs from
-    the same entry of ``target``, or None."""
-    for i, (row, want_row) in enumerate(zip(prod, target)):
-        for j, (got, want) in enumerate(zip(row, want_row)):
-            if got != want:
-                return (i, j)
-    return None
+def oracle_residual(terms, w=None):
+    """sum(sign * a*b) over ``terms``, less w*I when ``w`` is given, by
+    ``mul``, ``add`` and ``neg``."""
+    out = None
+    for a, b, sign in terms:
+        prod = mx.mul(a, b)
+        if sign == -1:
+            prod = mx.neg(prod)
+        out = prod if out is None else mx.add(out, prod)
+    if w is not None:
+        out = mx.add(out, mx.neg(mx.scalar_matrix(len(out), w)))
+    return out
 
 
-def check_first_difference(path, a, b, w=None, c=None, d=None):
-    """``first_difference`` on ``path`` against ``mul`` followed by an
-    entrywise comparison with w*I or c*d; returns the position found."""
-    target = mx.scalar_matrix(len(a), w) if c is None else mx.mul(c, d)
-    want = first_entry_differing(mx.mul(a, b), target)
-    with kernel_path(path):
-        assert mx.first_difference(a, b, w=w, c=c, d=d) == want
+def oracle(equations, w=None):
+    """The residuals of ``equations``, and ``(k, i, j)`` of the first
+    nonzero entry of the first nonzero one, or None."""
+    residuals = tuple(oracle_residual(terms, w) for terms in equations)
+    for k, res in enumerate(residuals):
+        for i, row in enumerate(res):
+            for j, e in enumerate(row):
+                if e:
+                    return (k, i, j), residuals
+    return None, residuals
+
+
+def check_zero_test(*equations, w=None):
+    """``first_difference`` and ``failure`` against the oracle, on all the
+    equations at once and on each alone; returns ``(k, i, j)`` or None."""
+    for terms in equations:
+        assert mx.first_difference(terms, w=w) == oracle([terms], w)[0]
+    want, residuals = oracle(equations, w)
+    assert mx.first_difference(*equations, w=w) == want
+    got = mx.failure(*equations, w=w)
+    assert got == (None if want is None else (*want, residuals))
     return want
+
+
+def check_first_difference(path, *equations, w=None):
+    """``check_zero_test`` with the products built on ``path``."""
+    with kernel_path(path):
+        return check_zero_test(*equations, w=w)
 
 
 def small_fractions(nonzero=False):
@@ -363,12 +391,7 @@ def test_first_difference_against_w_times_identity(path, n, data):
     if data.draw(st.booleans()):
         a[data.draw(st.integers(0, n - 1))] = [0] * n
     a = mx.from_rows(a)
-    w = f * g
-    ab = check_first_difference(path, a, b, w=w)
-    ba = check_first_difference(path, b, a, w=w)
-    want = (0, *ab) if ab else (1, *ba) if ba else None
-    with kernel_path(path):
-        assert mx.first_difference_both_ways(a, b, w) == want
+    check_first_difference(path, [(a, b, 1)], [(b, a, 1)], w=f * g)
 
 
 @pytest.mark.parametrize("path", ["tuple", "packed"])
@@ -387,9 +410,52 @@ def test_first_difference_against_another_product(path, rows, inner, cols, data)
     order = data.draw(st.permutations(range(inner + 1)))
     c = mx.from_rows([[(row + col)[k] for k in order] for row, col in zip(a, u)])
     d = mx.from_rows([(b + v)[k] for k in order])
-    want = check_first_difference(path, a, b, c=c, d=d)
-    assert (want is None) == mx.is_zero(mx.mul(u, v))
-    check_first_difference(path, c, d, c=a, d=b)
+    want = check_first_difference(path, [(a, b, 1), (c, d, -1)])
+    assert (want is None) == (mx.first_nonzero(mx.mul(u, v)) is None)
+    check_first_difference(path, [(c, d, 1), (a, b, -1)])
+
+
+@st.composite
+def equations(draw):
+    """``(equations, w)``: 1-2 equations of 1-4 signed terms over one output
+    shape, with or without w.  One square matrix s is drawn once and may
+    stand on either side of any term of any equation; a term may be w*I
+    written as (w*I) * I; and the terms drawn may be followed by each again
+    with the opposite sign (the same objects), so that they cancel."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    w = draw(st.one_of(st.none(), rational_polys()))
+    m = n if w is not None else draw(st.integers(min_value=1, max_value=3))
+    s = draw(rational_matrices(n, n))
+    kinds = ["s*b", "a*b"] + (["a*s", "s*s"] if m == n else []) + (
+        ["w*I"] if w is not None else [])
+
+    def term():
+        kind = draw(st.sampled_from(kinds))
+        if kind == "w*I":
+            return (mx.scalar_matrix(n, w), mx.identity(n), 1), kind
+        k = n if kind != "a*b" else draw(st.integers(min_value=1, max_value=3))
+        a = s if kind in ("s*b", "s*s") else draw(rational_matrices(n, k))
+        b = s if kind in ("a*s", "s*s") else draw(rational_matrices(k, m))
+        return (a, b, draw(st.sampled_from((1, -1)))), kind
+
+    out = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        drawn = [term() for _ in range(draw(st.integers(min_value=1, max_value=2)))]
+        terms = [t for t, _ in drawn]
+        if draw(st.booleans()):
+            terms += [(a, b, -sign) for (a, b, sign), kind in drawn if kind != "w*I"]
+        out.append(terms)
+    return out, w
+
+
+@settings(max_examples=150, deadline=None)
+@given(equations())
+def test_first_difference_and_failure_on_general_equations(drawn):
+    """Shared matrix objects across terms and equations, signs, cancelling
+    terms and w*I terms: the first failing entry and every residual are
+    the oracle's."""
+    eqs, w = drawn
+    check_zero_test(*eqs, w=w)
 
 
 def test_first_difference_names_a_diagonal_entry_without_pairs():
@@ -397,10 +463,10 @@ def test_first_difference_names_a_diagonal_entry_without_pairs():
     a = mx.from_rows([[px, 0], [0, 0]])
     b = mx.from_rows([[px ** 2, 0], [0, px ** 2]])
     for path in ("tuple", "packed"):
-        with kernel_path(path):
-            assert mx.first_difference(a, b, w=px ** 3) == (1, 1)
-            assert mx.first_difference(a, b, w=Polynomial.zero()) == (0, 0)
-            assert mx.first_difference(mx.zeros(2, 2), b, w=Polynomial.zero()) is None
+        assert check_first_difference(path, [(a, b, 1)], w=px ** 3) == (0, 1, 1)
+        assert check_first_difference(path, [(a, b, 1)], w=Polynomial.zero()) == (0, 0, 0)
+        assert check_first_difference(path, [(mx.zeros(2, 2), b, 1)],
+                                      w=Polynomial.zero()) is None
 
 
 def test_first_difference_reads_each_row_in_column_order():
@@ -410,40 +476,61 @@ def test_first_difference_reads_each_row_in_column_order():
     a = mx.from_rows([[px, py], [0, 0]])
     b = mx.from_rows([[0, 1], [1, 0]])
     for path in ("tuple", "packed"):
-        with kernel_path(path):
-            assert mx.first_difference(a, b, w=Polynomial.zero()) == (0, 0)
-            assert mx.first_difference(a, b, c=mx.from_rows([[py, 0], [0, 0]]),
-                                       d=mx.identity(2)) == (0, 1)
+        assert check_first_difference(path, [(a, b, 1)], w=Polynomial.zero()) == (0, 0, 0)
+        assert check_first_difference(
+            path, [(a, b, 1), (mx.from_rows([[py, 0], [0, 0]]), mx.identity(2), -1)]
+        ) == (0, 0, 1)
 
 
 def test_first_difference_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        mx.first_difference(mx.zeros(2, 3), mx.zeros(3, 2), c=mx.zeros(2, 2),
-                            d=mx.zeros(2, 3))
-    with pytest.raises(ValueError):
-        mx.first_difference(mx.zeros(2, 3), mx.zeros(3, 3), w=Polynomial.zero())
-    for a, b in ((mx.zeros(2, 3), mx.zeros(3, 2)), (mx.zeros(2, 2), mx.zeros(3, 3))):
-        with pytest.raises(ValueError):
-            mx.first_difference_both_ways(a, b, Polynomial.zero())
+    zero = Polynomial.zero()
+    bad = [
+        # a 2x2 product against a 2x3 one
+        ([[(mx.zeros(2, 3), mx.zeros(3, 2), 1), (mx.zeros(2, 2), mx.zeros(2, 3), -1)]], None),
+        # a 2x3 product has no diagonal
+        ([[(mx.zeros(2, 3), mx.zeros(3, 3), 1)]], zero),
+        # 2 columns against 3 rows, in the second equation
+        ([[(mx.zeros(2, 2), mx.zeros(2, 2), 1)], [(mx.zeros(2, 2), mx.zeros(3, 3), 1)]], zero),
+        # an equation with no term
+        ([[]], None),
+    ]
+    for eqs, w in bad:
+        for check in (mx.first_difference, mx.failure):
+            with pytest.raises(ValueError):
+                check(*eqs, w=w)
+    # Two factors of different sizes whose products both have a diagonal.
+    a, b = mx.zeros(2, 3), mx.zeros(3, 2)
+    assert check_zero_test([(a, b, 1)], [(b, a, 1)], w=zero) is None
+    assert check_zero_test([(a, b, 1)], [(b, a, 1)], w=Polynomial.var(X)) == (0, 0, 0)
+
+
+def test_a_disagreeing_zero_test_is_an_internal_error(monkeypatch):
+    """``failure`` compares the entry the zero test names with the first
+    nonzero entry of the residuals it builds."""
+    p = mx.from_rows([[Polynomial.var(X)]])
+    for named in ((0, 0, 0), (1, 0, 0)):
+        monkeypatch.setattr(mx, "first_difference", lambda *eqs, w=None, named=named: named)
+        with pytest.raises(RuntimeError) as err:
+            mx.failure([(p, p, 1)], [(p, p, 1)], w=p[0][0] ** 2)
+        assert str(err.value) == (f"the zero test named entry {named}, but the "
+                                  "residuals' first nonzero entry is None")
+    monkeypatch.setattr(mx, "first_difference", lambda *eqs, w=None: (1, 0, 0))
+    with pytest.raises(RuntimeError, match=r"first nonzero entry is \(0, 0, 0\)"):
+        mx.failure([(p, p, 1)], [(p, p, 1)], w=Polynomial.zero())
 
 
 # ---------------------------------------------------------------------------
 # the one packed zero test: shared objects, wide potentials, denominators
 
 
-def check_zero_test(a, b, w=None, c=None, d=None):
-    """``first_difference`` against ``mul`` followed by an entrywise
-    comparison with w*I or c*d, and with ``w`` also
-    ``first_difference_both_ways`` against both products; returns the
-    position ``first_difference`` names."""
-    target = mx.scalar_matrix(len(a), w) if c is None else mx.mul(c, d)
-    want = first_entry_differing(mx.mul(a, b), target)
-    assert mx.first_difference(a, b, w=w, c=c, d=d) == want
-    if c is None:
-        back = first_entry_differing(mx.mul(b, a), target)
-        both = (0, *want) if want else (1, *back) if back else None
-        assert mx.first_difference_both_ways(a, b, w) == both
-    return want
+def both_ways(a, b):
+    """The two equations of a factorization: a*b = w*I and b*a = w*I."""
+    return [(a, b, 1)], [(b, a, 1)]
+
+
+def against(a, b, c, d):
+    """The equation a*b = c*d."""
+    return [(a, b, 1), (c, d, -1)]
 
 
 def permuted_pair(a, b, order):
@@ -464,12 +551,12 @@ def test_zero_test_with_one_object_at_many_places_of_both_sides():
     a = mx.from_rows([[s, u, s, 0], [s, s, 0, u], [0, s, s, s], [u, 0, s, s]])
     b = mx.from_rows([[s, v, 0, s], [v, s, s, 0], [s, 0, s, v], [s, s, v, s]])
     c, d = permuted_pair(a, b, [2, 0, 3, 1])
-    assert check_zero_test(a, b, c=c, d=d) is None
-    assert check_zero_test(a, b, w=s * s) is not None
+    assert check_zero_test(against(a, b, c, d)) is None
+    assert check_zero_test(*both_ways(a, b), w=s * s) is not None
     for i, j in [(0, 0), (0, 2), (2, 3), (3, 1)]:
         e = [list(row) for row in d]
         e[i][j] = e[i][j] + Fraction(1, 7)
-        assert check_zero_test(a, b, c=c, d=mx.from_rows(e)) is not None
+        assert check_zero_test(against(a, b, c, mx.from_rows(e))) is not None
 
 
 def test_zero_test_with_a_potential_wider_than_every_entry_product():
@@ -477,33 +564,37 @@ def test_zero_test_with_a_potential_wider_than_every_entry_product():
     x^9 and y must still get bit fields of their own."""
     px, py = Polynomial.var(X), Polynomial.var(Y)
     p = mx.from_rows([[px]])
-    assert check_zero_test(p, p, w=px ** 9 + py) == (0, 0)
+    assert check_zero_test(*both_ways(p, p), w=px ** 9 + py) == (0, 0, 0)
     for w in (py, px ** 2 + py, px ** 2 + px ** 8, px ** 3, py ** 5 * px ** 2):
-        assert check_zero_test(p, p, w=w) == (0, 0)
-    assert check_zero_test(p, p, w=px ** 2) is None
+        assert check_zero_test(*both_ways(p, p), w=w) == (0, 0, 0)
+    assert check_zero_test(*both_ways(p, p), w=px ** 2) is None
     two = mx.from_rows([[px, 0], [0, px ** 2]])
-    assert check_zero_test(two, two, w=px ** 9 + py) == (0, 0)
-    assert check_zero_test(two, mx.from_rows([[px, 0], [0, 1]]), w=px ** 2) is None
+    assert check_zero_test(*both_ways(two, two), w=px ** 9 + py) == (0, 0, 0)
+    assert check_zero_test(*both_ways(two, mx.from_rows([[px, 0], [0, 1]])),
+                           w=px ** 2) is None
     # x^3 * x^3 needs a field for x^6: in one for x^3 alone, it would carry
     # into the column bits and read as x^2 in column 1, which c*d holds.
     cube = mx.from_rows([[px ** 3]])
-    assert check_zero_test(cube, mx.from_rows([[px ** 3, 0]]), c=mx.from_rows([[px]]),
-                           d=mx.from_rows([[0, px]])) == (0, 0)
+    assert check_zero_test(against(cube, mx.from_rows([[px ** 3, 0]]),
+                                   mx.from_rows([[px]]), mx.from_rows([[0, px]]))
+                           ) == (0, 0, 0)
 
 
 def test_zero_test_of_a_square_whose_variables_occur_only_in_c_and_d():
     py = Polynomial.var(Y)
     a = mx.from_rows([[1, 2]])
     b = mx.from_rows([[3], [4]])
-    assert check_zero_test(a, b, c=mx.from_rows([[py, 1]]),
-                           d=mx.from_rows([[py], [11 - py ** 2]])) is None
-    assert check_zero_test(a, b, c=mx.from_rows([[py]]), d=mx.from_rows([[py]])) == (0, 0)
-    assert check_zero_test(mx.zeros(1, 2), b, c=mx.from_rows([[py, -py]]),
-                           d=mx.from_rows([[py], [py]])) is None
+    assert check_zero_test(against(a, b, mx.from_rows([[py, 1]]),
+                                   mx.from_rows([[py], [11 - py ** 2]]))) is None
+    assert check_zero_test(against(a, b, mx.from_rows([[py]]),
+                                   mx.from_rows([[py]]))) == (0, 0, 0)
+    assert check_zero_test(against(mx.zeros(1, 2), b, mx.from_rows([[py, -py]]),
+                                   mx.from_rows([[py], [py]]))) is None
     a, b = mx.identity(2), mx.from_rows([[1, 0], [0, 2]])
     c = mx.from_rows([[py, 1], [0, 1]])
-    assert check_zero_test(a, b, c=c, d=mx.from_rows([[0, 0], [1, 2]])) == (0, 1)
-    assert check_zero_test(a, b, c=c, d=mx.from_rows([[py ** 9, 0], [1, 2]])) == (0, 0)
+    assert check_zero_test(against(a, b, c, mx.from_rows([[0, 0], [1, 2]]))) == (0, 0, 1)
+    assert check_zero_test(against(a, b, c, mx.from_rows([[py ** 9, 0], [1, 2]]))
+                           ) == (0, 0, 0)
 
 
 def first_primes(n):
@@ -526,13 +617,13 @@ def test_zero_test_of_a_12x12_matrix_with_distinct_prime_denominators():
     b = mx.from_rows([[py ** (k % 3) * (k - j) if (k + j) % 3 else 0 for j in range(12)]
                       for k in range(12)])
     c, d = permuted_pair(a, b, [(5 * k) % 12 for k in range(12)])
-    assert check_zero_test(a, b, c=c, d=d) is None
+    assert check_zero_test(against(a, b, c, d)) is None
     for i, j in [(0, 0), (6, 11), (11, 11)]:
         e = [list(row) for row in d]
         e[i][j] = e[i][j] + Fraction(1, 2)
-        assert check_zero_test(a, b, c=c, d=mx.from_rows(e)) is not None
-    assert check_zero_test(a, b, w=px) is not None
-    assert check_zero_test(a, mx.zeros(12, 12), w=Polynomial.zero()) is None
+        assert check_zero_test(against(a, b, c, mx.from_rows(e))) is not None
+    assert check_zero_test(*both_ways(a, b), w=px) is not None
+    assert check_zero_test(*both_ways(a, mx.zeros(12, 12)), w=Polynomial.zero()) is None
 
 
 def test_zero_tests_do_not_read_the_pack_ratio(monkeypatch):
@@ -542,8 +633,9 @@ def test_zero_tests_do_not_read_the_pack_ratio(monkeypatch):
     w = px ** 3
     p = mx.from_rows([[0, px], [px ** 2, 0]])
     monkeypatch.setattr(poly, "PACK_RATIO", object())
-    assert mx.first_difference(p, p, w=w) is None
-    assert mx.first_difference(p, p, w=px) == (0, 0)
-    assert mx.first_difference(p, p, c=p, d=p) is None
-    assert mx.first_difference_both_ways(p, p, w) is None
+    assert mx.first_difference([(p, p, 1)], w=w) is None
+    assert mx.first_difference([(p, p, 1)], w=px) == (0, 0, 0)
+    assert mx.first_difference(against(p, p, p, p)) is None
+    assert mx.first_difference(*both_ways(p, p), w=w) is None
+    assert mx.failure(*both_ways(p, p), w=w) is None
     assert make_factorization(p, p, w).size == 2
