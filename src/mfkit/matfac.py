@@ -10,7 +10,12 @@ anything whose products do not come out exactly, reporting the first
 offending entry and its residual.  The check is one exact zero test of the
 two equations p*q = f*I and q*p = f*I over integer numerators
 (`matrices.failure`), which builds no product; only a failure builds the
-residuals, for the diagnostic.
+residuals, for the diagnostic.  A builder (`tensor.yoshino`, the unitors'
+collapsed product, `unit.koszul_unit`) hands the test the nonzero entries
+of each row it wrote, so P and Q are not walked slot by slot; other input
+is coerced and type-checked entry by entry.  `vars` is read off the
+test's packing: the variables of every nonzero entry and of the
+potential, plus the declared ones.
 
 A morphism (alpha, beta): X -> Y consists of an even block alpha and an odd
 block beta satisfying the two squares
@@ -129,34 +134,27 @@ class MatrixFactorization(Record):
         )
 
 
-def _collect_vars(mats, potential, extra):
-    # The distinct entries first, then their distinct monomials: a Yoshino
-    # layout repeats its factors' few entry objects, and each object and
-    # each monomial is read for its variables once.
-    entries = {}
-    for m in mats:
-        for row in m:
-            for e in row:
-                if e.terms:
-                    entries[id(e)] = e
-    monos = set(potential.terms)
-    for e in entries.values():
-        monos.update(e.terms)
-    vs = set(extra or ())
-    for mono in monos:
-        for v, _ in mono:
-            vs.add(v)
-    return tuple(sorted(vs))
-
-
-def make_factorization(p, q, potential, extra_vars=None) -> MatrixFactorization:
+def make_factorization(p, q, potential, extra_vars=None, *,
+                       _rows=None) -> MatrixFactorization:
     """Validate and build: p*q == q*p == potential*I, exactly.
 
     ``extra_vars`` may declare variables that do not occur in any entry (a
-    zero block keeps its variables declared this way); they join ``vars``.
+    zero block keeps its variables declared this way); they join ``vars``,
+    which the zero test's packing fills with the variables of every nonzero
+    entry and of the potential.
+
+    A builder that wrote p and q as tuples of tuples of polynomials hands
+    their nonzero ``(column, entry)`` rows, as ``matrices._nonzero_rows``
+    lists them, in ``_rows=(p_rows, q_rows)``; then neither matrix is walked
+    slot by slot.  Any other input is coerced and type-checked by
+    ``matrices.from_rows``, and the zero test lists its rows.
     """
-    p = mx.from_rows(p)
-    q = mx.from_rows(q)
+    if _rows is None:
+        p = mx.from_rows(p)
+        q = mx.from_rows(q)
+        rows = None
+    else:
+        rows = {id(p): _rows[0], id(q): _rows[1]}
     potential = as_poly(potential)
     n = len(p)
     if n == 0:
@@ -165,12 +163,14 @@ def make_factorization(p, q, potential, extra_vars=None) -> MatrixFactorization:
         raise ShapeMismatch(
             f"expected square matrices of equal size, got {mx.shape(p)} and {mx.shape(q)}"
         )
-    hit = mx.failure([(p, q, 1)], [(q, p, 1)], w=potential)
+    variables = set(extra_vars or ())
+    hit = mx.failure([(p, q, 1)], [(q, p, 1)], w=potential, rows=rows,
+                     variables=variables)
     if hit is not None:
         k, i, j, residuals = hit
         raise NotAFactorization(("P*Q", "Q*P")[k], i, j, residuals[k][i][j])
-    vars_all = _collect_vars((p, q), potential, extra_vars)
-    return MatrixFactorization(p=p, q=q, potential=potential, size=n, vars=vars_all)
+    return MatrixFactorization(p=p, q=q, potential=potential, size=n,
+                               vars=tuple(sorted(variables)))
 
 
 def direct_sum(x: MatrixFactorization, y: MatrixFactorization) -> MatrixFactorization:

@@ -29,12 +29,16 @@ all the equations, each distinct entry object and w are encoded once as
 packed monomials with integer numerators (``poly._pack``, in fields wide
 enough for the products and for w), and each row of an equation is summed
 in one map keyed by packed monomial and column, over the row's common
-denominator.  The first row with a nonzero value names the entry; nothing
-is decoded and no ``Fraction`` is made.  ``PACK_RATIO`` plays no part
-here: it chooses only how ``mul`` builds a product.  ``failure`` runs the
-same test and, only when an equation fails, builds every equation's
-residual by ``mul`` (``residual``) to word the failure; residuals that do
-not show the entry the test named are an internal error.
+denominator (none when every entry and w are integral).  A builder that
+wrote a matrix hands its rows' nonzero entries in (``rows``), so the test
+walks only those; the packing's fields name every variable of the entries
+and of w, which a factorization's ``vars`` reads (``variables``).  The
+first row with a nonzero value names the entry; nothing is decoded and no
+``Fraction`` is made.  ``PACK_RATIO`` plays no part here: it chooses only
+how ``mul`` builds a product.  ``failure`` runs the same test and, only
+when an equation fails, builds every equation's residual by ``mul``
+(``residual``) to word the failure; residuals that do not show the entry
+the test named are an internal error.
 """
 
 from __future__ import annotations
@@ -120,6 +124,18 @@ def _nonzero_rows(a: Matrix) -> list:
     return out
 
 
+def _from_nonzero_rows(rows: list, cols: int) -> Matrix:
+    """The matrix with ``cols`` columns whose rows have the nonzero
+    ``(j, entry)`` lists ``rows``; the inverse of ``_nonzero_rows``."""
+    out = []
+    for pairs in rows:
+        row = [_ZERO] * cols
+        for j, e in pairs:
+            row[j] = e
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def _gather(a: Matrix, b: Matrix) -> tuple:
     """The pair lists of a*b: per row of a, a map from each output column
     to its nonzero (x, y), with the product's term products and operand
@@ -176,7 +192,7 @@ def _right_rows(rows: list, packed: dict, width: int) -> list:
     return out
 
 
-def _first_row_difference(products, w, packed: dict, width: int):
+def _first_row_difference(products, w, packed: dict, width: int, integral: bool):
     """(i, j) of the first nonzero entry, in row-major order, of the sum of
     sign * left*right over ``products``, less w*I when ``w`` is given; or
     None.  A product is ``(left, right, sign)``: the ``_nonzero_rows`` of
@@ -185,18 +201,21 @@ def _first_row_difference(products, w, packed: dict, width: int):
     Row by row, every term product of the row goes into one map keyed by
     ``packed monomial + (column << width)``, as an integer numerator over
     the row's common denominator: the lcm of its pairs' denominators (and
-    of w's).  An integral row is summed as it is.  The row's entries are all
-    zero exactly when every value of the map is.
+    of w's).  When every operand and w are ``integral`` no row has one, and
+    each row is summed as it is.  The row's entries are all zero exactly
+    when every value of the map is.
     """
     w_terms = packed[id(w)] if w is not None else ()
     w_den = w.den if w is not None else 1
+    den = 1
     for i in range(len(products[0][0])):
-        den = w_den
-        for left, right, _ in products:
-            for k, x in left[i]:
-                d = x.den * right[k][0]
-                if d != 1:
-                    den = lcm(den, d)
+        if not integral:
+            den = w_den
+            for left, right, _ in products:
+                for k, x in left[i]:
+                    d = x.den * right[k][0]
+                    if d != 1:
+                        den = lcm(den, d)
         acc: dict = {}
         get = acc.get
         for left, right, sign in products:
@@ -219,7 +238,8 @@ def _first_row_difference(products, w, packed: dict, width: int):
     return None
 
 
-def first_difference(*equations, w: Polynomial = None):
+def first_difference(*equations, w: Polynomial = None, rows: dict = None,
+                     variables: set = None):
     """``(k, i, j)`` of the first entry, in row-major order, where equation
     k, the first that fails, does not hold; or None where all hold.
 
@@ -229,8 +249,13 @@ def first_difference(*equations, w: Polynomial = None):
     listed once, each distinct entry and w are packed once for all the
     equations, and each row of an equation is summed in one map of integer
     numerators (``_first_row_difference``).
+
+    ``rows`` maps the id of a matrix to its ``_nonzero_rows``, where the
+    caller already has them (a builder that wrote the matrix does); every
+    other matrix is listed here.  ``variables``, when given, is a set that
+    gets the packing's variables: those of every nonzero entry and of w.
     """
-    rows = {}  # id of a matrix -> its _nonzero_rows
+    rows = dict(rows or ())  # id of a matrix -> its _nonzero_rows
     for terms in equations:
         if not terms:
             raise ValueError("an equation has no term")
@@ -251,14 +276,17 @@ def first_difference(*equations, w: Polynomial = None):
     operands = {id(y): y for a in rows.values() for row in a for _, y in row}
     if w is not None:
         operands[id(w)] = w
-    packed, _, width = _pack(operands)
+    packed, fields, width = _pack(operands)
+    if variables is not None:
+        variables.update(v for v, _, _ in fields)
+    integral = all(y.den == 1 for y in operands.values())
     right = {}  # id of a matrix -> its _right_rows
     for k, terms in enumerate(equations):
         for _, b, _ in terms:
             if id(b) not in right:
                 right[id(b)] = _right_rows(rows[id(b)], packed, width)
         products = [(rows[id(a)], right[id(b)], sign) for a, b, sign in terms]
-        hit = _first_row_difference(products, w, packed, width)
+        hit = _first_row_difference(products, w, packed, width, integral)
         if hit is not None:
             return (k, *hit)
     return None
@@ -276,11 +304,13 @@ def residual(terms, w: Polynomial = None) -> Matrix:
     return out
 
 
-def failure(*equations, w: Polynomial = None):
-    """None where every equation holds (``first_difference``), else
-    ``(k, i, j, residuals)``: the first failing entry, and each equation's
-    ``residual``.  Only a failure builds the residuals."""
-    hit = first_difference(*equations, w=w)
+def failure(*equations, w: Polynomial = None, rows: dict = None,
+            variables: set = None):
+    """None where every equation holds (``first_difference``, which reads
+    ``rows`` and fills ``variables``), else ``(k, i, j, residuals)``: the
+    first failing entry, and each equation's ``residual``.  Only a failure
+    builds the residuals."""
+    hit = first_difference(*equations, w=w, rows=rows, variables=variables)
     if hit is None:
         return None
     residuals = tuple(residual(terms, w) for terms in equations)

@@ -43,7 +43,7 @@ Besides ring operations this module provides:
 * ``parse_poly`` / canonical printing for the expression grammar used by the
   CLI and the JSON file format,
 * ``substitute`` (simultaneous), and the prime-shift maps ``t_shift`` that
-  replace x_1..x_k by their primed twins,
+  replace x_1..x_k by their primed twins by renaming monomials,
 * ``diff_quotient``, the difference quotient
   d_i(f) = [(t_1..t_{i-1} f) - (t_1..t_i f)] / (x_i - x_i'), computed term by
   term in closed form, which collapses to the partial derivative on the
@@ -504,12 +504,24 @@ def t_shift(f: Polynomial, k: int, xvars=None) -> Polynomial:
 
     ``xvars`` fixes the indexing; it defaults to f's own unprimed variables
     but callers relating several polynomials (Leibniz!) must pass a shared
-    list.
+    list.  Each monomial's variables are renamed, and no polynomial product
+    is formed.
     """
     xs = tuple(xvars) if xvars is not None else unprimed_vars(f)
     if not 0 <= k <= len(xs):
         raise IndexError(f"t-shift index {k} out of range for {len(xs)} variables")
-    return substitute(f, {x: Polynomial.var(x.primed()) for x in xs[:k]})
+    shifted = {x: x.primed() for x in xs[:k]}
+    acc: dict = {}
+    for mono, c in f.terms.items():
+        # x and x' are adjacent in the variable order, so renaming keeps a
+        # monomial sorted; a renamed x that meets x' merges with it.
+        exps: dict = {}
+        for v, e in mono:
+            v = shifted.get(v, v)
+            exps[v] = exps.get(v, 0) + e
+        mono = tuple(exps.items())
+        acc[mono] = acc.get(mono, 0) + c
+    return Polynomial(acc)
 
 
 def diff_quotient(f: Polynomial, i: int, xvars=None) -> Polynomial:

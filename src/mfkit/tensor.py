@@ -13,6 +13,9 @@ a = p⊗I, b = I⊗p', c = q⊗I, d = I⊗q', the four layouts are
 no Kronecker product: row i*m + r of p⊗I is row i of p at columns j*m + r,
 and of I⊗p' is row r of p' at columns i*m + s.  So each entry is a factor's
 own polynomial, its negation or the shared zero, and nothing is multiplied.
+The writer lists each row's nonzero entries as it places them and hands
+those lists to ``make_factorization``'s check, so the product's zeros are
+never read.
 
 All four are valid and pairwise distinct as matrix pairs; v1/v2/v3 arise
 from the standard pair by rotating P's blocks anticlockwise and Q's
@@ -74,31 +77,39 @@ _LAYOUTS = {
 
 
 def _write_layout(variant: Variant, xp, xq, yp, yq) -> tuple:
-    """P and Q of ``variant``'s layout of a = xp⊗I, b = I⊗yp, c = xq⊗I and
-    d = I⊗yq; each factor matrix is negated at most once."""
+    """``(P, Q, P's rows, Q's rows)`` of ``variant``'s layout of a = xp⊗I,
+    b = I⊗yp, c = xq⊗I and d = I⊗yq: the matrices, and each row's nonzero
+    ``(column, entry)`` list as ``matrices._nonzero_rows`` gives it.  Each
+    factor's nonzero entries are listed once and negated at most once."""
     if variant not in _LAYOUTS:
         raise ValueError(f"unknown variant {variant!r}")
     n, m = len(xp), len(yp)
     nm = n * m
     tokens = " ".join(_LAYOUTS[variant]).split()  # P's quadrants, then Q's
-    factors = dict(zip("abcd", (xp, yp, xq, yq)))
-    signed = {}  # each token's matrix, its zeros the shared one
-    for t in set(tokens):
-        mat = factors[t[-1]]
-        signed[t] = mx.neg(mat) if t[0] == "-" else tuple(
-            tuple(e if e.terms else mx._ZERO for e in row) for row in mat)
-    rows = []
-    for left, right in zip(tokens[::2], tokens[1::2]):
-        for i in range(n):
-            for r in range(m):
-                row = [mx._ZERO] * (2 * nm)
-                for off, t in ((0, left), (nm, right)):
-                    if t[-1] in "ac":  # xp or xq ⊗ I
-                        row[off + r:off + nm:m] = signed[t][i]
-                    else:  # I ⊗ yp or yq
-                        row[off + i * m:off + i * m + m] = signed[t][r]
-                rows.append(tuple(row))
-    return tuple(rows[:2 * nm]), tuple(rows[2 * nm:])
+    signed = {t: mx._nonzero_rows(mat) for t, mat in zip("abcd", (xp, yp, xq, yq))}
+    for t in set(tokens) - set(signed):  # "-a" and the like
+        signed[t] = [[(j, -e) for j, e in row] for row in signed[t[1]]]
+    out = []
+    for half in (tokens[:4], tokens[4:]):
+        nonzero = [[] for _ in range(2 * nm)]
+        # Quadrants in row-major order, so each row gets its left block's
+        # pairs before its right block's, each in column order.
+        for k, t in enumerate(half):
+            top, off = k // 2 * nm, k % 2 * nm
+            if t[-1] in "ac":  # xp or xq ⊗ I: row i at columns j*m + r
+                for i, row in enumerate(signed[t]):
+                    for j, e in row:
+                        for r in range(m):
+                            nonzero[top + i * m + r].append((off + j * m + r, e))
+            else:  # I ⊗ yp or yq: row r at columns i*m + s
+                for r, row in enumerate(signed[t]):
+                    for i in range(n):
+                        dest = nonzero[top + i * m + r]
+                        for s, e in row:
+                            dest.append((off + i * m + s, e))
+        out.append((mx._from_nonzero_rows(nonzero, 2 * nm), nonzero))
+    (p, p_rows), (q, q_rows) = out
+    return p, q, p_rows, q_rows
 
 
 def yoshino(
@@ -108,9 +119,9 @@ def yoshino(
 ) -> MatrixFactorization:
     """The tensor product factorization of f + g in the chosen layout."""
     _require_disjoint(x.vars, y.vars)
-    p, q = _write_layout(variant, x.p, x.q, y.p, y.q)
+    p, q, p_rows, q_rows = _write_layout(variant, x.p, x.q, y.p, y.q)
     return make_factorization(p, q, x.potential + y.potential,
-                              extra_vars=x.vars + y.vars)
+                              extra_vars=x.vars + y.vars, _rows=(p_rows, q_rows))
 
 
 def tensor_morphisms(b: Morphism, a: Morphism) -> Morphism:

@@ -12,8 +12,10 @@ maps of `mfkit.exterior`: on a basis word, generator i either deletes
 itself (`exterior.delete`; coefficient x_i - x_i') or inserts itself
 (`exterior.insert`; coefficient d_i(f)).  So every column has exactly n
 nonzero entries, each a sign times one of the x_i - x_i' or the n
-difference quotients, all computed once per call.  The tests compare them
-with the element-level differential of their exterior-algebra oracle.
+difference quotients, all computed once per call, and each row's nonzero
+entries are listed as they are written and handed to the eager check.
+The tests compare them with the element-level differential of their
+exterior-algebra oracle.
 
 The right unitor for X (a factorization of g(z) - f(x)) is built on the
 collapsed product Z of X with that unit, the unit restricted to the
@@ -24,7 +26,8 @@ alone; no unit factorization is built:
     difference quotients become the partials d_i(f), so the collapsed unit
     K has the same word maps with deletion entries 0 and insertion entries
     +-d_i(f); Z is the standard tensor layout of X with K (potential g - f),
-    written from their entries by ``tensor._write_layout``, checked once;
+    written from their entries by ``tensor._write_layout``, checked once
+    on the rows the writer hands over;
 2.  the two matrices of that layout are swapped (a grading shift), so that
     the X tensor empty-word slice sits in the even half.  The even part is
     then [X^1*D^1 | X^0*D^0] and the odd part [X^0*D^1 | X^1*D^0], where
@@ -114,14 +117,14 @@ class UnitFactorization(Record):
         return len(self.basis_even)
 
 
-def _word_matrix(in_words, out_words, lin, dq):
+def _word_matrix(in_words, out_words, lin, dq) -> tuple:
     """The unit differential from ``in_words`` to ``out_words`` by the
-    signed word maps; ``lin[i-1]`` and ``dq[i-1]`` are the (+, -) pairs of
-    generator i's deletion and insertion coefficients."""
+    signed word maps, and each row's nonzero ``(column, entry)`` list as
+    ``matrices._nonzero_rows`` gives it; ``lin[i-1]`` and ``dq[i-1]`` are
+    the (+, -) pairs of generator i's deletion and insertion coefficients."""
     n = len(lin)
     row_of = {w: r for r, w in enumerate(out_words)}
-    z = Polynomial.zero()
-    out = [[z] * len(in_words) for _ in out_words]
+    nonzero = [[] for _ in out_words]
     for col, w in enumerate(in_words):
         for i in range(1, n + 1):
             if i in w:
@@ -130,8 +133,9 @@ def _word_matrix(in_words, out_words, lin, dq):
             else:
                 image, odd = insert(i, w)
                 entry = dq[i - 1][odd]
-            out[row_of[image]][col] = entry
-    return out
+            if entry.terms:
+                nonzero[row_of[image]].append((col, entry))
+    return mx._from_nonzero_rows(nonzero, len(in_words)), nonzero
 
 
 def _generators(f: Polynomial, xvars):
@@ -169,11 +173,12 @@ def koszul_unit(f: Polynomial, xvars=None) -> UnitFactorization:
         di = diff_quotient(f, i, xs)
         lin.append((li, -li))
         dq.append((di, -di))
-    p = _word_matrix(ev, od, lin, dq)
-    q = _word_matrix(od, ev, lin, dq)
+    p, p_rows = _word_matrix(ev, od, lin, dq)
+    q, q_rows = _word_matrix(od, ev, lin, dq)
     primed = tuple(v.primed() for v in xs)
     potential = f - t_shift(f, n, xs)
-    mf = make_factorization(p, q, potential, extra_vars=xs + primed)
+    mf = make_factorization(p, q, potential, extra_vars=xs + primed,
+                            _rows=(p_rows, q_rows))
     return UnitFactorization(
         mf=mf, n=n, basis_even=ev, basis_odd=od, f=f, xvars=xs
     )
@@ -241,11 +246,12 @@ def _collapsed_product(x: MatrixFactorization, f: Polynomial, fvars, side="right
     zero = Polynomial.zero()
     dq = [(d, -d) for d in (derivative(f, v) for v in xs)]
     lin = [(zero, zero)] * n
-    kp = _word_matrix(even, odd, lin, dq)
-    kq = _word_matrix(odd, even, lin, dq)
-    p, q = _write_layout(Variant.STANDARD, x.p, x.q, kp, kq)
+    kp, _ = _word_matrix(even, odd, lin, dq)
+    kq, _ = _word_matrix(odd, even, lin, dq)
+    p, q, p_rows, q_rows = _write_layout(Variant.STANDARD, x.p, x.q, kp, kq)
     # Grading shift: swap the two matrices so the empty-word slice is even.
-    z = make_factorization(q, p, x.potential, extra_vars=x.vars + xs)
+    z = make_factorization(q, p, x.potential, extra_vars=x.vars + xs,
+                           _rows=(q_rows, p_rows))
 
     empty_word = mx.from_rows([[1] + [0] * (m - 1)])
     proj = mx.block([[mx.zeros(r, r * m), mx.kron(mx.identity(r), empty_word)]])

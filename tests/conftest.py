@@ -9,6 +9,7 @@ import math
 from contextlib import contextmanager
 from fractions import Fraction
 
+from mfkit import matrices as mx
 from mfkit import poly
 from mfkit.poly import Polynomial, Variable
 from mfkit import direct_sum, make_factorization
@@ -101,3 +102,45 @@ def rand_factorization(rng, variables, max_size=2):
         make_factorization([[u]], [[v]], u * v),
         make_factorization([[v]], [[u]], u * v),
     )
+
+
+def walked_vars(p, q, potential, extra=()):
+    """The sorted variables of every entry of p and q, of the potential and
+    of ``extra``, read slot by slot."""
+    vs = set(extra)
+    for m in (p, q):
+        for row in m:
+            for e in row:
+                vs.update(e.vars)
+    vs.update(potential.vars)
+    return tuple(sorted(vs))
+
+
+def record_factorizations(monkeypatch, module):
+    """A list that gets ``(p, q, potential, extra_vars, handed rows,
+    result)`` for each ``make_factorization`` call ``module`` makes from
+    here on; the handed rows are None where the caller hands none."""
+    calls = []
+    real = module.make_factorization
+
+    def record(p, q, potential, extra_vars=None, **kwargs):
+        mf = real(p, q, potential, extra_vars, **kwargs)
+        calls.append((p, q, potential, extra_vars, kwargs.get("_rows"), mf))
+        return mf
+
+    monkeypatch.setattr(module, "make_factorization", record)
+    return calls
+
+
+def check_handed_rows(calls):
+    """Each recorded builder handed the check the rows ``_nonzero_rows``
+    lists for its matrices, holding the matrices' own entry objects, and
+    the result's ``vars`` are those of a slot-by-slot walk."""
+    assert calls
+    for p, q, potential, extra, rows, mf in calls:
+        assert rows is not None
+        assert rows == (mx._nonzero_rows(p), mx._nonzero_rows(q))
+        for m, m_rows in zip((p, q), rows):
+            assert all(m[i][j] is e for i, row in enumerate(m_rows) for j, e in row)
+        assert (mf.p, mf.q) == (p, q)
+        assert mf.vars == walked_vars(p, q, potential, extra or ())

@@ -30,7 +30,7 @@ from mfkit.poly import Polynomial, Variable, poly_to_str
 from mfkit.tensor import _tensor_blocks, tensor_morphisms, yoshino
 from mfkit.unit import NaturalityReport, koszul_unit, naturality_check, unitor_right
 
-from conftest import PX, PY, PZ, X, Y, rand_factorization, rand_poly
+from conftest import PX, PY, PZ, X, Y, Z, rand_factorization, rand_poly, walked_vars
 
 M_BLOCKS = [[0, PX], [PX ** 2, 0]]
 
@@ -392,7 +392,8 @@ def test_a_difference_the_product_does_not_show_is_an_internal_error(
               lambda: check_witness(m_cubed, m_cubed, phi, phi, witness)]
     for named in ((0, 0, 0), (1, 0, 0)):
         monkeypatch.setattr(mx, "first_difference",
-                            lambda *equations, w=None, named=named: named)
+                            lambda *equations, w=None, rows=None, variables=None,
+                            named=named: named)
         for check in checks:
             with pytest.raises(RuntimeError) as err:
                 check()
@@ -440,6 +441,29 @@ def test_round_trip_bytes():
         x = rand_factorization(rng, (X, Y))
         text = serialize_factorization(x)
         assert serialize_factorization(parse_factorization(text)) == text
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_vars_come_from_the_packing(seed):
+    """With no declared variables, ``vars`` is exactly the set of a
+    slot-by-slot walk of the entries and the potential, whether the rows
+    are listed by the check or handed to it; declared ones join it."""
+    rng = random.Random(700 + seed)
+    x = rand_factorization(rng, (X, Y, Variable("x", 1)))
+    y = rand_factorization(rng, (Z, Variable("u")))
+    for mf in (x, y, direct_sum(x, x)):
+        want = walked_vars(mf.p, mf.q, mf.potential)
+        rows = (mx._nonzero_rows(mf.p), mx._nonzero_rows(mf.q))
+        assert make_factorization(mf.p, mf.q, mf.potential).vars == want
+        assert make_factorization(mf.p, mf.q, mf.potential, _rows=rows).vars == want
+        declared = (Variable("v"), X)
+        assert make_factorization(mf.p, mf.q, mf.potential, extra_vars=declared,
+                                  _rows=rows).vars == tuple(sorted(set(want) | set(declared)))
+    # A variable that only the potential holds would make the check fail;
+    # one that cancels from the potential is still an entry's variable.
+    p = [[PX, PY], [0, PX]]
+    q = [[PX, -PY], [0, PX]]
+    assert make_factorization(p, q, PX ** 2).vars == (X, Y)
 
 
 def test_round_trip_keeps_declared_but_unused_vars():

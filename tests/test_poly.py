@@ -337,6 +337,25 @@ def test_substitute_evaluates_ring_hom(f, g):
 # shifts, difference quotients, derivatives
 
 
+XP1, YP2 = X.primed(), Y.primed().primed()
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(variables=(X, XP1, Y, YP2, Z), max_deg=2), st.integers(0, 3),
+       st.sampled_from([(X, Y, Z), (X, XP1, Y), (Y, X, YP2), (XP1, X)]))
+@example(PX - Polynomial.var(XP1), 1, (X, Y, Z))
+@example(PX * Polynomial.var(XP1) + PX ** 2, 2, (X, XP1, Y))
+def test_t_shift_renames_like_the_substitution(f, k, xs):
+    """Renaming each monomial's variables gives what substituting x_j' for
+    x_j gives, where a renamed variable meets its twin (exponents merge)
+    and where terms cancel."""
+    k = min(k, len(xs))
+    got = t_shift(f, k, xs)
+    want = substitute(f, {x: Polynomial.var(x.primed()) for x in xs[:k]})
+    assert got == want
+    assert poly_to_str(got) == poly_to_str(want)
+
+
 def test_t_shift_replaces_prefix():
     f = PX * PY + PZ
     shifted = t_shift(f, 2, (X, Y, Z))

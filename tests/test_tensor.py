@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mfkit import matrices as mx
-from mfkit import poly, unit
+from mfkit import poly, tensor, unit
 from mfkit.matfac import (
     compose_morphisms,
     direct_sum,
@@ -25,7 +25,8 @@ from mfkit.tensor import (
     yoshino,
 )
 
-from conftest import PX, PY, PZ, X, Y, Z, rand_factorization, rand_poly
+from conftest import (PX, PY, PZ, X, Y, Z, check_handed_rows, rand_factorization,
+                      rand_poly, record_factorizations)
 
 A1 = make_factorization([[1]], [[PX]], PX)
 B1 = make_factorization([[1]], [[PY]], PY)
@@ -164,6 +165,41 @@ def test_yoshino_matches_the_kronecker_oracle(variant, rx, ry):
     assert (got.p, got.q) == kron_oracle(variant, a, b)
     assert all(e is mx._ZERO for m in (got.p, got.q) for row in m
                for e in row if not e)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("rx", [1, 2, 3])
+@pytest.mark.parametrize("ry", [1, 2, 3])
+def test_yoshino_hands_its_nonzero_rows_to_the_check(monkeypatch, variant, rx, ry):
+    """The layout writer's rows are the ones ``_nonzero_rows`` lists, over
+    rational factors with zero entries, and ``vars`` (from the zero test's
+    packing, plus the factors' declared variables) is the walked set."""
+    rng = random.Random(500 + 10 * rx + ry)
+    a = _of_rank(rng, (X,), rx, Fraction(1, 2))
+    b = _of_rank(rng, (Y, Z), ry, Fraction(-2, 3))
+    calls = record_factorizations(monkeypatch, tensor)
+    got = yoshino(a, b, variant)
+    assert [c[-1] for c in calls] == [got]
+    check_handed_rows(calls)
+
+
+def test_handed_rows_spare_the_slot_by_slot_walks(monkeypatch):
+    """With the rows handed, ``make_factorization`` neither coerces P and
+    Q (``from_rows``) nor lists their rows (``_nonzero_rows``), and builds
+    the factorization the unhanded call builds."""
+    rng = random.Random(41)
+    a = _of_rank(rng, (X,), 3, Fraction(1, 3))
+    b = _of_rank(rng, (Y,), 2)
+    p, q, p_rows, q_rows = tensor._write_layout(Variant.V3, a.p, a.q, b.p, b.q)
+    w = a.potential + b.potential
+    plain = make_factorization(p, q, w)
+
+    def refuse(*args):
+        raise AssertionError("P or Q was walked slot by slot")
+
+    monkeypatch.setattr(mx, "from_rows", refuse)
+    monkeypatch.setattr(mx, "_nonzero_rows", refuse)
+    assert make_factorization(p, q, w, _rows=(p_rows, q_rows)) == plain
 
 
 def _refuse_products(monkeypatch):

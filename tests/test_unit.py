@@ -35,7 +35,7 @@ from mfkit.unit import (
     unitor_right,
 )
 
-from conftest import PX, PY, PZ, X, Y, Z
+from conftest import PX, PY, PZ, X, Y, Z, check_handed_rows, record_factorizations
 from exterior_oracle import ExtElement, koszul_diff
 
 XP = Polynomial.var(X.primed())
@@ -427,6 +427,37 @@ def test_unitor_matches_gluing_chain(x, f, fvars, g, gvars, side):
     assert b.rho.alpha == proj and b.rho.beta == proj
     assert b.psi.alpha == psi_alpha
     assert b.psi.beta == psi_beta
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_koszul_unit_hands_its_nonzero_rows_to_the_check(monkeypatch, n):
+    """Rational coefficients, and for n >= 2 a last generator f does not
+    use, so its difference quotient is zero and its slots are skipped."""
+    xs = (X, Y, Z, Variable("w"))[:n]
+    f = _sum_of_cubes(xs[:max(1, n - 1)], [Fraction(2 * i + 1, 3) for i in range(n)])
+    if n >= 3:
+        f = f + PX * PY * Fraction(-1, 2)
+    calls = record_factorizations(monkeypatch, unit)
+    u = koszul_unit(f, xs)
+    assert [c[-1] for c in calls] == [u.mf]
+    check_handed_rows(calls)
+    if n >= 2:  # d_n(f) = 0: fewer than n nonzero entries per column of P
+        assert sum(map(len, calls[0][4][0])) < n * len(u.basis_even)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("x, f, fvars, g, gvars",
+                         [c[1:] for c in ORACLE_CASES],
+                         ids=[c[0] for c in ORACLE_CASES])
+def test_collapsed_product_hands_its_nonzero_rows_to_the_check(
+        monkeypatch, x, f, fvars, g, gvars, side):
+    calls = record_factorizations(monkeypatch, unit)
+    if side == "right":
+        b = unitor_right(x, f, fvars)
+    else:
+        b = unitor_left(x, g, gvars)
+    assert [c[-1] for c in calls] == [b.z]
+    check_handed_rows(calls)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
