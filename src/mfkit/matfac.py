@@ -7,10 +7,19 @@ A factorization of f is a pair (p, q) of n x n polynomial matrices with
 where p is read as the even-to-odd map and q as the odd-to-even map of the
 Z2-graded differential.  Construction is eager: `make_factorization` refuses
 anything whose products do not come out exactly, reporting the first
-offending entry and its residual.  The check is one exact zero test of the
-two equations p*q = f*I and q*p = f*I over integer numerators
-(`matrices.failure`), which builds no product; only a failure builds the
-residuals, for the diagnostic.  A builder (`tensor.yoshino`, the unitors'
+offending entry and its residual.  The check is one exact zero test over
+integer numerators (`matrices.failure`), which builds no product; only a
+failure builds the residuals, for the diagnostic.  Over a nonzero f it
+decides p*q = f*I alone, since that implies q*p = f*I (Eisenbud 1980):
+
+    p and q are square and of the same size n (checked before the test);
+    Q[x] is a domain, so det p * det q = f^n != 0 and p is nonsingular;
+    p*(q*p - f*I) = (p*q - f*I)*p = 0, so q*p = f*I.
+
+Over f = 0 the two products are independent (p = [[0, 1], [0, 0]] and
+q = [[1, 0], [0, 0]] have p*q = 0 but q*p != 0), so both are decided, in
+that order.  Either way a failure names the first failing entry of p*q
+when p*q fails.  A builder (`tensor.yoshino`, the unitors'
 collapsed product, `unit.koszul_unit`) hands the test the nonzero entries
 of each row it wrote, so P and Q are not walked slot by slot; other input
 is coerced and type-checked entry by entry.  `vars` is read off the
@@ -28,8 +37,11 @@ can be built and inspected; `validate_morphism` decides both squares in one
 zero test, and builds their residual matrices only when one fails (a pass
 holds zero matrices); `make_morphism` is `Morphism` plus that check, and is
 what the library uses internally.  Over a nonzero potential either square
-implies the other; `validate_morphism` evaluates both independently, and
-the acceptance tests check that property on its two residuals.
+implies the other, but only when p_X, q_X, p_Y and q_Y are themselves
+factorizations: a `MatrixFactorization` built directly, or unpickled, is
+not checked.  So `validate_morphism` decides both squares, as do the other
+morphism checks (rho.psi = id, naturality, `homotopy.check_witness`), and
+the acceptance tests check the implication on its two residuals.
 
 The JSON file format lives here too: canonical, byte-stable output --
 `serialize(parse(serialize(x)))` is the identity on bytes.
@@ -138,6 +150,12 @@ def make_factorization(p, q, potential, extra_vars=None, *,
                        _rows=None) -> MatrixFactorization:
     """Validate and build: p*q == q*p == potential*I, exactly.
 
+    When the potential w is nonzero, only p*q = w*I is tested: p and q are
+    square and of one size n, and Q[x] is a domain, so det p * det q = w^n
+    != 0 makes p nonsingular, and p*(q*p - w*I) = (p*q - w*I)*p = 0 gives
+    q*p = w*I.  When w = 0 both products are tested, p*q first.  A failure
+    raises ``NotAFactorization`` naming the first failing entry.
+
     ``extra_vars`` may declare variables that do not occur in any entry (a
     zero block keeps its variables declared this way); they join ``vars``,
     which the zero test's packing fills with the variables of every nonzero
@@ -164,8 +182,10 @@ def make_factorization(p, q, potential, extra_vars=None, *,
             f"expected square matrices of equal size, got {mx.shape(p)} and {mx.shape(q)}"
         )
     variables = set(extra_vars or ())
-    hit = mx.failure([(p, q, 1)], [(q, p, 1)], w=potential, rows=rows,
-                     variables=variables)
+    # Over a nonzero potential P*Q = w*I implies Q*P = w*I (module
+    # docstring); over w = 0 the two products are independent.
+    equations = [[(p, q, 1)]] if potential.terms else [[(p, q, 1)], [(q, p, 1)]]
+    hit = mx.failure(*equations, w=potential, rows=rows, variables=variables)
     if hit is not None:
         k, i, j, residuals = hit
         raise NotAFactorization(("P*Q", "Q*P")[k], i, j, residuals[k][i][j])

@@ -1,4 +1,5 @@
-"""Acceptance gate: the ten required checks, one pass/fail line each.
+"""Acceptance gate: the ten required checks, one pass/fail line each
+(criterion 9, a check's second equation following from its first, has two).
 
 Every check is exact -- no tolerances anywhere.  `pytest tests/test_acceptance.py -v`
 shows one test per criterion; with `-s` the printed summary lines appear too.
@@ -251,6 +252,37 @@ def test_criterion_09_square_equivalence():
             report = validate_morphism(Morphism(g0, g1, x, y))
             assert ((mx.first_nonzero(report.eq1_residual) is None)
                     == (mx.first_nonzero(report.eq2_residual) is None))
+
+
+@criterion(9, "over a nonzero potential P*Q = w*I implies Q*P = w*I")
+def test_criterion_09_product_implies_its_reverse():
+    # make_factorization decides P*Q alone when w != 0; here both residuals
+    # are built independently, on valid, perturbed and random pairs.
+    rng = random.Random(119)
+    valid = [make_factorization([[1]], [[PX ** 3]], PX ** 3), X_RANK1, X_RANK2,
+             yoshino(X_RANK1, make_factorization([[PY]], [[PY + 1]], PY ** 2 + PY)),
+             koszul_unit(PX ** 3 + PY ** 2, (X, Y)).mf]
+    valid += [rand_factorization_disjoint(rng, (X, Y)) for _ in range(10)]
+    for k in range(90):
+        fx = valid[k % len(valid)]
+        p, q, w = fx.p, fx.q, fx.potential
+        mode = k % 3
+        if mode == 1 and rng.random() < 0.5:
+            p = _perturb(rng, p)
+        elif mode == 1:
+            q = _perturb(rng, q)
+        elif mode == 2:
+            p, q = (_rand_matrix(rng, fx.size, fx.size) for _ in "pq")
+        assert w != 0
+        pq = mx.first_nonzero(mx.residual([(p, q, 1)], w)) is None
+        qp = mx.first_nonzero(mx.residual([(q, p, 1)], w)) is None
+        assert pq == qp
+        assert pq or mode != 0
+    # Over w = 0 the two sides are independent.
+    p, q = mx.from_rows([[0, 1], [0, 0]]), mx.from_rows([[1, 0], [0, 0]])
+    zero = Polynomial.zero()
+    assert mx.first_nonzero(mx.residual([(p, q, 1)], zero)) is None
+    assert mx.first_nonzero(mx.residual([(q, p, 1)], zero)) is not None
 
 
 def _rand_matrix(rng, rows, cols):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfkit import matfac, poly, unit
 from mfkit import matrices as mx
@@ -27,7 +29,7 @@ from mfkit.matfac import (
     zero_morphism,
 )
 from mfkit.poly import Polynomial, Variable, poly_to_str
-from mfkit.tensor import _tensor_blocks, tensor_morphisms, yoshino
+from mfkit.tensor import Variant, _tensor_blocks, tensor_morphisms, yoshino
 from mfkit.unit import NaturalityReport, koszul_unit, naturality_check, unitor_right
 
 from conftest import PX, PY, PZ, X, Y, Z, rand_factorization, rand_poly, walked_vars
@@ -107,6 +109,153 @@ def test_rejects_one_sided_product():
         make_factorization(p, q, 0)
     assert err.value.which == "Q*P"
     assert err.value.residual == 1
+
+
+# The outcome of a check -- None on acceptance, else the failing product, row,
+# column and residual -- by make_factorization, and by the oracle that decides
+# both P*Q = w*I and Q*P = w*I whatever w is.
+
+def _outcome(p, q, w, **kwargs):
+    try:
+        make_factorization(p, q, w, **kwargs)
+    except NotAFactorization as e:
+        return e.which, e.row, e.col, e.residual
+    return None
+
+
+def _oracle(p, q, w):
+    p, q = mx.from_rows(p), mx.from_rows(q)
+    hit = mx.failure([(p, q, 1)], [(q, p, 1)], w=poly.as_poly(w))
+    if hit is None:
+        return None
+    k, i, j, residuals = hit
+    return ("P*Q", "Q*P")[k], i, j, residuals[k][i][j]
+
+
+def _poly_from_terms(terms, variables):
+    out = Polynomial.zero()
+    for c, exps in terms:
+        term = Polynomial.const(c)
+        for v, e in zip(variables, exps):
+            term = term * Polynomial.var(v) ** e
+        out = out + term
+    return out
+
+
+def _polys(variables, nonzero=False):
+    coeffs = st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3)
+    terms = st.lists(st.tuples(coeffs, st.tuples(*[st.integers(0, 2)] * len(variables))),
+                     min_size=int(nonzero), max_size=3)
+    polys = terms.map(lambda t: _poly_from_terms(t, variables))
+    if nonzero:
+        polys = polys.map(lambda f: f or Polynomial.var(variables[0]) + 1)
+    return polys
+
+
+def _square(n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def _valid_factorizations(draw):
+    """A factorization: rank one, anti-diagonal, a Yoshino product of two
+    of those, or a Koszul unit."""
+    kind = draw(st.sampled_from(["rank1", "antidiag", "yoshino", "unit"]))
+
+    def small(variables):
+        u, v = draw(_polys(variables, True)), draw(_polys(variables, True))
+        if draw(st.booleans()):
+            return make_factorization([[u]], [[v]], u * v)
+        m = [[0, u], [v, 0]]
+        return make_factorization(m, m, u * v)
+
+    if kind == "yoshino":
+        return yoshino(small((X, Y)), small((Z,)), draw(st.sampled_from(list(Variant))))
+    if kind == "unit":
+        return koszul_unit(draw(_polys((X, Y))), (X, Y)).mf
+    return small((X, Y))
+
+
+@st.composite
+def _check_inputs(draw):
+    """(p, q, w) for make_factorization: a valid factorization, the same with
+    one entry changed, random square matrices, or a pair over w = 0."""
+    kind = draw(st.sampled_from(["valid", "changed", "random", "zero"]))
+    if kind in ("valid", "changed"):
+        mf = draw(_valid_factorizations())
+        p, q = [list(r) for r in mf.p], [list(r) for r in mf.q]
+        if kind == "changed":
+            m = draw(st.sampled_from([p, q]))
+            i, j = draw(st.integers(0, mf.size - 1)), draw(st.integers(0, mf.size - 1))
+            m[i][j] = m[i][j] + draw(_polys((X, Y), True))
+        return p, q, mf.potential
+    entries = _polys((X, Y))
+    n = draw(st.integers(1, 3))
+    if kind == "random":
+        return draw(_square(n, entries)), draw(_square(n, entries)), draw(entries)
+    # Over w = 0: strictly upper triangular pairs, whose products both
+    # vanish at size 2, and pairs with a zero P*Q but possibly not Q*P.
+    a, b, c, d = (draw(entries) for _ in range(4))
+    return draw(st.sampled_from([
+        ([[0, a], [0, 0]], [[0, b], [0, 0]], 0),
+        ([[0, a], [0, 0]], [[b, c], [0, 0]], 0),
+        ([[0, a], [0, 0]], [[b, c], [0, d]], 0),
+        (draw(_square(n, entries)), draw(_square(n, entries)), 0),
+    ]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_check_inputs())
+def test_outcome_equals_the_two_sided_oracle(args):
+    """Deciding P*Q alone over a nonzero potential accepts and refuses what
+    deciding both products does, and names the same entry and residual."""
+    p, q, w = args
+    want = _oracle(p, q, w)
+    assert _outcome(p, q, w) == want
+    p, q = mx.from_rows(p), mx.from_rows(q)
+    rows = (mx._nonzero_rows(p), mx._nonzero_rows(q))
+    assert _outcome(p, q, w, _rows=rows) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(_valid_factorizations())
+def test_builders_accept_what_the_oracle_accepts(mf):
+    assert _oracle(mf.p, mf.q, mf.potential) is None
+
+
+def test_a_nonzero_potential_decides_p_times_q_alone(monkeypatch):
+    """make_factorization hands the zero test one equation, P*Q = w*I, over
+    a nonzero potential, and both, P*Q first, over w = 0; builders too (the
+    last check a builder makes is its result's)."""
+    seen = []
+    real = mx.first_difference
+
+    def record(*equations, **kwargs):
+        seen.append(equations)
+        return real(*equations, **kwargs)
+
+    monkeypatch.setattr(mx, "first_difference", record)
+
+    def equations(build):
+        seen.clear()
+        try:
+            mf = build()
+        except NotAFactorization:
+            pass
+        else:
+            mf = getattr(mf, "mf", mf)
+            p_q, q_p = [(mf.p, mf.q, 1)], [(mf.q, mf.p, 1)]
+            assert seen[-1] in ((p_q,), (p_q, q_p))
+        return len(seen[-1])
+
+    nilpotent = [[0, 1], [0, 0]]
+    assert equations(lambda: make_factorization(M_BLOCKS, M_BLOCKS, PX ** 3)) == 1
+    assert equations(lambda: make_factorization([[1]], [[PX]], PX ** 2)) == 1
+    assert equations(lambda: make_factorization(nilpotent, nilpotent, 0)) == 2
+    assert equations(lambda: make_factorization(nilpotent, [[1, 0], [0, 0]], 0)) == 2
+    assert equations(_size8_product) == 1
+    assert equations(lambda: koszul_unit(PX ** 3 + PY ** 2, (X, Y))) == 1
+    assert equations(lambda: koszul_unit(Polynomial.const(5), (X,))) == 2
 
 
 def test_rejects_bad_shapes():
