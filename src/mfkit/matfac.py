@@ -20,9 +20,11 @@ Over f = 0 the two products are independent (p = [[0, 1], [0, 0]] and
 q = [[1, 0], [0, 0]] have p*q = 0 but q*p != 0), so both are decided, in
 that order.  Either way a failure names the first failing entry of p*q
 when p*q fails.  A builder (`tensor.yoshino`, the unitors'
-collapsed product, `unit.koszul_unit`) hands the test the nonzero entries
-of each row it wrote, so P and Q are not walked slot by slot; other input
-is coerced and type-checked entry by entry.  `vars` is read off the
+collapsed product, `unit.koszul_unit`) hands the test the signed rows it
+wrote P and Q from, each nonzero entry as (column, atom, sign), so P and Q
+are not walked slot by slot, and pairs of atoms that cancel by the
+builder's signs are summed away before any is expanded; other input is
+coerced and type-checked entry by entry.  `vars` is read off the
 test's packing: the variables of every nonzero entry and of the
 potential, plus the declared ones.
 
@@ -161,18 +163,26 @@ def make_factorization(p, q, potential, extra_vars=None, *,
     which the zero test's packing fills with the variables of every nonzero
     entry and of the potential.
 
-    A builder that wrote p and q as tuples of tuples of polynomials hands
-    their nonzero ``(column, entry)`` rows, as ``matrices._nonzero_rows``
-    lists them, in ``_rows=(p_rows, q_rows)``; then neither matrix is walked
-    slot by slot.  Any other input is coerced and type-checked by
-    ``matrices.from_rows``, and the zero test lists its rows.
+    A builder that wrote p and q hands their signed rows in ``_rows=(p_rows,
+    q_rows, atoms)``: per row, each nonzero entry as ``(column, atom,
+    sign)``, the entry being sign * atom, and ``atoms`` mapping the id of
+    each atom to it.  p and q must be the matrices built from exactly those
+    rows (``matrices._from_signed_rows``), so the test decides what is
+    returned; then neither matrix is walked slot by slot.  The zero test
+    sums each row's pairs of atoms before it expands them, when an atom has
+    more than one term: pairs that cancel by the builder's signs (a unit's
+    x*y - y*x, a tensor layout's a*b - b*a) make no term product.  Any other
+    input is coerced and type-checked by ``matrices.from_rows``, and the
+    zero test lists its rows; their entries carry no signs, and their pairs
+    are expanded as they are read (``matrices`` module docstring).
     """
     if _rows is None:
         p = mx.from_rows(p)
         q = mx.from_rows(q)
-        rows = None
+        rows = atoms = None
     else:
-        rows = {id(p): _rows[0], id(q): _rows[1]}
+        p_rows, q_rows, atoms = _rows
+        rows = {id(p): p_rows, id(q): q_rows}
     potential = as_poly(potential)
     n = len(p)
     if n == 0:
@@ -185,7 +195,8 @@ def make_factorization(p, q, potential, extra_vars=None, *,
     # Over a nonzero potential P*Q = w*I implies Q*P = w*I (module
     # docstring); over w = 0 the two products are independent.
     equations = [[(p, q, 1)]] if potential.terms else [[(p, q, 1)], [(q, p, 1)]]
-    hit = mx.failure(*equations, w=potential, rows=rows, variables=variables)
+    hit = mx.failure(*equations, w=potential, rows=rows, atoms=atoms,
+                     variables=variables)
     if hit is not None:
         k, i, j, residuals = hit
         raise NotAFactorization(("P*Q", "Q*P")[k], i, j, residuals[k][i][j])

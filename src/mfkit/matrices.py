@@ -25,20 +25,43 @@ equation is a list of signed products ``(a, b, sign)`` and reads
 sum(sign * a*b) = w*I, or = 0 without w: P*Q = Q*P = w*I, the two morphism
 squares, rho.psi = id, a naturality square, a homotopy witness's two
 equations.  No product is built.  Each distinct matrix is listed once for
-all the equations, each distinct entry object and w are encoded once as
+all the equations, each distinct atom (below) and w are encoded once as
 packed monomials with integer numerators (``poly._pack``, in fields wide
 enough for the products and for w), and each row of an equation is summed
 in one map keyed by packed monomial and column, over the row's common
-denominator (none when every entry and w are integral).  A builder that
-wrote a matrix hands its rows' nonzero entries in (``rows``), so the test
-walks only those; the packing's fields name every variable of the entries
-and of w, which a factorization's ``vars`` reads (``variables``).  The
-first row with a nonzero value names the entry; nothing is decoded and no
+denominator (none when every entry and w are integral).  The first row
+with a nonzero value names the entry; nothing is decoded and no
 ``Fraction`` is made.  ``PACK_RATIO`` plays no part here: it chooses only
 how ``mul`` builds a product.  ``failure`` runs the same test and, only
 when an equation fails, builds every equation's residual by ``mul``
 (``residual``) to word the failure; residuals that do not show the entry
 the test named are an internal error.
+
+A builder that wrote a matrix hands the test its signed rows (``rows``):
+per row, each nonzero entry as ``(column, atom, sign)``, where the atom is
+an unsigned polynomial object and the entry is sign * atom, with the
+atoms themselves (``atoms``).  The builder builds the matrix it returns
+from exactly those rows (``_from_signed_rows``, one negation per atom), so
+the test decides the matrix the caller gets, walks only its nonzero
+entries, and packs only the atoms.  Every other matrix is listed by the
+test (``_signed_rows``), each entry its own atom of sign 1.  The packing's
+fields name every variable of the entries and of w, which a
+factorization's ``vars`` reads (``variables``).
+
+A product of two handed matrices, when some handed atom has more than one
+term, sums its row's pairs of atoms before it expands them: each pair with
+a multi-term atom adds its sign at its unordered pair of atoms and its
+column, and only the pairs whose signs do not sum to 0 are expanded, times
+that sum.  A
+builder's signs come from a rule -- the Koszul relations x*y - y*x of a
+unit, the a*b - b*a blocks of a tensor layout -- so most of a unit's pairs
+cancel there before any term product is made.  Every other pair is
+expanded as it is read.  A pair of one-term atoms is one term product
+either way.  A listed matrix carries no signs, and its pairs (outside
+input, morphism squares, rho.psi, witness re-checks) seldom meet again
+as atoms, so summing them first would mostly add a map update per pair.  The
+regrouped sum is the same sum, so the test accepts, refuses and names
+exactly what it did without it.
 """
 
 from __future__ import annotations
@@ -124,14 +147,36 @@ def _nonzero_rows(a: Matrix) -> list:
     return out
 
 
-def _from_nonzero_rows(rows: list, cols: int) -> Matrix:
+def _signed_rows(a: Matrix, atoms: dict) -> list:
+    """Per row of a, its nonzero entries as ``(j, entry, 1)``: each entry
+    is its own atom, and goes into ``atoms`` by id."""
+    out = []
+    for row in a:
+        nonzero = []
+        for j, y in enumerate(row):
+            if y.terms:
+                nonzero.append((j, y, 1))
+                atoms[id(y)] = y
+        out.append(nonzero)
+    return out
+
+
+def _from_signed_rows(rows: list, cols: int, negs: dict) -> Matrix:
     """The matrix with ``cols`` columns whose rows have the nonzero
-    ``(j, entry)`` lists ``rows``; the inverse of ``_nonzero_rows``."""
+    ``(j, atom, sign)`` lists ``rows``: entry j is the atom itself where
+    the sign is 1, else its negation, made once per atom and kept in
+    ``negs`` (by id) for the caller's other matrices."""
     out = []
     for pairs in rows:
         row = [_ZERO] * cols
-        for j, e in pairs:
-            row[j] = e
+        for j, a, s in pairs:
+            if s == 1:
+                row[j] = a
+            else:
+                e = negs.get(id(a))
+                if e is None:
+                    e = negs[id(a)] = -a
+                row[j] = e
         out.append(tuple(row))
     return tuple(out)
 
@@ -177,26 +222,45 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def _right_rows(rows: list, packed: dict, width: int) -> list:
-    """Per row of a matrix, from its ``_nonzero_rows``, as the right factor
-    of a zero test reads it: the lcm r of the row's denominators, and its
-    terms as ``(packed monomial + (column << width), numerator over r)``."""
+def _right_rows(rows: list, packed: dict, width: int, grouping: tuple = None) -> list:
+    """Per row of a matrix, from its signed rows, as the right factor of a
+    zero test reads it: the lcm r of the row's denominators, and its terms
+    as ``(packed monomial + (column << width), sign * numerator over r)``.
+
+    With ``grouping`` (``_first_row_difference``) only the single-term
+    atoms' terms are listed, and the row also gets ``(bit + (column <<
+    shift), sign)`` for its multi-term atoms, and for all of them."""
     out = []
     for row in rows:
         r = 1
-        for _, y in row:
+        for _, y, _ in row:
             if y.den != 1:
                 r = lcm(r, y.den)
-        out.append((r, [(m + (j << width), c * (r // y.den))
-                        for j, y in row for m, c in packed[id(y)]]))
+        if grouping is None:
+            out.append((r, [(m + (j << width), c * (s * r // y.den))
+                            for j, y, s in row for m, c in packed[id(y)]]))
+            continue
+        bits, _, shift = grouping
+        ys, multi, every = [], [], []
+        for j, y, s in row:
+            terms = packed[id(y)]
+            key = (bits[id(y)] + (j << shift), s)
+            every.append(key)
+            if len(terms) > 1:
+                multi.append(key)
+            else:
+                m, c = terms[0]
+                ys.append((m + (j << width), c * (s * r // y.den)))
+        out.append((r, ys, multi, every))
     return out
 
 
-def _first_row_difference(products, w, packed: dict, width: int, integral: bool):
+def _first_row_difference(products, w, packed: dict, width: int, integral: bool,
+                          grouping: tuple = None):
     """(i, j) of the first nonzero entry, in row-major order, of the sum of
     sign * left*right over ``products``, less w*I when ``w`` is given; or
-    None.  A product is ``(left, right, sign)``: the ``_nonzero_rows`` of
-    its left factor and the ``_right_rows`` of its right one.
+    None.  A product is ``(left, right, sign, grouped)``: the signed rows
+    of its left factor and the ``_right_rows`` of its right one.
 
     Row by row, every term product of the row goes into one map keyed by
     ``packed monomial + (column << width)``, as an integer numerator over
@@ -204,27 +268,85 @@ def _first_row_difference(products, w, packed: dict, width: int, integral: bool)
     of w's).  When every operand and w are ``integral`` no row has one, and
     each row is summed as it is.  The row's entries are all zero exactly
     when every value of the map is.
+
+    In a ``grouped`` product both factors' atoms are handed.  A pair of
+    atoms x, y at output column j, one of them with more than one term, is
+    not expanded at once: its sign is added at the key ``bits[x] + bits[y]
+    + (j << shift)`` of a second map, where ``grouping`` is ``(bits,
+    order, shift)``.  ``bits`` gives the n-th handed atom, ``order[n]``,
+    the bit 1 << n, so the key's low ``shift`` bits are two set bits for x
+    != y and the one bit of x << 1 for x = y: the unordered pair, whichever
+    factor each atom came from.  After the row only the keys with a nonzero
+    sum c are expanded, as c * x*y, into the first map.  So a pair that
+    cancels (a*b - b*a) costs one addition and no term product.  Every
+    other pair is expanded as it is read.
     """
     w_terms = packed[id(w)] if w is not None else ()
     w_den = w.den if w is not None else 1
+    if grouping is not None:
+        bits, order, shift = grouping
+        mask = (1 << shift) - 1
     den = 1
     for i in range(len(products[0][0])):
         if not integral:
             den = w_den
-            for left, right, _ in products:
-                for k, x in left[i]:
+            for left, right, _, _ in products:
+                for k, x, _ in left[i]:
                     d = x.den * right[k][0]
                     if d != 1:
                         den = lcm(den, d)
         acc: dict = {}
         get = acc.get
-        for left, right, sign in products:
-            for k, x in left[i]:
-                r, ys = right[k]
-                s = sign if den == 1 else sign * den // (x.den * r)
+        if grouping is not None:
+            groups: dict = {}
+            add = groups.get
+        for left, right, sign, grouped in products:
+            if not grouped:
+                for k, x, sx in left[i]:
+                    r, ys = right[k]
+                    s = sign * sx if den == 1 else sign * sx * den // (x.den * r)
+                    for m1, c1 in packed[id(x)]:
+                        if s != 1:
+                            c1 *= s
+                        for m2, c2 in ys:
+                            m = m1 + m2
+                            acc[m] = get(m, 0) + c1 * c2
+                continue
+            for k, x, sx in left[i]:
+                r, ys, multi, every = right[k]
+                s = sign * sx
+                ix = id(x)
+                xs = packed[ix]
+                if len(xs) == 1:
+                    keys = multi
+                    if ys:
+                        m1, c1 = xs[0]
+                        c1 *= s if den == 1 else s * den // (x.den * r)
+                        for m2, c2 in ys:
+                            m = m1 + m2
+                            acc[m] = get(m, 0) + c1 * c2
+                else:
+                    keys = every
+                bx = bits[ix]
+                for key, sy in keys:
+                    key += bx
+                    groups[key] = add(key, 0) + s * sy
+        if grouping is not None:
+            for key, c in groups.items():
+                if not c:
+                    continue
+                pair = key & mask
+                hi = pair.bit_length() - 1
+                lo = (pair - (1 << hi)).bit_length() - 1
+                if lo < 0:  # x = y: its bit, doubled
+                    hi = lo = hi - 1
+                x, y = order[hi], order[lo]
+                s = c if den == 1 else c * den // (x.den * y.den)
+                col = key >> shift << width
+                ys = packed[id(y)]
                 for m1, c1 in packed[id(x)]:
-                    if s != 1:
-                        c1 *= s
+                    m1 += col
+                    c1 *= s
                     for m2, c2 in ys:
                         m = m1 + m2
                         acc[m] = get(m, 0) + c1 * c2
@@ -239,23 +361,29 @@ def _first_row_difference(products, w, packed: dict, width: int, integral: bool)
 
 
 def first_difference(*equations, w: Polynomial = None, rows: dict = None,
-                     variables: set = None):
+                     atoms: dict = None, variables: set = None):
     """``(k, i, j)`` of the first entry, in row-major order, where equation
     k, the first that fails, does not hold; or None where all hold.
 
     An equation is a list of ``(a, b, sign)`` terms, sign 1 or -1, and reads
     sum(sign * a*b) = w*I when ``w`` is given, else = 0.  No product is
     built, and no entry is decoded: each distinct matrix (by ``id``) is
-    listed once, each distinct entry and w are packed once for all the
+    listed once, each distinct atom and w are packed once for all the
     equations, and each row of an equation is summed in one map of integer
     numerators (``_first_row_difference``).
 
-    ``rows`` maps the id of a matrix to its ``_nonzero_rows``, where the
-    caller already has them (a builder that wrote the matrix does); every
-    other matrix is listed here.  ``variables``, when given, is a set that
-    gets the packing's variables: those of every nonzero entry and of w.
+    ``rows`` maps the id of a matrix to its signed rows, where the caller
+    wrote the matrix from them (``_from_signed_rows``): per row, its
+    nonzero entries as ``(column, atom, sign)``, the entry being sign *
+    atom.  ``atoms`` maps the id of each atom of those rows to it.  Every
+    other matrix is listed here (``_signed_rows``), each entry its own
+    atom.  A product of two handed matrices groups its pairs of atoms when
+    some handed atom has more than one term; no other product does.
+    ``variables``, when given, is a set that gets the packing's variables:
+    those of every nonzero entry and of w.
     """
-    rows = dict(rows or ())  # id of a matrix -> its _nonzero_rows
+    signed = dict(rows or ())  # id of a matrix -> its signed rows
+    operands = dict(atoms or ())
     for terms in equations:
         if not terms:
             raise ValueError("an equation has no term")
@@ -269,24 +397,30 @@ def first_difference(*equations, w: Polynomial = None, rows: dict = None,
             if len(a) != n or (len(b[0]) if b else 0) != m:
                 raise ValueError(f"cannot add a {len(a)}x{shape(b)[1]} product "
                                  f"to a {n}x{m} one")
-            if id(a) not in rows:
-                rows[id(a)] = _nonzero_rows(a)
-            if id(b) not in rows:
-                rows[id(b)] = _nonzero_rows(b)
-    operands = {id(y): y for a in rows.values() for row in a for _, y in row}
+            if id(a) not in signed:
+                signed[id(a)] = _signed_rows(a, operands)
+            if id(b) not in signed:
+                signed[id(b)] = _signed_rows(b, operands)
     if w is not None:
         operands[id(w)] = w
     packed, fields, width = _pack(operands)
     if variables is not None:
         variables.update(v for v, _, _ in fields)
     integral = all(y.den == 1 for y in operands.values())
-    right = {}  # id of a matrix -> its _right_rows
+    grouping = None
+    if rows and any(len(packed[key]) > 1 for key in atoms):
+        order = list(atoms.values())
+        grouping = ({id(y): 1 << n for n, y in enumerate(order)}, order, len(order) + 1)
+    right = {}  # (id of a matrix, grouped) -> its _right_rows
     for k, terms in enumerate(equations):
-        for _, b, _ in terms:
-            if id(b) not in right:
-                right[id(b)] = _right_rows(rows[id(b)], packed, width)
-        products = [(rows[id(a)], right[id(b)], sign) for a, b, sign in terms]
-        hit = _first_row_difference(products, w, packed, width, integral)
+        products = []
+        for a, b, sign in terms:
+            grouped = grouping is not None and id(a) in rows and id(b) in rows
+            if (id(b), grouped) not in right:
+                right[id(b), grouped] = _right_rows(signed[id(b)], packed, width,
+                                                    grouping if grouped else None)
+            products.append((signed[id(a)], right[id(b), grouped], sign, grouped))
+        hit = _first_row_difference(products, w, packed, width, integral, grouping)
         if hit is not None:
             return (k, *hit)
     return None
@@ -305,12 +439,13 @@ def residual(terms, w: Polynomial = None) -> Matrix:
 
 
 def failure(*equations, w: Polynomial = None, rows: dict = None,
-            variables: set = None):
+            atoms: dict = None, variables: set = None):
     """None where every equation holds (``first_difference``, which reads
-    ``rows`` and fills ``variables``), else ``(k, i, j, residuals)``: the
-    first failing entry, and each equation's ``residual``.  Only a failure
-    builds the residuals."""
-    hit = first_difference(*equations, w=w, rows=rows, variables=variables)
+    ``rows`` and ``atoms`` and fills ``variables``), else ``(k, i, j,
+    residuals)``: the first failing entry, and each equation's
+    ``residual``.  Only a failure builds the residuals."""
+    hit = first_difference(*equations, w=w, rows=rows, atoms=atoms,
+                           variables=variables)
     if hit is None:
         return None
     residuals = tuple(residual(terms, w) for terms in equations)

@@ -13,9 +13,15 @@ a = p⊗I, b = I⊗p', c = q⊗I, d = I⊗q', the four layouts are
 no Kronecker product: row i*m + r of p⊗I is row i of p at columns j*m + r,
 and of I⊗p' is row r of p' at columns i*m + s.  So each entry is a factor's
 own polynomial, its negation or the shared zero, and nothing is multiplied.
-The writer lists each row's nonzero entries as it places them and hands
-those lists to ``make_factorization``'s check, so the product's zeros are
-never read.
+The writer takes each factor as signed rows -- per row, its nonzero
+``(column, atom, sign)`` -- and writes P's and Q's signed rows over the
+same atoms, each sign the factor's times the layout's.  It builds P and Q
+from them with one negation per atom and hands them, with the atoms, to
+``make_factorization``'s check: the product's zeros are never read, and
+the a*b - b*a pairs of the layout cancel there as atoms, before any term
+product is made.  ``yoshino`` lists each factor's entries as atoms of sign
+1; the unitors' collapsed product passes the unit's signed word maps
+through.
 
 All four are valid and pairwise distinct as matrix pairs; v1/v2/v3 arise
 from the standard pair by rotating P's blocks anticlockwise and Q's
@@ -78,17 +84,20 @@ _LAYOUTS = {
 
 def _write_layout(variant: Variant, xp, xq, yp, yq) -> tuple:
     """``(P, Q, P's rows, Q's rows)`` of ``variant``'s layout of a = xp⊗I,
-    b = I⊗yp, c = xq⊗I and d = I⊗yq: the matrices, and each row's nonzero
-    ``(column, entry)`` list as ``matrices._nonzero_rows`` gives it.  Each
-    factor's nonzero entries are listed once and negated at most once."""
+    b = I⊗yp, c = xq⊗I and d = I⊗yq, where each factor is given by its
+    signed rows: per row, its nonzero ``(column, atom, sign)``.  The rows
+    of P and Q are signed rows over the same atoms, each sign the factor's
+    times the layout's, and the matrices are built from them with one
+    negation per atom (``matrices._from_signed_rows``)."""
     if variant not in _LAYOUTS:
         raise ValueError(f"unknown variant {variant!r}")
     n, m = len(xp), len(yp)
     nm = n * m
     tokens = " ".join(_LAYOUTS[variant]).split()  # P's quadrants, then Q's
-    signed = {t: mx._nonzero_rows(mat) for t, mat in zip("abcd", (xp, yp, xq, yq))}
+    signed = dict(zip("abcd", (xp, yp, xq, yq)))
     for t in set(tokens) - set(signed):  # "-a" and the like
-        signed[t] = [[(j, -e) for j, e in row] for row in signed[t[1]]]
+        signed[t] = [[(j, e, -s) for j, e, s in row] for row in signed[t[1]]]
+    negs: dict = {}
     out = []
     for half in (tokens[:4], tokens[4:]):
         nonzero = [[] for _ in range(2 * nm)]
@@ -98,16 +107,16 @@ def _write_layout(variant: Variant, xp, xq, yp, yq) -> tuple:
             top, off = k // 2 * nm, k % 2 * nm
             if t[-1] in "ac":  # xp or xq ⊗ I: row i at columns j*m + r
                 for i, row in enumerate(signed[t]):
-                    for j, e in row:
+                    for j, e, s in row:
                         for r in range(m):
-                            nonzero[top + i * m + r].append((off + j * m + r, e))
-            else:  # I ⊗ yp or yq: row r at columns i*m + s
+                            nonzero[top + i * m + r].append((off + j * m + r, e, s))
+            else:  # I ⊗ yp or yq: row r at columns i*m + c
                 for r, row in enumerate(signed[t]):
                     for i in range(n):
                         dest = nonzero[top + i * m + r]
-                        for s, e in row:
-                            dest.append((off + i * m + s, e))
-        out.append((mx._from_nonzero_rows(nonzero, 2 * nm), nonzero))
+                        for c, e, s in row:
+                            dest.append((off + i * m + c, e, s))
+        out.append((mx._from_signed_rows(nonzero, 2 * nm, negs), nonzero))
     (p, p_rows), (q, q_rows) = out
     return p, q, p_rows, q_rows
 
@@ -119,9 +128,12 @@ def yoshino(
 ) -> MatrixFactorization:
     """The tensor product factorization of f + g in the chosen layout."""
     _require_disjoint(x.vars, y.vars)
-    p, q, p_rows, q_rows = _write_layout(variant, x.p, x.q, y.p, y.q)
+    atoms: dict = {}
+    factors = [mx._signed_rows(m, atoms) for m in (x.p, x.q, y.p, y.q)]
+    p, q, p_rows, q_rows = _write_layout(variant, *factors)
     return make_factorization(p, q, x.potential + y.potential,
-                              extra_vars=x.vars + y.vars, _rows=(p_rows, q_rows))
+                              extra_vars=x.vars + y.vars,
+                              _rows=(p_rows, q_rows, atoms))
 
 
 def tensor_morphisms(b: Morphism, a: Morphism) -> Morphism:

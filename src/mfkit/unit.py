@@ -12,10 +12,15 @@ maps of `mfkit.exterior`: on a basis word, generator i either deletes
 itself (`exterior.delete`; coefficient x_i - x_i') or inserts itself
 (`exterior.insert`; coefficient d_i(f)).  So every column has exactly n
 nonzero entries, each a sign times one of the x_i - x_i' or the n
-difference quotients, all computed once per call, and each row's nonzero
-entries are listed as they are written and handed to the eager check.
-The tests compare them with the element-level differential of their
-exterior-algebra oracle.
+difference quotients, all computed once per call.  Each row's nonzero
+entries are written as signed rows (column, atom, sign), the matrices are
+built from them with one negation per atom, and the rows and atoms are
+handed to the eager check.  There the Koszul relations cancel as pairs
+of atoms before any is expanded: for i != j, a product of generator i's
+and generator j's coefficients, such as (x_i - x_i')*d_j(f), meets the
+same product taken in the other order, with the opposite sign.
+The tests compare the matrices with the element-level differential of
+their exterior-algebra oracle.
 
 The right unitor for X (a factorization of g(z) - f(x)) is built on the
 collapsed product Z of X with that unit, the unit restricted to the
@@ -117,11 +122,11 @@ class UnitFactorization(Record):
         return len(self.basis_even)
 
 
-def _word_matrix(in_words, out_words, lin, dq) -> tuple:
+def _word_matrix(in_words, out_words, lin, dq) -> list:
     """The unit differential from ``in_words`` to ``out_words`` by the
-    signed word maps, and each row's nonzero ``(column, entry)`` list as
-    ``matrices._nonzero_rows`` gives it; ``lin[i-1]`` and ``dq[i-1]`` are
-    the (+, -) pairs of generator i's deletion and insertion coefficients."""
+    signed word maps, as signed rows: per out word, its nonzero ``(column,
+    atom, sign)``, where the atom ``lin[i-1]`` or ``dq[i-1]`` is generator
+    i's deletion or insertion coefficient and the sign is the word map's."""
     n = len(lin)
     row_of = {w: r for r, w in enumerate(out_words)}
     nonzero = [[] for _ in out_words]
@@ -129,13 +134,13 @@ def _word_matrix(in_words, out_words, lin, dq) -> tuple:
         for i in range(1, n + 1):
             if i in w:
                 image, odd = delete(i, w)
-                entry = lin[i - 1][odd]
+                atom = lin[i - 1]
             else:
                 image, odd = insert(i, w)
-                entry = dq[i - 1][odd]
-            if entry.terms:
-                nonzero[row_of[image]].append((col, entry))
-    return mx._from_nonzero_rows(nonzero, len(in_words)), nonzero
+                atom = dq[i - 1]
+            if atom.terms:
+                nonzero[row_of[image]].append((col, atom, -1 if odd else 1))
+    return nonzero
 
 
 def _generators(f: Polynomial, xvars):
@@ -165,20 +170,19 @@ def koszul_unit(f: Polynomial, xvars=None) -> UnitFactorization:
     """
     xs, ev, od = _generators(f, xvars)
     n = len(xs)
-    # (+, -) pairs of the deletion and insertion coefficients of generator i.
-    lin = []
-    dq = []
-    for i, x in enumerate(xs, start=1):
-        li = Polynomial.var(x) - Polynomial.var(x.primed())
-        di = diff_quotient(f, i, xs)
-        lin.append((li, -li))
-        dq.append((di, -di))
-    p, p_rows = _word_matrix(ev, od, lin, dq)
-    q, q_rows = _word_matrix(od, ev, lin, dq)
+    # The deletion and insertion coefficients of generator i.
+    lin = [Polynomial.var(x) - Polynomial.var(x.primed()) for x in xs]
+    dq = [diff_quotient(f, i, xs) for i in range(1, n + 1)]
+    p_rows = _word_matrix(ev, od, lin, dq)
+    q_rows = _word_matrix(od, ev, lin, dq)
+    negs: dict = {}
+    p = mx._from_signed_rows(p_rows, len(ev), negs)
+    q = mx._from_signed_rows(q_rows, len(od), negs)
+    atoms = {id(a): a for a in lin + dq if a.terms}
     primed = tuple(v.primed() for v in xs)
     potential = f - t_shift(f, n, xs)
     mf = make_factorization(p, q, potential, extra_vars=xs + primed,
-                            _rows=(p_rows, q_rows))
+                            _rows=(p_rows, q_rows, atoms))
     return UnitFactorization(
         mf=mf, n=n, basis_even=ev, basis_odd=od, f=f, xvars=xs
     )
@@ -243,15 +247,16 @@ def _collapsed_product(x: MatrixFactorization, f: Polynomial, fvars, side="right
 
     # The unit on the diagonal x' = x: contraction coefficients vanish and
     # the difference quotients become the partials of f.
-    zero = Polynomial.zero()
-    dq = [(d, -d) for d in (derivative(f, v) for v in xs)]
-    lin = [(zero, zero)] * n
-    kp, _ = _word_matrix(even, odd, lin, dq)
-    kq, _ = _word_matrix(odd, even, lin, dq)
-    p, q, p_rows, q_rows = _write_layout(Variant.STANDARD, x.p, x.q, kp, kq)
+    dq = [derivative(f, v) for v in xs]
+    lin = [Polynomial.zero()] * n
+    atoms = {id(d): d for d in dq if d.terms}
+    xp, xq = (mx._signed_rows(mat, atoms) for mat in (x.p, x.q))
+    p, q, p_rows, q_rows = _write_layout(Variant.STANDARD, xp, xq,
+                                         _word_matrix(even, odd, lin, dq),
+                                         _word_matrix(odd, even, lin, dq))
     # Grading shift: swap the two matrices so the empty-word slice is even.
     z = make_factorization(q, p, x.potential, extra_vars=x.vars + xs,
-                           _rows=(q_rows, p_rows))
+                           _rows=(q_rows, p_rows, atoms))
 
     empty_word = mx.from_rows([[1] + [0] * (m - 1)])
     proj = mx.block([[mx.zeros(r, r * m), mx.kron(mx.identity(r), empty_word)]])

@@ -132,15 +132,39 @@ def record_factorizations(monkeypatch, module):
     return calls
 
 
+def rebuilt(rows, cols):
+    """The matrix with ``cols`` columns whose rows have the nonzero
+    ``(column, atom, sign)`` lists ``rows``: sign * atom there, 0 elsewhere."""
+    out = [[Polynomial.zero()] * cols for _ in rows]
+    for i, row in enumerate(rows):
+        for j, a, s in row:
+            out[i][j] = a if s == 1 else -a
+    return mx.from_rows(out)
+
+
 def check_handed_rows(calls):
-    """Each recorded builder handed the check the rows ``_nonzero_rows``
-    lists for its matrices, holding the matrices' own entry objects, and
-    the result's ``vars`` are those of a slot-by-slot walk."""
+    """Each recorded builder handed the check signed rows ``(column, atom,
+    sign)`` over the atoms it handed, in column order, and returned the P
+    and Q it checked: the matrices rebuilt from those rows.  An entry of
+    sign 1 is its atom's own object, one of sign -1 is the one negation of
+    its atom in P and Q, and the result's ``vars`` are those of a
+    slot-by-slot walk."""
     assert calls
     for p, q, potential, extra, rows, mf in calls:
         assert rows is not None
-        assert rows == (mx._nonzero_rows(p), mx._nonzero_rows(q))
-        for m, m_rows in zip((p, q), rows):
-            assert all(m[i][j] is e for i, row in enumerate(m_rows) for j, e in row)
-        assert (mf.p, mf.q) == (p, q)
+        p_rows, q_rows, atoms = rows
+        seen, negs = {}, {}
+        for m, m_rows in zip((p, q), (p_rows, q_rows)):
+            assert m == rebuilt(m_rows, len(m[0]))
+            for i, row in enumerate(m_rows):
+                assert [j for j, _, _ in row] == sorted({j for j, _, _ in row})
+                for j, a, s in row:
+                    assert a.terms and s in (1, -1)
+                    seen[id(a)] = a
+                    if s == 1:
+                        assert m[i][j] is a
+                    else:
+                        assert negs.setdefault(id(a), m[i][j]) is m[i][j]
+        assert seen == atoms and all(seen[k] is a for k, a in atoms.items())
+        assert mf.p is p and mf.q is q
         assert mf.vars == walked_vars(p, q, potential, extra or ())

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mfkit import matfac, poly, unit
 from mfkit import matrices as mx
+from mfkit.exterior import even_words, odd_words
 from mfkit.homotopy import HomotopyWitness, WitnessReport, check_witness, find_witness
 from mfkit.matfac import (
     MatrixFactorization,
@@ -29,10 +30,11 @@ from mfkit.matfac import (
     zero_morphism,
 )
 from mfkit.poly import Polynomial, Variable, poly_to_str
-from mfkit.tensor import Variant, _tensor_blocks, tensor_morphisms, yoshino
+from mfkit.tensor import Variant, _tensor_blocks, _write_layout, tensor_morphisms, yoshino
 from mfkit.unit import NaturalityReport, koszul_unit, naturality_check, unitor_right
 
-from conftest import PX, PY, PZ, X, Y, Z, rand_factorization, rand_poly, walked_vars
+from conftest import (PX, PY, PZ, X, Y, Z, rand_factorization, rand_poly,
+                      record_factorizations, walked_vars)
 
 M_BLOCKS = [[0, PX], [PX ** 2, 0]]
 
@@ -123,6 +125,13 @@ def _outcome(p, q, w, **kwargs):
     return None
 
 
+def _handed(p, q):
+    """``make_factorization``'s ``_rows`` for p and q, each nonzero entry
+    its own atom of sign 1."""
+    atoms = {}
+    return mx._signed_rows(p, atoms), mx._signed_rows(q, atoms), atoms
+
+
 def _oracle(p, q, w):
     p, q = mx.from_rows(p), mx.from_rows(q)
     hit = mx.failure([(p, q, 1)], [(q, p, 1)], w=poly.as_poly(w))
@@ -157,23 +166,27 @@ def _square(n, entries):
 
 
 @st.composite
+def _small_factorizations(draw, variables):
+    """A rank-one or anti-diagonal factorization over ``variables``."""
+    u, v = draw(_polys(variables, True)), draw(_polys(variables, True))
+    if draw(st.booleans()):
+        return make_factorization([[u]], [[v]], u * v)
+    m = [[0, u], [v, 0]]
+    return make_factorization(m, m, u * v)
+
+
+@st.composite
 def _valid_factorizations(draw):
     """A factorization: rank one, anti-diagonal, a Yoshino product of two
     of those, or a Koszul unit."""
     kind = draw(st.sampled_from(["rank1", "antidiag", "yoshino", "unit"]))
-
-    def small(variables):
-        u, v = draw(_polys(variables, True)), draw(_polys(variables, True))
-        if draw(st.booleans()):
-            return make_factorization([[u]], [[v]], u * v)
-        m = [[0, u], [v, 0]]
-        return make_factorization(m, m, u * v)
-
     if kind == "yoshino":
-        return yoshino(small((X, Y)), small((Z,)), draw(st.sampled_from(list(Variant))))
+        return yoshino(draw(_small_factorizations((X, Y))),
+                       draw(_small_factorizations((Z,))),
+                       draw(st.sampled_from(list(Variant))))
     if kind == "unit":
         return koszul_unit(draw(_polys((X, Y))), (X, Y)).mf
-    return small((X, Y))
+    return draw(_small_factorizations((X, Y)))
 
 
 @st.composite
@@ -204,17 +217,153 @@ def _check_inputs(draw):
     ]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_check_inputs())
+def _atoms_of(*matrix_rows):
+    """The atoms of signed rows, by id."""
+    return {id(a): a for rows in matrix_rows for row in rows for _, a, _ in row}
+
+
+@st.composite
+def _signed_check_inputs(draw):
+    """(p, q, w, handed rows): signed rows whose P*Q has pairs of atoms that
+    cancel, and the matrices built from them.  The rows are a Koszul unit's
+    word maps, a tensor layout of two small factorizations, or rows
+    s_i * (x, y) against columns t_j * (y, -x), with x = y allowed; each as
+    built, or with one entry's sign flipped or a term added to it, in its
+    row and its matrix alike."""
+    kind = draw(st.sampled_from(["unit", "layout", "commutator"]))
+    if kind == "unit":
+        xs = draw(st.sampled_from([(X, Y), (X, Y, Z)]))
+        f = draw(_polys(xs))
+        lin = [Polynomial.var(v) - Polynomial.var(v.primed()) for v in xs]
+        dq = [poly.diff_quotient(f, i, xs) for i in range(1, len(xs) + 1)]
+        ev, od = tuple(even_words(len(xs))), tuple(odd_words(len(xs)))
+        p_rows = unit._word_matrix(ev, od, lin, dq)
+        q_rows = unit._word_matrix(od, ev, lin, dq)
+        w = f - poly.t_shift(f, len(xs), xs)
+    elif kind == "layout":
+        x, y = draw(_small_factorizations((X, Y))), draw(_small_factorizations((Z,)))
+        factors = [mx._signed_rows(m, {}) for m in (x.p, x.q, y.p, y.q)]
+        _, _, p_rows, q_rows = _write_layout(draw(st.sampled_from(list(Variant))),
+                                             *factors)
+        w = x.potential + y.potential
+    else:
+        n = draw(st.integers(2, 3))
+        a = draw(_polys((X, Y), True))
+        b = a if draw(st.booleans()) else draw(_polys((X, Y), True))
+        signs = st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)
+        p_rows = [[(0, a, s), (1, b, s)] for s in draw(signs)]
+        t = draw(signs)
+        q_rows = ([[(j, b, t[j]) for j in range(n)], [(j, a, -t[j]) for j in range(n)]]
+                  + [[] for _ in range(n - 2)])
+        w = draw(st.sampled_from([Polynomial.zero(), a * b]))
+    if draw(st.booleans()):
+        rows = draw(st.sampled_from([p_rows, q_rows]))
+        i, k = draw(st.sampled_from([(i, k) for i, row in enumerate(rows)
+                                     for k in range(len(row))]))
+        j, atom, s = rows[i][k]
+        changed = atom + draw(_polys((X, Y), True))
+        if draw(st.booleans()) or not changed.terms:
+            rows[i][k] = (j, atom, -s)
+        else:
+            rows[i][k] = (j, changed, s)
+    negs = {}
+    p = mx._from_signed_rows(p_rows, len(p_rows), negs)
+    q = mx._from_signed_rows(q_rows, len(q_rows), negs)
+    return p, q, w, (p_rows, q_rows, _atoms_of(p_rows, q_rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_check_inputs().map(lambda args: (*args, None)),
+                 _signed_check_inputs()))
 def test_outcome_equals_the_two_sided_oracle(args):
     """Deciding P*Q alone over a nonzero potential accepts and refuses what
-    deciding both products does, and names the same entry and residual."""
-    p, q, w = args
+    deciding both products does, and names the same entry and residual;
+    so does grouping the pairs of handed signed rows, where pairs of atoms
+    cancel, and where one of them was changed."""
+    p, q, w, handed = args
     want = _oracle(p, q, w)
     assert _outcome(p, q, w) == want
     p, q = mx.from_rows(p), mx.from_rows(q)
-    rows = (mx._nonzero_rows(p), mx._nonzero_rows(q))
-    assert _outcome(p, q, w, _rows=rows) == want
+    assert _outcome(p, q, w, _rows=_handed(p, q)) == want
+    if handed is not None:
+        assert _outcome(p, q, w, _rows=handed) == want
+
+
+def _cancelling_pair(p_rows, q_rows):
+    """``(i, k, j)``: P[i][k]*Q[k][j] is the first pair of P*Q whose atoms
+    meet again in row i, column j, with the opposite sign."""
+    for i, row in enumerate(p_rows):
+        signs = {}
+        for k, x, sx in row:
+            for j, y, sy in q_rows[k]:
+                signs.setdefault((frozenset((id(x), id(y))), j), []).append((k, sx * sy))
+        for (_, j), pairs in signs.items():
+            if sorted(s for _, s in pairs) == [-1, 1]:
+                return i, pairs[0][0], j
+    return None
+
+
+@pytest.mark.parametrize("change", ["sign", "term"])
+@pytest.mark.parametrize("side", ["P", "Q"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_changed_cancelling_pair_is_refused_as_the_residual_shows(
+        monkeypatch, n, side, change):
+    """One entry of a cancelling pair of a Koszul unit's P*Q gets its sign
+    flipped or a term added, in the matrix and the handed row alike: the
+    check refuses it, naming the entry and residual ``mx.residual`` shows,
+    as it does with the rows listed by the test itself."""
+    xs = (X, Y, Z, Variable("w"))[:n]
+    f = PX ** 3 * Fraction(1, 3) + PY ** 3 * 2 - PX * PY * PZ
+    if n == 4:
+        f = f + Polynomial.var(xs[3]) ** 3
+    calls = record_factorizations(monkeypatch, unit)
+    koszul_unit(f, xs)
+    p, q, w, extra, (p_rows, q_rows, _), _ = calls[0]
+    i, k, j = _cancelling_pair(p_rows, q_rows)
+    rows, at = (p_rows, i) if side == "P" else (q_rows, k)
+    pos, (col, atom, s) = next((pos, e) for pos, e in enumerate(rows[at])
+                               if e[0] == (k if side == "P" else j))
+    rows[at][pos] = (col, atom, -s) if change == "sign" else (col, atom + PX ** 5, s)
+    negs = {}
+    p = mx._from_signed_rows(p_rows, len(p), negs)
+    q = mx._from_signed_rows(q_rows, len(q), negs)
+    at_i, at_j, residual = mx.first_nonzero(mx.residual([(p, q, 1)], w))
+    want = ("P*Q", at_i, at_j, residual)
+    assert _outcome(p, q, w, extra_vars=extra,
+                    _rows=(p_rows, q_rows, _atoms_of(p_rows, q_rows))) == want
+    assert _outcome(p, q, w, extra_vars=extra) == want
+
+
+def test_only_handed_pairs_with_a_multi_term_atom_group(monkeypatch):
+    """A product groups its pairs only when both of its matrices were
+    handed and some handed atom has more than one term: a unit and a
+    product of multi-term factors do; a product of monomial factors, the
+    same matrices listed by the test, and morphism squares do not."""
+    seen = []
+    real = mx._first_row_difference
+
+    def record(products, *args):
+        seen.append([grouped for _, _, _, grouped in products])
+        return real(products, *args)
+
+    monkeypatch.setattr(mx, "_first_row_difference", record)
+
+    def grouped(check):
+        seen.clear()
+        check()
+        return seen
+
+    def rank_one(u, v):
+        return make_factorization([[u]], [[v]], u * v)
+
+    assert grouped(lambda: koszul_unit(PX ** 3 + PY ** 3, (X, Y))) == [[True]]
+    x, y = rank_one(PX + 1, PX - 1), rank_one(PY, PY ** 2 + PY)
+    z = yoshino(x, y)
+    assert grouped(lambda: yoshino(x, y)) == [[True]]
+    monomials = rank_one(PX, PX), rank_one(PY, 2 * PY)
+    assert grouped(lambda: yoshino(*monomials)) == [[False]]
+    assert grouped(lambda: make_factorization(z.p, z.q, z.potential)) == [[False]]
+    assert grouped(lambda: validate_morphism(identity_morphism(z))) == [[False, False]] * 2
 
 
 @settings(max_examples=50, deadline=None)
@@ -541,8 +690,8 @@ def test_a_difference_the_product_does_not_show_is_an_internal_error(
               lambda: check_witness(m_cubed, m_cubed, phi, phi, witness)]
     for named in ((0, 0, 0), (1, 0, 0)):
         monkeypatch.setattr(mx, "first_difference",
-                            lambda *equations, w=None, rows=None, variables=None,
-                            named=named: named)
+                            lambda *equations, w=None, rows=None, atoms=None,
+                            variables=None, named=named: named)
         for check in checks:
             with pytest.raises(RuntimeError) as err:
                 check()
@@ -602,7 +751,7 @@ def test_vars_come_from_the_packing(seed):
     y = rand_factorization(rng, (Z, Variable("u")))
     for mf in (x, y, direct_sum(x, x)):
         want = walked_vars(mf.p, mf.q, mf.potential)
-        rows = (mx._nonzero_rows(mf.p), mx._nonzero_rows(mf.q))
+        rows = _handed(mf.p, mf.q)
         assert make_factorization(mf.p, mf.q, mf.potential).vars == want
         assert make_factorization(mf.p, mf.q, mf.potential, _rows=rows).vars == want
         declared = (Variable("v"), X)

@@ -510,14 +510,15 @@ def test_a_disagreeing_zero_test_is_an_internal_error(monkeypatch):
     p = mx.from_rows([[Polynomial.var(X)]])
     for named in ((0, 0, 0), (1, 0, 0)):
         monkeypatch.setattr(mx, "first_difference",
-                            lambda *eqs, w=None, rows=None, variables=None,
-                            named=named: named)
+                            lambda *eqs, w=None, rows=None, atoms=None,
+                            variables=None, named=named: named)
         with pytest.raises(RuntimeError) as err:
             mx.failure([(p, p, 1)], [(p, p, 1)], w=p[0][0] ** 2)
         assert str(err.value) == (f"the zero test named entry {named}, but the "
                                   "residuals' first nonzero entry is None")
     monkeypatch.setattr(mx, "first_difference",
-                        lambda *eqs, w=None, rows=None, variables=None: (1, 0, 0))
+                        lambda *eqs, w=None, rows=None, atoms=None,
+                        variables=None: (1, 0, 0))
     with pytest.raises(RuntimeError, match=r"first nonzero entry is \(0, 0, 0\)"):
         mx.failure([(p, p, 1)], [(p, p, 1)], w=Polynomial.zero())
 

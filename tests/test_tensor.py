@@ -171,7 +171,7 @@ def test_yoshino_matches_the_kronecker_oracle(variant, rx, ry):
 @pytest.mark.parametrize("rx", [1, 2, 3])
 @pytest.mark.parametrize("ry", [1, 2, 3])
 def test_yoshino_hands_its_nonzero_rows_to_the_check(monkeypatch, variant, rx, ry):
-    """The layout writer's rows are the ones ``_nonzero_rows`` lists, over
+    """The product is rebuilt from the layout writer's signed rows, over
     rational factors with zero entries, and ``vars`` (from the zero test's
     packing, plus the factors' declared variables) is the walked set."""
     rng = random.Random(500 + 10 * rx + ry)
@@ -185,12 +185,15 @@ def test_yoshino_hands_its_nonzero_rows_to_the_check(monkeypatch, variant, rx, r
 
 def test_handed_rows_spare_the_slot_by_slot_walks(monkeypatch):
     """With the rows handed, ``make_factorization`` neither coerces P and
-    Q (``from_rows``) nor lists their rows (``_nonzero_rows``), and builds
-    the factorization the unhanded call builds."""
+    Q (``from_rows``) nor lists their rows (``_signed_rows``,
+    ``_nonzero_rows``), and builds the factorization the unhanded call
+    builds."""
     rng = random.Random(41)
     a = _of_rank(rng, (X,), 3, Fraction(1, 3))
     b = _of_rank(rng, (Y,), 2)
-    p, q, p_rows, q_rows = tensor._write_layout(Variant.V3, a.p, a.q, b.p, b.q)
+    atoms = {}
+    factors = [mx._signed_rows(m, atoms) for m in (a.p, a.q, b.p, b.q)]
+    p, q, p_rows, q_rows = tensor._write_layout(Variant.V3, *factors)
     w = a.potential + b.potential
     plain = make_factorization(p, q, w)
 
@@ -198,8 +201,9 @@ def test_handed_rows_spare_the_slot_by_slot_walks(monkeypatch):
         raise AssertionError("P or Q was walked slot by slot")
 
     monkeypatch.setattr(mx, "from_rows", refuse)
+    monkeypatch.setattr(mx, "_signed_rows", refuse)
     monkeypatch.setattr(mx, "_nonzero_rows", refuse)
-    assert make_factorization(p, q, w, _rows=(p_rows, q_rows)) == plain
+    assert make_factorization(p, q, w, _rows=(p_rows, q_rows, atoms)) == plain
 
 
 def _refuse_products(monkeypatch):
