@@ -17,20 +17,25 @@ An unknown is the coefficient of the k-th monomial, in graded-lex order, of
 entry [i][j] of lambda_b, numbered by the int ((b*|Y| + i)*|X| + j)*N + k for
 N candidate monomials: ints order as the tuples (b, i, j, k) do, and hash and
 compare faster.  A search with more than `MAX_UNKNOWNS` unknowns is refused
-before any row is built.  Each distinct entry of d_X and d_Y is expanded once
-per search into its shift table -- each of its terms times each candidate
-monomial -- and the search lists its equation entries once, in row order:
-each with the tables it reads, the unknowns they multiply and its
-right-hand side as dense terms.  The rows, sparse {unknown: coeff} with
-their right-hand sides, are built from that list one equation entry at a
-time, as the solve reads them, so a search with no witness stops building
-at its first inconsistent equation.  The equation count and that equation's
-place, which the `NotFoundWithinDegree` text names, are counted from the
-same list, with no row built.  The solve is a reduced row echelon form
-whose pivot is always the smallest unknown of a row, with free unknowns
-pinned to 0.  That form is unique, so the witness does not depend on row
-order and its printed bytes are stable; a cheaper pivot choice (Markowitz)
-would change which unknowns are free, and so the witness.
+before any row is built.  The search lists its equation entries once, in
+row order, each with the entries of d_X and d_Y it reads, the unknowns they
+multiply and its entries of psi and phi, and expands nothing more.  The
+rows, sparse {unknown: coeff} with their right-hand sides, are built from
+that list one equation entry at a time, as the solve reads them.  The
+first time an entry is reached, each entry of d_X and d_Y it reads is
+expanded into its shift table -- each of its terms times each candidate
+monomial -- once per distinct value in a search, and its right-hand side
+into the dense terms of psi - phi.  So a search with no witness expands
+only the entries up to its first inconsistent equation.  The
+`NotFoundWithinDegree` text names the equation count and that equation's
+place, counted from the same list, with no row built but with every entry
+expanded; a search's exception works them out only when its message is
+first read, so `is_null_homotopic`, which reads no message, never pays for
+them.  The solve is a reduced row echelon form whose pivot is always the
+smallest unknown of a row, with free unknowns pinned to 0.  That form is
+unique, so the witness does not depend on row order and its printed bytes
+are stable; a cheaper pivot choice (Markowitz) would change which unknowns
+are free, and so the witness.
 
 The rows split into connected components, two unknowns joined when a row
 names both, and the solve eliminates only the rows of the components that
@@ -94,12 +99,27 @@ MAX_UNKNOWNS = 20000
 
 
 class NotFoundWithinDegree(Exception):
+    """No witness with entries of degree <= ``max_degree``; ``detail`` names
+    the system searched.  A search raises it unworded: the detail is worked
+    out when the message is first read (``str``, or a pickle or copy), and
+    the exception then drops its reference to the search."""
+
+    _word = None  # until the detail is worded: the call that words it
+
     def __init__(self, max_degree: int, detail: str):
+        super().__init__(max_degree, detail)
         self.max_degree = max_degree
-        super().__init__(
-            f"no homotopy witness with entry degree <= {max_degree} "
-            f"(no claim about higher degrees): {detail}"
-        )
+
+    def __str__(self) -> str:
+        if self._word is not None:
+            self.args = (self.max_degree, self._word())
+            del self._word
+        return (f"no homotopy witness with entry degree <= {self.max_degree} "
+                f"(no claim about higher degrees): {self.args[1]}")
+
+    def __reduce__(self):
+        str(self)
+        return type(self), self.args
 
 
 class HomotopyWitness(Record):
@@ -235,7 +255,10 @@ def _solve_gauss_jordan(rows, nunknowns: int):
     not past the first inconsistent row; the rows read are kept for the
     final check of every one of them, which alone needs ``nunknowns``.
     ``bench/tracer.py`` takes ``len(rows)`` and iterates ``rows`` before
-    this function does, so a lazily built ``rows`` must allow both.
+    this function does, so a lazily built ``rows`` must allow both; its
+    ``len`` expands every equation entry of a ``_Rows`` before the solve,
+    and that time lands in the tracer's own hook time
+    (``trace.overhead_frac``), not in ``homotopy.assemble_s``.
 
     Only the rows of live components are eliminated.  Two unknowns are in
     one component when a chain of rows names them, and a component is live
@@ -362,54 +385,84 @@ class _Rows:
     monomial.  Sized and re-iterable; an iteration builds an entry's rows
     only when it reaches that entry.
 
-    ``__init__`` builds the list of equation entries, in row order, once:
-    ``(part, i, j, factors, rhs)``, with ``factors`` the ``(shift table,
-    number of its unknown k = 0)`` of each product with a nonzero known
-    entry and ``rhs`` the dense terms of the right-hand side.  Iteration,
-    ``len`` and ``where`` all read that list.  Unknown ``(b, i, j, k)`` is
-    numbered ``first(b, i, j) + k``.  One equation entry names each unknown
-    entry of lambda once, in one product with one known entry, so each
-    (result monomial, unknown) pair is written once: a store, never a sum."""
+    ``__init__`` lists the equation entries once, in row order, and expands
+    nothing: ``(part, i, j, known, sides)``, with ``known`` the ``(known
+    entry, number of its unknown k = 0)`` of each product with a nonzero
+    known entry and ``sides`` the entries of psi and phi.  The first walk
+    (``_walk``) to reach an equation entry builds what it reads and keeps
+    it: the shift table of each of its known entries, once per distinct
+    value (looked up by object first, so a value is hashed once per
+    object), and its right-hand side, the dense terms of psi - phi, with a
+    zero side not expanded.  Iteration, ``len`` and ``where`` all walk that
+    list, so a search that stops in its first equation entry expands that
+    entry alone.
+    Unknown ``(b, i, j, k)`` is numbered ``first(b, i, j) + k``.  One
+    equation entry names each unknown entry of lambda once, in one product
+    with one known entry, so each (result monomial, unknown) pair is written
+    once: a store, never a sum."""
 
     def __init__(self, x, y, phi, psi, vars_m: tuple, monos: list):
         ny, nxs, nm = self._shape = (y.size, x.size, len(monos))
+        self._vars_m, self._monos = vars_m, monos
         first = self.first
-        tables = {}  # known entry -> its shift table, built once per search
-
-        def table(e):
-            t = tables.get(e) if e else ()
-            if t is None:
-                t = tables[e] = _shift_table(e, vars_m, monos)
-            return t
-
         # even entry (i, j): sum_k qY[i,k] l0[k,j] + l1[i,k] pX[k,j]
         # odd entry (i, j):  sum_k pY[i,k] l1[k,j] + l0[i,k] qX[k,j]
         # so d_Y multiplies lambda_b and d_X multiplies lambda_(1-b); per
-        # part, the tables of d_Y by row and of d_X by column.
-        parts = [(part, b, [list(map(table, row)) for row in d_y],
-                  list(zip(*(map(table, row) for row in d_x))), rhs_m)
-                 for part, b, d_y, d_x, rhs_m in (
-                     ("even", 0, y.q, x.p, mx.sub(psi.alpha, phi.alpha)),
-                     ("odd", 1, y.p, x.q, mx.sub(psi.beta, phi.beta)))]
+        # part, the known entries of d_Y by row and of d_X by column.
+        parts = [(part, b, d_y, list(zip(*d_x)), psi_m, phi_m)
+                 for part, b, d_y, d_x, psi_m, phi_m in (
+                     ("even", 0, y.q, x.p, psi.alpha, phi.alpha),
+                     ("odd", 1, y.p, x.q, psi.beta, phi.beta))]
         self._entries = []
         for i in range(ny):
             for j in range(nxs):
-                for part, b, y_rows, x_cols, rhs_m in parts:
+                for part, b, y_rows, x_cols, psi_m, phi_m in parts:
                     # entries [k][j] of lambda_b, then [i][k] of lambda_(1-b)
                     bases = chain(range(first(b, 0, j), first(b, ny, j), nxs * nm),
                                   range(first(1 - b, i, 0), first(1 - b, i, nxs), nm))
-                    factors = [(t, base) for t, base
-                               in zip(chain(y_rows[i], x_cols[j]), bases) if t]
+                    known = [(e, base) for e, base
+                             in zip(chain(y_rows[i], x_cols[j]), bases) if e]
                     self._entries.append(
-                        (part, i, j, factors, rhs_m[i][j].dense_terms(vars_m)))
+                        (part, i, j, known, (psi_m[i][j], phi_m[i][j])))
+        self._tables = {}  # id of a known entry -> its shift table, once built
+        self._by_value = {}  # known entry -> its shift table, once built
+        self._rhs = [None] * len(self._entries)  # entry -> dense rhs, once built
 
     def first(self, b: int, i: int, j: int) -> int:
         """The number of unknown (b, i, j, 0)."""
         ny, nxs, nm = self._shape
         return ((b * ny + i) * nxs + j) * nm
 
+    def _walk(self):
+        """Per equation entry, in row order, ``(factors, rhs)``: the ``(shift
+        table, number of its unknown k = 0)`` of each product and the dense
+        terms of the right-hand side, each built the first time a walk reads
+        it."""
+        tables, by_value, rhs_of = self._tables, self._by_value, self._rhs
+        for n, (_, _, _, known, (psi_e, phi_e)) in enumerate(self._entries):
+            factors = []
+            for e, base in known:
+                t = tables.get(id(e))
+                if t is None:
+                    t = by_value.get(e)
+                    if t is None:
+                        t = by_value[e] = _shift_table(e, self._vars_m, self._monos)
+                    tables[id(e)] = t
+                factors.append((t, base))
+            rhs = rhs_of[n]
+            if rhs is None:
+                # psi - phi on dense terms: no Polynomial arithmetic, which
+                # bench/tracer.py would time inside its hook on the solve
+                rhs = rhs_of[n] = psi_e.dense_terms(self._vars_m) if psi_e else {}
+                if phi_e:
+                    for m, c in phi_e.dense_terms(self._vars_m).items():
+                        c = rhs.pop(m, 0) - c
+                        if c:
+                            rhs[m] = c
+            yield factors, rhs
+
     def __iter__(self):
-        for *_, factors, rhs in self._entries:
+        for factors, rhs in self._walk():
             eq = {}  # result monomial -> {unknown: coeff}
             for table, base in factors:
                 for res, k, kc in table:
@@ -426,7 +479,7 @@ class _Rows:
         rows -- those of its shift tables and its right-hand side -- counted
         without building the rows."""
         known = {}  # id of a shift table -> its result monomials
-        for *_, factors, rhs in self._entries:
+        for factors, rhs in self._walk():
             support = set(rhs)
             for table, _ in factors:
                 if id(table) not in known:
@@ -437,13 +490,22 @@ class _Rows:
     def __len__(self) -> int:
         return sum(map(len, self._entry_supports()))
 
+    def _locate(self, n: int) -> tuple:
+        """``(number of rows, (part, i, j, result monomial) of row n)``, from
+        one walk of the supports; the place is None past the last row."""
+        count, at = 0, None
+        for (part, i, j, _, _), support in zip(self._entries, self._entry_supports()):
+            if at is None and n < count + len(support):
+                at = part, i, j, sorted(support)[n - count]
+            count += len(support)
+        return count, at
+
     def where(self, n: int) -> tuple:
         """``(part, i, j, result monomial)`` of row ``n``."""
-        for (part, i, j, _, _), support in zip(self._entries, self._entry_supports()):
-            if n < len(support):
-                return part, i, j, sorted(support)[n]
-            n -= len(support)
-        raise IndexError(n)
+        at = self._locate(n)[1]
+        if at is None:
+            raise IndexError(n)
+        return at
 
 
 def find_witness(
@@ -468,11 +530,15 @@ def find_witness(
     rows = _Rows(x, y, phi, psi, vars_m, monos)
     sol, rank, bad = _solve_gauss_jordan(rows, nunknowns)
     if sol is None:
-        part, i, j, res = rows.where(bad)
-        mono = poly_to_str(Polynomial.from_dense(vars_m, {res: Fraction(1)}))
-        raise NotFoundWithinDegree(max_degree, (
-            f"{nunknowns} unknowns, {len(rows)} equations, rank {rank} at the "
-            f"first inconsistent equation, {part} entry [{i}][{j}], monomial {mono}"))
+        def word():
+            nrows, (part, i, j, res) = rows._locate(bad)
+            mono = poly_to_str(Polynomial.from_dense(vars_m, {res: Fraction(1)}))
+            return (f"{nunknowns} unknowns, {nrows} equations, rank {rank} at the "
+                    f"first inconsistent equation, {part} entry [{i}][{j}], monomial {mono}")
+
+        err = NotFoundWithinDegree(max_degree, None)
+        err._word = word
+        raise err
 
     def entry(base):
         return Polynomial.from_dense(vars_m, {

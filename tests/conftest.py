@@ -1,18 +1,29 @@
-"""Shared builders for the test suite.
+"""Shared builders for the test suite, and the zero-test oracle.
 
 Random objects are always drawn from a caller-seeded random.Random so that
 every test run sees the same sample; hypothesis covers the genuinely
 randomized side.
+
+Every test runs with ``matrices.first_difference`` wrapped: each verdict it
+returns is re-decided by ``zero_test_oracle.ref_first_difference`` and must
+be the same.  A test that sets ``first_difference`` itself replaces the
+wrapper for its own run.  A replacement that calls the function it found
+(a recorder) still calls the wrapper, so its verdicts are still checked; one
+that returns a made-up verdict is not checked, since it tests what happens
+when the zero test is wrong.
 """
 
 import math
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
+
 from mfkit import matrices as mx
 from mfkit import poly
 from mfkit.poly import Polynomial, Variable
 from mfkit import direct_sum, make_factorization
+from zero_test_oracle import ref_first_difference, ref_mono_mul
 
 X = Variable("x")
 Y = Variable("y")
@@ -23,12 +34,26 @@ PY = Polynomial.var(Y)
 PZ = Polynomial.var(Z)
 
 
-def ref_mono_mul(a, b):
-    """Monomial product by merging exponents in a dict, with no shortcut."""
-    exps = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
+@pytest.fixture(autouse=True)
+def zero_test_oracle(monkeypatch):
+    """Check every verdict of ``matrices.first_difference`` against the
+    naive oracle (see the module docstring).  A disagreement raises at the
+    call, and fails the test at teardown too, in case the code under test
+    caught the error (the CLI turns some into exit codes)."""
+    real = mx.first_difference
+    disagreements = []
+
+    def checked(*equations, w=None, **kwargs):
+        got = real(*equations, w=w, **kwargs)
+        want = ref_first_difference(equations, w)
+        if got != want:
+            disagreements.append((got, want))
+            raise AssertionError(f"the zero test gave {got}, its oracle {want}")
+        return got
+
+    monkeypatch.setattr(mx, "first_difference", checked)
+    yield
+    assert not disagreements, f"(zero test, oracle) disagreed: {disagreements}"
 
 
 def ref_sum_of_products(pairs):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -171,12 +173,28 @@ def test_not_found_in_a_later_odd_entry():
     )
 
 
+def counted_expansions(monkeypatch):
+    """A list that gets the terms of each polynomial expanded by
+    ``dense_terms`` from here on (terms, not the polynomial, whose repr
+    would expand it again)."""
+    calls = []
+    dense_terms = Polynomial.dense_terms
+
+    def counted(self, variables):
+        calls.append(self.terms)
+        return dense_terms(self, variables)
+
+    monkeypatch.setattr(Polynomial, "dense_terms", counted)
+    return calls
+
+
 @pytest.mark.parametrize("case", ["identity", "later odd entry", "jacobian"])
 def test_a_search_with_no_witness_expands_each_entry_once(case, monkeypatch):
     # Iterating the rows, counting them and locating the failing one all
-    # read the one list of equation entries: each distinct nonzero known
-    # entry is expanded once for its shift table, each equation entry's
-    # right-hand side once, and the printed monomial once.
+    # read the one list of equation entries: once the message is read, each
+    # distinct nonzero known entry has been expanded once for its shift
+    # table, each nonzero right-hand side once, and the printed monomial
+    # once.  A right-hand side psi - phi of zero is not expanded.
     if case == "identity":
         x, phi, psi, degree = M, identity_morphism(M), zero_morphism(M), 2
     elif case == "later odd entry":
@@ -189,17 +207,54 @@ def test_a_search_with_no_witness_expands_each_entry_once(case, monkeypatch):
         phi = scalar_morphism(derivative(x.potential, Y), x)
         psi, degree = zero_morphism(x), 0
     known = {e for d in (x.p, x.q) for row in d for e in row if e}
-    calls = []
-    dense_terms = Polynomial.dense_terms
-
-    def counted(self, variables):
-        calls.append(self)
-        return dense_terms(self, variables)
-
-    monkeypatch.setattr(Polynomial, "dense_terms", counted)
-    with pytest.raises(NotFoundWithinDegree):
+    # one side of each equation entry is zero: psi - phi is the other side
+    sides = sum(1 for m in (phi, psi) for b in (m.alpha, m.beta) for row in b for e in row if e)
+    assert sides == {"identity": 4, "later odd entry": 1, "jacobian": 8}[case]
+    calls = counted_expansions(monkeypatch)
+    with pytest.raises(NotFoundWithinDegree) as err:
         find_witness(x, x, phi, psi, degree)
-    assert len(calls) == len(known) + 2 * x.size * x.size + 1
+    assert str(err.value).startswith("no homotopy witness")
+    assert len(calls) == len(known) + sides + 1
+    assert len(calls) == {"identity": 7, "later odd entry": 4, "jacobian": 19}[case]
+
+
+def test_an_unread_not_found_expands_only_the_failing_entry(monkeypatch):
+    # The identity search on M fails at row 0, the constant term of even
+    # entry [0][0] = qY[0][1]*l0[1][0] + l1[0][1]*pX[1][0] = 0 - 1: with the
+    # message unread, only x and x^2 and the 1 of phi = id are expanded.
+    phi, psi = identity_morphism(M), zero_morphism(M)
+    calls = counted_expansions(monkeypatch)
+    with pytest.raises(NotFoundWithinDegree):
+        find_witness(M, M, phi, psi, 2)
+    assert calls == [PX.terms, (PX ** 2).terms, {(): 1}]
+    calls.clear()
+    assert is_null_homotopic(M, M, phi, 2) == (False, None)
+    assert calls == [PX.terms, (PX ** 2).terms, {(): 1}]
+
+
+def test_not_found_survives_pickle_and_copy():
+    def round_trips(err):
+        yield pickle.loads(pickle.dumps(err))
+        yield copy.copy(err)
+        yield copy.deepcopy(err)
+
+    hand_built = NotFoundWithinDegree(3, "x")
+    want = "no homotopy witness with entry degree <= 3 (no claim about higher degrees): x"
+    for got in round_trips(hand_built):
+        assert type(got) is NotFoundWithinDegree
+        assert (got.max_degree, str(got)) == (3, want)
+    # a search's exception, pickled before its message is read
+    with pytest.raises(NotFoundWithinDegree) as err:
+        find_witness(M, M, identity_morphism(M), zero_morphism(M), 2)
+    got = pickle.loads(pickle.dumps(err.value))
+    want = ("no homotopy witness with entry degree <= 2 (no claim about higher "
+            "degrees): 24 unknowns, 32 equations, rank 0 at the first "
+            "inconsistent equation, even entry [0][0], monomial 1")
+    assert (got.max_degree, str(got)) == (2, want)
+    assert str(err.value) == want
+    assert "_word" not in vars(err.value)  # worded: the search is dropped
+    for got in round_trips(err.value):
+        assert (got.max_degree, str(got)) == (2, want)
 
 
 def test_is_null_homotopic_returns_flag_and_witness():
