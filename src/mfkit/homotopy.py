@@ -145,11 +145,13 @@ class WitnessReport(Record):
 
 def _check_setup(x, y, phi: Morphism, psi: Morphism) -> None:
     declared = set(x.vars).union(y.vars)
+    seen = set()  # each distinct entry is walked once: morphisms repeat their 1 or scalar
     for name, m in (("phi", phi), ("psi", psi)):
         if m.source != x or m.target != y:
             raise ShapeMismatch("morphisms must go from x to y")
-        for row in chain(m.alpha, m.beta):
-            for e in row:
+        for e in chain(*m.alpha, *m.beta):
+            if e.terms and id(e) not in seen:
+                seen.add(id(e))
                 for mono in e.terms:
                     for v, _ in mono:
                         if v not in declared:

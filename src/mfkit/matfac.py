@@ -37,13 +37,13 @@ block beta satisfying the two squares
 `Morphism(...)` itself only checks shapes and potentials, so invalid pairs
 can be built and inspected; `validate_morphism` decides both squares in one
 zero test, and builds their residual matrices only when one fails (a pass
-holds zero matrices); `make_morphism` is `Morphism` plus that check, and is
-what the library uses internally.  Over a nonzero potential either square
-implies the other, but only when p_X, q_X, p_Y and q_Y are themselves
-factorizations: a `MatrixFactorization` built directly, or unpickled, is
-not checked.  So `validate_morphism` decides both squares, as do the other
-morphism checks (rho.psi = id, naturality, `homotopy.check_witness`), and
-the acceptance tests check the implication on its two residuals.
+holds zero matrices); `make_morphism` is `Morphism` plus that check, which
+the unitors make with their other checks (`_decide`).  Over a nonzero
+potential either square implies the other, but only when p_X, q_X, p_Y and
+q_Y are themselves factorizations: a `MatrixFactorization` built directly,
+or unpickled, is not checked.  So `validate_morphism` decides both squares,
+as do the other morphism checks (rho.psi = id, naturality,
+`homotopy.check_witness`), and the acceptance tests check the implication.
 
 The JSON file format lives here too: canonical, byte-stable output --
 `serialize(parse(serialize(x)))` is the identity on bytes.
@@ -152,37 +152,28 @@ def make_factorization(p, q, potential, extra_vars=None, *,
                        _rows=None) -> MatrixFactorization:
     """Validate and build: p*q == q*p == potential*I, exactly.
 
-    When the potential w is nonzero, only p*q = w*I is tested: p and q are
-    square and of one size n, and Q[x] is a domain, so det p * det q = w^n
-    != 0 makes p nonsingular, and p*(q*p - w*I) = (p*q - w*I)*p = 0 gives
-    q*p = w*I.  When w = 0 both products are tested, p*q first.  A failure
-    raises ``NotAFactorization`` naming the first failing entry.
+    Over a nonzero potential w only p*q = w*I is tested, since it implies
+    q*p = w*I (module docstring); over w = 0 both are, p*q first.  A
+    failure raises ``NotAFactorization`` naming the first failing entry.
 
-    ``extra_vars`` may declare variables that do not occur in any entry (a
-    zero block keeps its variables declared this way); they join ``vars``,
-    which the zero test's packing fills with the variables of every nonzero
-    entry and of the potential.
+    ``extra_vars`` declares variables that may occur in no entry (a zero
+    block keeps its variables so); ``vars`` is them and the zero test's
+    packing's: those of every nonzero entry and of the potential.
 
-    A builder that wrote p and q hands their signed rows in ``_rows=(p_rows,
-    q_rows, atoms)``: per row, each nonzero entry as ``(column, atom,
-    sign)``, the entry being sign * atom, and ``atoms`` mapping the id of
-    each atom to it.  p and q must be the matrices built from exactly those
-    rows (``matrices._from_signed_rows``), so the test decides what is
-    returned; then neither matrix is walked slot by slot.  The zero test
-    sums each row's pairs of atoms before it expands them, when an atom has
-    more than one term: pairs that cancel by the builder's signs (a unit's
-    x*y - y*x, a tensor layout's a*b - b*a) make no term product.  Any other
-    input is coerced and type-checked by ``matrices.from_rows``, and the
-    zero test lists its rows; their entries carry no signs, and their pairs
-    are expanded as they are read (``matrices`` module docstring).
+    A builder hands the signed rows it built p and q from by
+    ``matrices._from_signed_rows`` as ``_rows=(p_rows, q_rows, atoms)``, so
+    the test decides what is returned without walking either matrix slot by
+    slot, and pairs of atoms that cancel by the builder's signs (a unit's
+    x*y - y*x, a layout's a*b - b*a) make no term product.  Any other input
+    is coerced and type-checked by ``matrices.from_rows``.
     """
     if _rows is None:
         p = mx.from_rows(p)
         q = mx.from_rows(q)
-        rows = atoms = None
+        handed = None, None
     else:
         p_rows, q_rows, atoms = _rows
-        rows = {id(p): p_rows, id(q): q_rows}
+        handed = {id(p): p_rows, id(q): q_rows}, atoms
     potential = as_poly(potential)
     n = len(p)
     if n == 0:
@@ -192,16 +183,45 @@ def make_factorization(p, q, potential, extra_vars=None, *,
             f"expected square matrices of equal size, got {mx.shape(p)} and {mx.shape(q)}"
         )
     variables = set(extra_vars or ())
-    # Over a nonzero potential P*Q = w*I implies Q*P = w*I (module
-    # docstring); over w = 0 the two products are independent.
-    equations = [[(p, q, 1)]] if potential.terms else [[(p, q, 1)], [(q, p, 1)]]
-    hit = mx.failure(*equations, w=potential, rows=rows, atoms=atoms,
-                     variables=variables)
-    if hit is not None:
-        k, i, j, residuals = hit
-        raise NotAFactorization(("P*Q", "Q*P")[k], i, j, residuals[k][i][j])
+    _decide(_factorization_check(p, q, potential, handed), variables=variables)
     return MatrixFactorization(p=p, q=q, potential=potential, size=n,
                                vars=tuple(sorted(variables)))
+
+
+def _factorization_check(p, q, potential, handed=(None, None)) -> tuple:
+    """The check (``_decide``) of P*Q = w*I, and over w = 0 of Q*P = 0 too."""
+    equations = [[(p, q, 1)]] if potential.terms else [[(p, q, 1)], [(q, p, 1)]]
+    return equations, potential, lambda k, i, j, res: NotAFactorization(
+        ("P*Q", "Q*P")[k], i, j, res[k][i][j]), handed
+
+
+def _decide(*checks, variables: set = None):
+    """Decide every check's equations, in order, in one exact zero test
+    that fills ``variables``; None where all hold.  A check is ``(equations,
+    w, fail, (rows, atoms))``: equations over w (0 where w is None) and the
+    rows and atoms a builder hands, or None.  A failure is decided again by
+    ``matrices.failure``, and where equation k of a check fails first, at
+    (i, j), ``fail(k, i, j, its residuals)`` gives its error, raised, or report."""
+    equations, ws, _, (rows, atoms) = checks[0]
+    if len(checks) > 1:
+        equations, ws, rows, atoms = [], (), {}, {}
+        for eqs, w, _, handed in checks:
+            equations += eqs
+            ws += (w,) * len(eqs)
+            rows.update(handed[0] or ())
+            atoms.update(handed[1] or ())
+    if mx.first_difference(*equations, w=ws, rows=rows, atoms=atoms,
+                           variables=variables) is None:
+        return None
+    k, i, j, residuals = mx.failure(*equations, w=ws, rows=rows, atoms=atoms)
+    for eqs, _, fail, _ in checks:
+        if k < len(eqs):
+            got = fail(k, i, j, residuals[:len(eqs)])
+            if isinstance(got, Exception):
+                raise got
+            return got
+        k -= len(eqs)
+        residuals = residuals[len(eqs):]
 
 
 def direct_sum(x: MatrixFactorization, y: MatrixFactorization) -> MatrixFactorization:
@@ -268,26 +288,29 @@ class MorphismReport(Record):
         return "; ".join(bits) or "ok"
 
 
+def _squares(m: Morphism) -> tuple:
+    """The check (``_decide``) of m's two commuting squares."""
+    x, y = m.source, m.target
+    return ([[(m.beta, x.p, 1), (y.p, m.alpha, -1)], [(m.alpha, x.q, 1), (y.q, m.beta, -1)]],
+            None, lambda *hit: NotAMorphism(MorphismReport(False, *hit[3])), (None, None))
+
+
 def validate_morphism(m: Morphism) -> MorphismReport:
     """Check both commuting squares exactly, in one ``matrices.failure``
     call; only a failure builds the residual matrices, and a pass holds zero
     matrices."""
-    x, y = m.source, m.target
-    hit = mx.failure([(m.beta, x.p, 1), (y.p, m.alpha, -1)],
-                     [(m.alpha, x.q, 1), (y.q, m.beta, -1)])
-    if hit is None:
-        zero = mx.zeros(y.size, x.size)
-        return MorphismReport(ok=True, eq1_residual=zero, eq2_residual=zero)
-    eq1, eq2 = hit[3]
-    return MorphismReport(ok=False, eq1_residual=eq1, eq2_residual=eq2)
+    try:
+        _decide(_squares(m))
+    except NotAMorphism as err:
+        return err.report
+    zero = mx.zeros(m.target.size, m.source.size)
+    return MorphismReport(ok=True, eq1_residual=zero, eq2_residual=zero)
 
 
 def make_morphism(alpha, beta, source, target) -> Morphism:
     """Construct a morphism and insist both squares hold."""
     m = Morphism(alpha=alpha, beta=beta, source=source, target=target)
-    report = validate_morphism(m)
-    if not report.ok:
-        raise NotAMorphism(report)
+    _decide(_squares(m))
     return m
 
 
@@ -320,11 +343,16 @@ def compose_morphisms(g: Morphism, f: Morphism) -> Morphism:
     )
 
 
+def _identity_check(g: Morphism, f: Morphism, fail=None) -> tuple:
+    """The check (``_decide``) that g after f is the identity, block by block."""
+    return ([[(g.alpha, f.alpha, 1)], [(g.beta, f.beta, 1)]], Polynomial.const(1), fail,
+            (None, None))
+
+
 def _composes_to_identity(g: Morphism, f: Morphism) -> bool:
     """Is g after f the identity?  Both blocks are decided in one exact
     zero test, ``matrices.first_difference``; no product is built."""
-    return mx.first_difference([(g.alpha, f.alpha, 1)], [(g.beta, f.beta, 1)],
-                               w=Polynomial.const(1)) is None
+    return mx.first_difference(*_identity_check(g, f)[0], w=Polynomial.const(1)) is None
 
 
 # -- file format -----------------------------------------------------------

@@ -19,12 +19,12 @@ none per term product, and the counts tell it whether to encode each
 operand once for the whole product.  Polynomials are immutable and their
 form is unique, so the results equal the entry-by-entry ones exactly.
 
-``first_difference`` is the one zero test: each check mfkit makes is one
-call of it, or of ``failure``, over all the check's equations.  An
-equation is a list of signed products ``(a, b, sign)`` and reads
-sum(sign * a*b) = w*I, or = 0 without w: P*Q = Q*P = w*I, the two morphism
-squares, rho.psi = id, a naturality square, a homotopy witness's two
-equations.  No product is built.  Each distinct matrix is listed once for
+``first_difference`` is the one zero test: each check, or each set of a
+construction's checks (``matfac._decide``), is one call of it or of
+``failure``.  An equation is a list of signed products ``(a, b, sign)``
+and reads sum(sign * a*b) = w*I, each with its own w, or = 0 without w:
+P*Q = w*I, morphism squares, rho.psi = id, a naturality square, a homotopy
+witness.  No product is built.  Each distinct matrix is listed once for
 all the equations, each distinct atom (below) and w are encoded once as
 packed monomials with integer numerators (``poly._pack``, in fields wide
 enough for the products and for w), and each row of an equation is summed
@@ -360,14 +360,15 @@ def _first_row_difference(products, w, packed: dict, width: int, integral: bool,
     return None
 
 
-def first_difference(*equations, w: Polynomial = None, rows: dict = None,
+def first_difference(*equations, w=None, rows: dict = None,
                      atoms: dict = None, variables: set = None):
     """``(k, i, j)`` of the first entry, in row-major order, where equation
     k, the first that fails, does not hold; or None where all hold.
 
     An equation is a list of ``(a, b, sign)`` terms, sign 1 or -1, and reads
-    sum(sign * a*b) = w*I when ``w`` is given, else = 0.  No product is
-    built, and no entry is decoded: each distinct matrix (by ``id``) is
+    sum(sign * a*b) = w*I when its ``w`` is a polynomial, else = 0: ``w``
+    serves every equation, or is a tuple of one per equation.  No product
+    is built, and no entry is decoded: each distinct matrix (by ``id``) is
     listed once, each distinct atom and w are packed once for all the
     equations, and each row of an equation is summed in one map of integer
     numerators (``_first_row_difference``).
@@ -382,15 +383,18 @@ def first_difference(*equations, w: Polynomial = None, rows: dict = None,
     ``variables``, when given, is a set that gets the packing's variables:
     those of every nonzero entry and of w.
     """
+    ws = w if type(w) is tuple else (w,) * len(equations)
     signed = dict(rows or ())  # id of a matrix -> its signed rows
     operands = dict(atoms or ())
-    for terms in equations:
+    for terms, w in zip(equations, ws, strict=True):
         if not terms:
             raise ValueError("an equation has no term")
         a, b, _ = terms[0]
         n, m = len(a), len(b[0]) if b else 0
-        if w is not None and n != m:
-            raise ValueError(f"a {n}x{m} product has no diagonal")
+        if w is not None:
+            operands[id(w)] = w
+            if n != m:
+                raise ValueError(f"a {n}x{m} product has no diagonal")
         for a, b, _ in terms:
             if (len(a[0]) if a else 0) != len(b):
                 raise ValueError(f"cannot multiply {shape(a)} by {shape(b)}")
@@ -401,18 +405,15 @@ def first_difference(*equations, w: Polynomial = None, rows: dict = None,
                 signed[id(a)] = _signed_rows(a, operands)
             if id(b) not in signed:
                 signed[id(b)] = _signed_rows(b, operands)
-    if w is not None:
-        operands[id(w)] = w
-    packed, fields, width = _pack(operands)
+    packed, fields, width, integral = _pack(operands)
     if variables is not None:
-        variables.update(v for v, _, _ in fields)
-    integral = all(y.den == 1 for y in operands.values())
+        variables.update([v for v, _, _ in fields])
     grouping = None
     if rows and any(len(packed[key]) > 1 for key in atoms):
         order = list(atoms.values())
         grouping = ({id(y): 1 << n for n, y in enumerate(order)}, order, len(order) + 1)
     right = {}  # (id of a matrix, grouped) -> its _right_rows
-    for k, terms in enumerate(equations):
+    for k, (terms, w) in enumerate(zip(equations, ws)):
         products = []
         for a, b, sign in terms:
             grouped = grouping is not None and id(a) in rows and id(b) in rows
@@ -438,17 +439,18 @@ def residual(terms, w: Polynomial = None) -> Matrix:
     return out
 
 
-def failure(*equations, w: Polynomial = None, rows: dict = None,
+def failure(*equations, w=None, rows: dict = None,
             atoms: dict = None, variables: set = None):
     """None where every equation holds (``first_difference``, which reads
-    ``rows`` and ``atoms`` and fills ``variables``), else ``(k, i, j,
-    residuals)``: the first failing entry, and each equation's
-    ``residual``.  Only a failure builds the residuals."""
-    hit = first_difference(*equations, w=w, rows=rows, atoms=atoms,
+    ``w``, ``rows`` and ``atoms`` and fills ``variables``), else ``(k, i,
+    j, residuals)``: the first failing entry, and each equation's
+    ``residual`` over its own w.  Only a failure builds the residuals."""
+    ws = w if type(w) is tuple else (w,) * len(equations)
+    hit = first_difference(*equations, w=ws, rows=rows, atoms=atoms,
                            variables=variables)
     if hit is None:
         return None
-    residuals = tuple(residual(terms, w) for terms in equations)
+    residuals = tuple(map(residual, equations, ws))
     first = next(((k, *at[:2]) for k, r in enumerate(residuals)
                   if (at := first_nonzero(r))), None)
     if first != hit:

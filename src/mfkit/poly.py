@@ -385,7 +385,8 @@ def _pack(operands: dict) -> tuple:
     polynomial: a map from each id to its ``(packed monomial, integer
     numerator)`` list, with each coefficient multiplied by the polynomial's
     ``den``; the ``(variable, shift, mask)`` fields that decode a packed
-    monomial, highest bits first; and the fields' total width.
+    monomial, highest bits first; the fields' total width; and whether every
+    operand is integral (its ``den`` is 1).
 
     Each variable gets a bit field as wide as the largest exponent it can
     reach in a product of two operands: the bit length of twice its largest
@@ -411,15 +412,17 @@ def _pack(operands: dict) -> tuple:
         shift += width
     fields.reverse()
     packed = {}
+    integral = True
     for key, p in operands.items():
         enc = []
+        integral &= p.den == 1
         for m, n in p.terms.items() if p.den == 1 else _numerators(p):
             k = 0
             for v, e in m:
                 k += e << shifts[v]
             enc.append((k, n))
         packed[key] = enc
-    return packed, fields, shift
+    return packed, fields, shift, integral
 
 
 def _packed_products(batch) -> list:
@@ -430,7 +433,7 @@ def _packed_products(batch) -> list:
         for x, y in pairs:
             operands[id(x)] = x
             operands[id(y)] = y
-    packed, fields, _ = _pack(operands)
+    packed, fields, _, _ = _pack(operands)
     decoded: dict = {}
     out = []
     for pairs in batch:

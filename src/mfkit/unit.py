@@ -60,10 +60,11 @@ alone; no unit factorization is built:
     all vanish (constant f).
 
 Even words contribute to the X-parity-preserving chunks, odd words to the
-parity-swapping ones.  Both rho and psi are validated eagerly, and
-rho . psi = id is asserted before a bundle is returned, by one exact zero
-test of both blocks (``matrices.failure``): the residuals are built only
-when the test fails, to name the entry.  The left unitor
+parity-swapping ones.  One exact zero test (``matfac._decide``) decides,
+in order, Z's P*Q = w*I (both products over w = 0), rho's and psi's squares
+and rho . psi = id before a bundle is returned, and a failure raises what
+the check alone raises; ``naturality_check`` decides its Z and rho checks,
+the p tensor id squares and the square the same way.  The left unitor
 mirrors the construction with the unit taken in the z-variables, collapsed
 on z' = z; the correction sign flips because the z-derivative of the
 potential has the opposite sign.  X may not use a primed generator variable
@@ -84,9 +85,12 @@ from .matfac import (
     Morphism,
     PotentialMismatch,
     Record,
+    _decide,
+    _factorization_check,
+    _identity_check,
     _set,
+    _squares,
     make_factorization,
-    make_morphism,
 )
 from .poly import (
     Polynomial,
@@ -236,10 +240,9 @@ def _correction_components(x: MatrixFactorization, gen_vars, sign: int):
 
 
 def _collapsed_product(x: MatrixFactorization, f: Polynomial, fvars, side="right"):
-    """``((xs, even words, odd words), Z, rho)``: the generators and word
-    bases of f's unit, the collapsed product and the projection; Z and rho
-    are checked eagerly.  ``side`` is where the unit is glued (naturality
-    glues it on the right)."""
+    """``((xs, even words, odd words), Z, rho, Z's check)``: f's unit's
+    generators and word bases, the collapsed product and the projection
+    (unchecked), and Z's check.  ``side`` is where the unit is glued."""
     xs, even, odd = _generators(f, fvars)
     n, m, r = len(xs), len(even), x.size
     _require_disjoint(x.vars, [v.primed() for v in xs])
@@ -255,13 +258,17 @@ def _collapsed_product(x: MatrixFactorization, f: Polynomial, fvars, side="right
                                          _word_matrix(even, odd, lin, dq),
                                          _word_matrix(odd, even, lin, dq))
     # Grading shift: swap the two matrices so the empty-word slice is even.
-    z = make_factorization(q, p, x.potential, extra_vars=x.vars + xs,
-                           _rows=(q_rows, p_rows, atoms))
-
-    empty_word = mx.from_rows([[1] + [0] * (m - 1)])
-    proj = mx.block([[mx.zeros(r, r * m), mx.kron(mx.identity(r), empty_word)]])
-    rho = make_morphism(alpha=proj, beta=proj, source=z, target=x)
-    return (xs, even, odd), z, rho
+    z = MatrixFactorization(p=q, q=p, potential=x.potential, size=len(p), vars=tuple(sorted(
+        set(x.vars + xs).union(x.potential.vars, *(a.vars for a in atoms.values())))))
+    # X's rows are handed too: the squares of rho and psi read X.p and X.q.
+    check = _factorization_check(q, p, x.potential, (
+        {id(q): q_rows, id(p): p_rows, id(x.p): xp, id(x.q): xq}, atoms))
+    # rho's row i is 1 at the empty word of X's i-th slice in Z's second chunk.
+    one = Polynomial.const(1)
+    proj = tuple(tuple(one if j == (r + i) * m else mx._ZERO for j in range(2 * r * m))
+                 for i in range(r))
+    rho = Morphism(alpha=proj, beta=proj, source=z, target=x)
+    return (xs, even, odd), z, rho, check
 
 
 def _require_matching_potential(x: MatrixFactorization, f: Polynomial, xs, side: str):
@@ -280,7 +287,7 @@ def _require_matching_potential(x: MatrixFactorization, f: Polynomial, xs, side:
 
 
 def _build_bundle(x: MatrixFactorization, f: Polynomial, fvars, side: str):
-    (xs, even, odd), z, rho = _collapsed_product(x, f, fvars, side)
+    (xs, even, odd), z, rho, z_check = _collapsed_product(x, f, fvars, side)
     r = x.size
     comp = _correction_components(x, xs, -1 if side == "right" else 1)
     # Odd words' chunk over even words' chunk; row i*m + wi of a chunk is
@@ -288,15 +295,11 @@ def _build_bundle(x: MatrixFactorization, f: Polynomial, fvars, side: str):
     alpha_psi, beta_psi = (tuple(comp[(w, eps)][i] for words in (odd, even)
                                  for i in range(r) for w in words)
                            for eps in (0, 1))
-    psi = make_morphism(alpha=alpha_psi, beta=beta_psi, source=x, target=z)
-
-    hit = mx.failure([(rho.alpha, psi.alpha, 1)], [(rho.beta, psi.beta, 1)],
-                     w=Polynomial.const(1))
-    if hit is not None:
-        k, i, j, residuals = hit
-        raise RuntimeError(
+    psi = Morphism(alpha=alpha_psi, beta=beta_psi, source=x, target=z)
+    _decide(z_check, _squares(rho), _squares(psi), _identity_check(
+        rho, psi, lambda k, i, j, res: RuntimeError(
             f"unitor invariant failed: rho . psi is not the identity: "
-            f"{('alpha', 'beta')[k]}[{i}][{j}] deviates by {residuals[k][i][j]}")
+            f"{('alpha', 'beta')[k]}[{i}][{j}] deviates by {res[k][i][j]}")))
     return UnitorBundle(z=z, rho=rho, psi=psi, side=side)
 
 
@@ -341,24 +344,26 @@ def naturality_check(p: Morphism, f: Polynomial, fvars=None) -> NaturalityReport
     Builds the collapsed products of p's source and target with their
     projections rho (no psi is needed; an endomorphism builds one), and
     forms the tensored morphism on them (``tensor_morphisms``' blocks,
-    swapped to the shifted layout).  Both blocks' squares are decided in
-    one exact zero test (``matrices.failure``), which builds neither
-    composite.  Only a failing square builds the residuals
-    rho_Y.(p tensor id) - p.rho_X; when both hold, they are zero matrices.
+    swapped to the shifted layout).  Their checks and both blocks' squares
+    are decided in one exact zero test (``matfac._decide``): a failing
+    square's report holds the residuals rho_Y.(p tensor id) - p.rho_X.
     """
-    (_, even, _), zx, rho_x = _collapsed_product(p.source, f, fvars)
+    (_, even, _), zx, rho_x, check = _collapsed_product(p.source, f, fvars)
+    checks = [check, _squares(rho_x)]
     if p.source is p.target:
         zy, rho_y = zx, rho_x
     else:
-        _, zy, rho_y = _collapsed_product(p.target, f, fvars)
+        _, zy, rho_y, check = _collapsed_product(p.target, f, fvars)
+        checks += [check, _squares(rho_y)]
     i_m = mx.identity(len(even))
     # Z swaps the tensor layout's two matrices, so its blocks swap too.
     beta, alpha = _tensor_blocks(p.alpha, p.beta, i_m, i_m)
-    p_tensor_id = make_morphism(alpha=alpha, beta=beta, source=zx, target=zy)
-    hit = mx.failure([(rho_y.alpha, p_tensor_id.alpha, 1), (p.alpha, rho_x.alpha, -1)],
-                     [(rho_y.beta, p_tensor_id.beta, 1), (p.beta, rho_x.beta, -1)])
-    if hit is None:
+    p_tensor_id = Morphism(alpha=alpha, beta=beta, source=zx, target=zy)
+    square = ([[(rho_y.alpha, p_tensor_id.alpha, 1), (p.alpha, rho_x.alpha, -1)],
+               [(rho_y.beta, p_tensor_id.beta, 1), (p.beta, rho_x.beta, -1)]],
+              None, lambda k, i, j, res: NaturalityReport(False, *res), (None, None))
+    report = _decide(*checks, _squares(p_tensor_id), square)
+    if report is None:
         zero = mx.zeros(p.target.size, zx.size)
         return NaturalityReport(ok=True, alpha_residual=zero, beta_residual=zero)
-    alpha_res, beta_res = hit[3]
-    return NaturalityReport(ok=False, alpha_residual=alpha_res, beta_residual=beta_res)
+    return report

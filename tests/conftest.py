@@ -157,6 +157,21 @@ def record_factorizations(monkeypatch, module):
     return calls
 
 
+def record_zero_tests(monkeypatch):
+    """A list that gets ``(equations, w, rows, atoms)`` for each
+    ``matrices.first_difference`` call made from here on; the oracle still
+    re-decides each of them."""
+    calls = []
+    real = mx.first_difference
+
+    def record(*equations, w=None, **kwargs):
+        calls.append((equations, w, kwargs.get("rows"), kwargs.get("atoms")))
+        return real(*equations, w=w, **kwargs)
+
+    monkeypatch.setattr(mx, "first_difference", record)
+    return calls
+
+
 def rebuilt(rows, cols):
     """The matrix with ``cols`` columns whose rows have the nonzero
     ``(column, atom, sign)`` lists ``rows``: sign * atom there, 0 elsewhere."""

@@ -292,6 +292,24 @@ def test_find_witness_refuses_a_variable_neither_factorization_declares():
         check_witness(x, x, foreign, foreign, zero_witness(x, x))
 
 
+def test_a_foreign_variable_in_a_repeated_entry_is_refused():
+    """The set-up walks each distinct entry object of phi and psi once: a
+    scalar morphism repeats its scalar down both blocks' diagonals, and a
+    morphism may repeat one object anywhere.  The refusal is the same as
+    when every slot is walked."""
+    u, v = PX + 1, PX ** 2 - PX + 1
+    x = make_factorization([[u, 0], [0, u]], [[v, 0], [0, v]], PX ** 3 + 1)
+    c = PX * PY
+    repeated = Morphism([[1, c], [c, 1]], [[1, c], [c, 1]], x, x)
+    assert repeated.alpha[0][1] is repeated.beta[1][0] is c
+    for foreign in (scalar_morphism(PY, x), repeated):
+        with pytest.raises(ShapeMismatch, match=(
+                "^phi names the variable y, which neither factorization declares$")):
+            find_witness(x, x, foreign, zero_morphism(x), 1)
+        with pytest.raises(ShapeMismatch, match="^psi names the variable y,"):
+            check_witness(x, x, identity_morphism(x), foreign, zero_witness(x, x))
+
+
 def test_find_witness_rejects_negative_degree():
     with pytest.raises(ValueError):
         find_witness(R, R, identity_morphism(R), identity_morphism(R), -1)

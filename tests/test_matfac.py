@@ -580,8 +580,8 @@ def _naturality_report_by_products(p, f, fvars):
     """The naturality report as the products give it: both collapsed
     products (by ``unit._collapsed_product`` as patched), and each square's
     residual rho_Y.(p x id) - p.rho_X by ``mul`` and ``sub``."""
-    (_, even, _), zx, rho_x = unit._collapsed_product(p.source, f, fvars)
-    _, zy, rho_y = unit._collapsed_product(p.target, f, fvars)
+    (_, even, _), zx, rho_x, _ = unit._collapsed_product(p.source, f, fvars)
+    _, zy, rho_y, _ = unit._collapsed_product(p.target, f, fvars)
     i_m = mx.identity(len(even))
     beta, alpha = _tensor_blocks(p.alpha, p.beta, i_m, i_m)
     p_id = make_morphism(alpha=alpha, beta=beta, source=zx, target=zy)
@@ -667,10 +667,10 @@ def test_reports_equal_the_reports_the_products_give(monkeypatch, m_cubed):
     collapsed = unit._collapsed_product
 
     def doubled_target(x, f, fvars):
-        gens, z, rho = collapsed(x, f, fvars)
+        gens, z, rho, check = collapsed(x, f, fvars)
         if x is zx_copy:
             rho = compose_morphisms(scalar_morphism(2, x), rho)
-        return gens, z, rho
+        return gens, z, rho, check
 
     p = make_morphism(mx.identity(1), mx.identity(1), ZX, zx_copy)
     monkeypatch.setattr(unit, "_collapsed_product", doubled_target)

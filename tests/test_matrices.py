@@ -20,6 +20,7 @@ from mfkit.tensor import yoshino
 from mfkit.unit import koszul_unit
 
 from conftest import X, Y, Z, kernel_path, rand_poly, ref_sum_of_products
+from zero_test_oracle import ref_first_difference
 
 SHAPES = [(1, 1), (1, 5), (5, 1), (3, 4), (4, 3), (6, 6)]
 DENSITIES = [0.0, 0.1, 0.3, 0.6, 1.0]
@@ -502,6 +503,52 @@ def test_first_difference_rejects_shape_mismatch():
     a, b = mx.zeros(2, 3), mx.zeros(3, 2)
     assert check_zero_test([(a, b, 1)], [(b, a, 1)], w=zero) is None
     assert check_zero_test([(a, b, 1)], [(b, a, 1)], w=Polynomial.var(X)) == (0, 0, 0)
+
+
+def _over_three_potentials():
+    """Three equations that hold over three different right-hand sides:
+    a*b = x^3*I, c*d = 1/2*y^2*I and e*e - a*b = (1 - x^3)*I."""
+    px, py = Polynomial.var(X), Polynomial.var(Y)
+    a = mx.from_rows([[px, 0], [0, 1]])
+    b = mx.from_rows([[px ** 2, 0], [0, px ** 3]])
+    c, d = mx.from_rows([[py]]), mx.from_rows([[py * Fraction(1, 2)]])
+    e = mx.identity(2)
+    equations = ([(a, b, 1)], [(c, d, 1)], [(e, e, 1), (a, b, -1)])
+    return equations, (px ** 3, py ** 2 * Fraction(1, 2), 1 - px ** 3)
+
+
+def test_each_equation_is_decided_over_its_own_w():
+    """A tuple of right-hand sides gives each equation its own: one call
+    decides what the separate calls decide, names the first equation whose
+    w is wrong, and builds each residual over its own w.  A tuple of the
+    wrong length is refused."""
+    equations, ws = _over_three_potentials()
+    assert mx.first_difference(*equations, w=ws) is None
+    assert mx.failure(*equations, w=ws) is None
+    for terms, w in zip(equations, ws):
+        assert mx.first_difference(terms, w=w) is None
+    for k in range(3):
+        wrong = ws[:k] + (ws[k] + 1,) + ws[k + 1:]
+        got = mx.failure(*equations, w=wrong)
+        assert got[:3] == (k, 0, 0)
+        assert got[3] == tuple(map(mx.residual, equations, wrong))
+        assert mx.first_nonzero(got[3][k])[2] == -1
+    for short in (ws[:2], ws + (None,)):
+        for check in (mx.first_difference, mx.failure):
+            with pytest.raises(ValueError):
+                check(*equations, w=short)
+
+
+def test_the_oracle_refuses_a_wrong_right_hand_side():
+    """The naive oracle reads each equation's own w: it accepts the right
+    ones and names the first equation whose w is wrong, or missing."""
+    equations, ws = _over_three_potentials()
+    assert ref_first_difference(equations, ws) is None
+    for k in range(3):
+        for wrong in (ws[k] + 1, ws[k] * 2, None):
+            assert ref_first_difference(
+                equations, ws[:k] + (wrong,) + ws[k + 1:]) == (k, 0, 0)
+    assert ref_first_difference(equations, ws[0]) == (1, 0, 0)
 
 
 def test_a_disagreeing_zero_test_is_an_internal_error(monkeypatch):

@@ -242,18 +242,10 @@ def test_collapsed_product_writes_the_factors_own_entries(monkeypatch):
     pxy = PX * PY
     x = make_factorization([[PZ, PX], [PY, PZ]], [[PZ, -PX], [-PY, PZ]],
                            PZ * PZ - pxy)
-    built = []
-    real = unit.make_factorization
-
-    def keep_z(*args, **kwargs):
-        built.append(real(*args, **kwargs))
-        raise LookupError("Z is built")
-
-    monkeypatch.setattr(unit, "make_factorization", keep_z)
-    _refuse_products(monkeypatch)
-    with pytest.raises(LookupError, match="Z is built"):
-        unit._collapsed_product(x, pxy, (X, Y))
-    (z,) = built
+    with monkeypatch.context() as refused:
+        _refuse_products(refused)
+        _, z, _, _ = unit._collapsed_product(x, pxy, (X, Y))
+    assert make_factorization(z.p, z.q, z.potential, extra_vars=z.vars) == z
     assert z.size == 8
     # Z's Q is the standard layout's P: its a = p⊗I block, with m = 2.
     assert z.q[0][0] is x.p[0][0]

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from mfkit import matrices as mx
 from mfkit import poly, unit
 from mfkit.matfac import (
+    Morphism,
+    NotAFactorization,
+    NotAMorphism,
     PotentialMismatch,
     compose_morphisms,
     direct_sum,
@@ -21,6 +24,7 @@ from mfkit.poly import Polynomial, Variable, substitute, t_shift
 from mfkit.tensor import (
     VariableOverlap,
     _tensor_blocks,
+    _write_layout,
     identify_vars,
     rename_vars,
     yoshino,
@@ -35,7 +39,8 @@ from mfkit.unit import (
     unitor_right,
 )
 
-from conftest import PX, PY, PZ, X, Y, Z, check_handed_rows, record_factorizations
+from conftest import (PX, PY, PZ, X, Y, Z, check_handed_rows, record_factorizations,
+                      record_zero_tests)
 from exterior_oracle import ExtElement, koszul_diff
 
 XP = Polynomial.var(X.primed())
@@ -451,13 +456,21 @@ def test_koszul_unit_hands_its_nonzero_rows_to_the_check(monkeypatch, n):
                          ids=[c[0] for c in ORACLE_CASES])
 def test_collapsed_product_hands_its_nonzero_rows_to_the_check(
         monkeypatch, x, f, fvars, g, gvars, side):
-    calls = record_factorizations(monkeypatch, unit)
+    """The unitor's one zero test is handed the signed rows Z was written
+    from, and X's rows as the test would list them: Z is not walked slot by
+    slot, its atoms are all the handed ones, and its vars are a walk's."""
+    calls = record_zero_tests(monkeypatch)
     if side == "right":
-        b = unitor_right(x, f, fvars)
+        b, gens = unitor_right(x, f, fvars), fvars
     else:
-        b = unitor_left(x, g, gvars)
-    assert [c[-1] for c in calls] == [b.z]
-    check_handed_rows(calls)
+        b, gens = unitor_left(x, g, gvars), gvars
+    ((_, _, rows, atoms),) = calls
+    z = b.z
+    check_handed_rows([(z.p, z.q, z.potential, x.vars + gens,
+                        (rows[id(z.p)], rows[id(z.q)], atoms), z)])
+    assert rows.keys() == {id(m) for m in (z.p, z.q, x.p, x.q)}
+    for m in (x.p, x.q):
+        assert rows[id(m)] == mx._signed_rows(m, {})
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -552,10 +565,10 @@ def test_naturality_failure_names_the_entry(monkeypatch):
     differ by rho_Y.(p x id) = p.rho_X, and describe() names the first
     block, entry and residual."""
     def doubled_target(x, f, fvars):
-        gens, z, rho = _collapsed_product(x, f, fvars)
+        gens, z, rho, check = _collapsed_product(x, f, fvars)
         if x is X_RANK1_COPY:
             rho = compose_morphisms(scalar_morphism(2, x), rho)
-        return gens, z, rho
+        return gens, z, rho, check
 
     p = make_morphism(mx.identity(1), mx.identity(1), X_RANK1, X_RANK1_COPY)
     monkeypatch.setattr("mfkit.unit._collapsed_product", doubled_target)
@@ -582,12 +595,185 @@ def test_unitor_invariant_failure_names_the_entry(monkeypatch):
         "alpha[0][0] deviates by 1")
 
 
+# ---------------------------------------------------------------------------
+# one zero test per construction: every check of a unitor or a naturality
+# check is decided in one call, and a failure raises (or reports) what the
+# failing check raises on its own.
+
+
+# A factor over a variable no oracle case uses, to tensor with.
+U_SQUARED = make_factorization([[Polynomial.var(Variable("u"))]],
+                               [[Polynomial.var(Variable("u"))]],
+                               Polynomial.var(Variable("u")) ** 2)
+
+
+@pytest.mark.parametrize("case", ["cubic-n1-rank1", "mixed-rank2", "pairs-n2"])
+def test_each_construction_makes_one_zero_test(monkeypatch, case):
+    x, f, xs, g, ws = {c[0]: c[1:] for c in ORACLE_CASES}[case]
+    copy = make_factorization(x.p, x.q, x.potential, extra_vars=x.vars)
+    to_copy = make_morphism(mx.identity(x.size), mx.identity(x.size), x, copy)
+    calls = record_zero_tests(monkeypatch)
+    for build in (lambda: unitor_right(x, f, xs), lambda: unitor_left(x, g, ws),
+                  lambda: naturality_check(identity_morphism(x), f, xs),
+                  lambda: naturality_check(scalar_morphism(PX - 1, x), f, xs),
+                  lambda: naturality_check(to_copy, f, xs),
+                  lambda: koszul_unit(f, xs), lambda: yoshino(x, U_SQUARED)):
+        calls.clear()
+        build()
+        assert len(calls) == 1
+
+
+def test_the_unitor_decides_its_equations_in_order(monkeypatch):
+    """Z's P*Q = w*I, rho's squares, psi's squares, then rho.alpha * psi.alpha
+    = I and rho.beta * psi.beta = I, each with its own right-hand side."""
+    x, f, xs, _, _ = {c[0]: c[1:] for c in ORACLE_CASES}["pairs-n2"]
+    calls = record_zero_tests(monkeypatch)
+    b = unitor_right(x, f, xs)
+    ((equations, w, _, _),) = calls
+    z, rho, psi = b.z, b.rho, b.psi
+    assert equations == (
+        [(z.p, z.q, 1)],
+        [(rho.beta, z.p, 1), (x.p, rho.alpha, -1)], [(rho.alpha, z.q, 1), (x.q, rho.beta, -1)],
+        [(psi.beta, x.p, 1), (z.p, psi.alpha, -1)], [(psi.alpha, x.q, 1), (z.q, psi.beta, -1)],
+        [(rho.alpha, psi.alpha, 1)], [(rho.beta, psi.beta, 1)])
+    assert w == (z.potential, None, None, None, None, Polynomial.const(1),
+                 Polynomial.const(1))
+
+
+def _raised(build):
+    """The exception ``build()`` raises: its type and its message."""
+    with pytest.raises(Exception) as err:
+        build()
+    return type(err.value), str(err.value)
+
+
+def _recording_morphisms(monkeypatch):
+    """A list that gets each ``Morphism`` ``unit`` builds from here on."""
+    built = []
+
+    def record(*args, **kwargs):
+        built.append(Morphism(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(unit, "Morphism", record)
+    return built
+
+
+def _breaking_layout(monkeypatch, which):
+    """From here on the ``which``-th layout ``unit`` writes (0 first) has the
+    sign of its P's first handed entry flipped; returns the list that gets
+    each written (P, Q) pair."""
+    written = []
+
+    def write(*args):
+        p, q, p_rows, q_rows = _write_layout(*args)
+        if len(written) == which:
+            p_rows = [list(row) for row in p_rows]
+            j, atom, sign = p_rows[0][0]
+            p_rows[0][0] = (j, atom, -sign)
+            p = mx._from_signed_rows(p_rows, len(p), {})
+        written.append((p, q))
+        return p, q, p_rows, q_rows
+
+    monkeypatch.setattr(unit, "_write_layout", write)
+    return written
+
+
+def _breaking_rho(monkeypatch, source):
+    """From here on the collapsed product of ``source`` returns rho with its
+    odd block doubled, which breaks its even square; returns the list that
+    gets each rho so broken."""
+    broken = []
+
+    def collapsed(x, f, fvars, side="right"):
+        gens, z, rho, check = _collapsed_product(x, f, fvars, side)
+        if x is source:
+            rho = Morphism(rho.alpha, mx.scale(rho.beta, 2), z, x)
+            broken.append(rho)
+        return gens, z, rho, check
+
+    monkeypatch.setattr(unit, "_collapsed_product", collapsed)
+    return broken
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_each_failing_stage_of_a_unitor_raises_what_its_check_raises(monkeypatch, side):
+    x, f, xs, g, ws = {c[0]: c[1:] for c in ORACLE_CASES}["pairs-n2"]
+    build = (lambda: unitor_right(x, f, xs)) if side == "right" else (
+        lambda: unitor_left(x, g, ws))
+    with monkeypatch.context() as patch:  # Z
+        written = _breaking_layout(patch, 0)
+        got = _raised(build)
+    ((p, q),) = written  # Z swaps the layout's two matrices
+    assert got == _raised(lambda: make_factorization(q, p, x.potential))
+    assert got[0] is NotAFactorization
+    with monkeypatch.context() as patch:  # rho's squares
+        broken = _breaking_rho(patch, x)
+        got = _raised(build)
+    (rho,) = broken
+    assert got == (NotAMorphism, str(NotAMorphism(validate_morphism(rho))))
+    with monkeypatch.context() as patch:  # psi's squares: psi embeds X alone
+        patch.setattr(unit, "_correction_components", lambda x, gens, sign: {
+            key: c if not key[0] else mx.zeros(x.size, x.size)
+            for key, c in _correction_components(x, gens, sign).items()})
+        built = _recording_morphisms(patch)
+        got = _raised(build)
+    rho, psi = built
+    assert not validate_morphism(psi).ok
+    assert got == (NotAMorphism, str(NotAMorphism(validate_morphism(psi))))
+    assert compose_morphisms(rho, psi).alpha == mx.identity(x.size)
+
+
+def test_each_failing_stage_of_naturality_raises_what_its_check_raises(monkeypatch):
+    """Between X and an equal copy: X's Z and rho, the copy's Z and rho and
+    the p tensor id squares each raise what the check raises alone; a
+    broken naturality square is a report (as the composites give it)."""
+    x, f, xs, _, _ = {c[0]: c[1:] for c in ORACLE_CASES}["mixed-rank2"]
+    copy = make_factorization(mx.from_rows([list(row) for row in x.p]), x.q,
+                              x.potential, extra_vars=x.vars)
+    p = make_morphism(mx.identity(x.size), mx.identity(x.size), x, copy)
+
+    def check():
+        return naturality_check(p, f, xs)
+
+    assert check().ok
+    for k in (0, 1):
+        with monkeypatch.context() as patch:
+            written = _breaking_layout(patch, k)
+            got = _raised(check)
+        zp, zq = written[k][1], written[k][0]
+        assert got == _raised(lambda: make_factorization(zp, zq, x.potential))
+        assert got[0] is NotAFactorization
+    for source in (x, copy):
+        with monkeypatch.context() as patch:
+            broken = _breaking_rho(patch, source)
+            got = _raised(check)
+        (rho,) = broken
+        assert got == (NotAMorphism, str(NotAMorphism(validate_morphism(rho))))
+    with monkeypatch.context() as patch:
+        patch.setattr(unit, "_tensor_blocks", lambda *blocks: (
+            lambda beta, alpha: (mx.scale(beta, 2), alpha))(*_tensor_blocks(*blocks)))
+        built = _recording_morphisms(patch)
+        got = _raised(check)
+    p_tensor_id = built[-1]
+    assert got == (NotAMorphism, str(NotAMorphism(validate_morphism(p_tensor_id))))
+
+
+def _checked_collapsed_product(x, f, fvars):
+    """``(gens, Z, rho)`` of ``unit._collapsed_product`` (as patched), with
+    Z and rho checked on their own: Z is the factorization
+    ``make_factorization`` builds from its matrices, and rho a morphism."""
+    gens, z, rho, _ = unit._collapsed_product(x, f, fvars)
+    assert make_factorization(z.p, z.q, z.potential, extra_vars=z.vars) == z
+    return gens, z, make_morphism(rho.alpha, rho.beta, rho.source, rho.target)
+
+
 def _naturality_by_composites(p, f, fvars):
     """The naturality report as the composites give it: both collapsed
-    products built (by ``unit._collapsed_product`` as patched), both
+    products built and checked (``_checked_collapsed_product``), both
     composites composed and compared."""
-    (_, even, _), zx, rho_x = unit._collapsed_product(p.source, f, fvars)
-    _, zy, rho_y = unit._collapsed_product(p.target, f, fvars)
+    (_, even, _), zx, rho_x = _checked_collapsed_product(p.source, f, fvars)
+    _, zy, rho_y = _checked_collapsed_product(p.target, f, fvars)
     i_m = mx.identity(len(even))
     beta, alpha = _tensor_blocks(p.alpha, p.beta, i_m, i_m)
     p_tensor_id = make_morphism(alpha=alpha, beta=beta, source=zx, target=zy)
@@ -674,10 +860,10 @@ def test_naturality_matches_the_composites(pair, direction, scalar, rho_scale):
     p = make_morphism(m, m, source, target)
 
     def scaled_copy(y, f, fvars):
-        gens, z, rho = _collapsed_product(y, f, fvars)
+        gens, z, rho, check = _collapsed_product(y, f, fvars)
         if y is copy:
             rho = compose_morphisms(scalar_morphism(rho_scale, y), rho)
-        return gens, z, rho
+        return gens, z, rho, check
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("mfkit.unit._collapsed_product", scaled_copy)

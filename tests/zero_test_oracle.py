@@ -1,6 +1,7 @@
 """A naive zero test: the oracle for ``mfkit.matrices.first_difference``.
 
-``first_difference`` decides sum(sign * a*b) = w*I (or = 0) on packed
+``first_difference`` decides sum(sign * a*b) = w*I (or = 0), with a w of
+its own for each equation where it is given a tuple of them, on packed
 monomials, with handed signed rows, an integral fast path and atom pairs
 grouped under bitmask keys.  This module decides the same equations from
 the matrices' entries alone: it reads ``Polynomial.terms``, keeps each
@@ -24,8 +25,12 @@ def ref_first_difference(equations, w=None):
     """``(k, i, j)`` of the first entry, in row-major order, where equation
     k, the first that fails, does not hold; or None where all hold.  An
     equation is a list of ``(a, b, sign)`` terms, of valid shapes, and reads
-    sum(sign * a*b) = w*I when ``w`` is given, else = 0."""
-    for k, terms in enumerate(equations):
+    sum(sign * a*b) = w*I when its ``w`` is given, else = 0.  ``w`` is one
+    polynomial (or None) for every equation, or a tuple of one per
+    equation."""
+    ws = list(w) if type(w) is tuple else [w] * len(equations)
+    assert len(ws) == len(equations), (len(ws), len(equations))
+    for k, (terms, w) in enumerate(zip(equations, ws)):
         first_a, first_b, _ = terms[0]
         for i in range(len(first_a)):
             for j in range(len(first_b[0]) if first_b else 0):
