@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mfkit import matrices as mx
-from mfkit import poly, tensor, unit
+from mfkit import matfac, poly, tensor, unit
 from mfkit.matfac import (
     compose_morphisms,
     direct_sum,
@@ -244,7 +244,9 @@ def test_collapsed_product_writes_the_factors_own_entries(monkeypatch):
                            PZ * PZ - pxy)
     with monkeypatch.context() as refused:
         _refuse_products(refused)
-        _, z, _, _ = unit._collapsed_product(x, pxy, (X, Y))
+        _, z, rho, check = unit._collapsed_product(x, pxy, (X, Y))
+        # The unitor's zero test on Z's and X's handed rows forms no product.
+        assert matfac._decide(check, matfac._squares(rho)) is None
     assert make_factorization(z.p, z.q, z.potential, extra_vars=z.vars) == z
     assert z.size == 8
     # Z's Q is the standard layout's P: its a = p⊗I block, with m = 2.
