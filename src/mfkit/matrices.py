@@ -61,7 +61,10 @@ either way.  A listed matrix carries no signs, and its pairs (outside
 input, morphism squares, rho.psi, witness re-checks) seldom meet again
 as atoms, so summing them first would mostly add a map update per pair.  The
 regrouped sum is the same sum, so the test accepts, refuses and names
-exactly what it did without it.
+exactly what it did without it.  Such a product also does not expand a
+row whose pair sums, at the same columns relative to the row, an earlier
+zero row of the same equation had (``_first_row_difference`` says why
+that is exact): a unit's rows all repeat its diagonal's sum.
 """
 
 from __future__ import annotations
@@ -280,12 +283,26 @@ def _first_row_difference(products, w, packed: dict, width: int, integral: bool,
     sum c are expanded, as c * x*y, into the first map.  So a pair that
     cancels (a*b - b*a) costs one addition and no term product.  Every
     other pair is expanded as it is read.
+
+    A grouped call also keeps the rows it found zero, for that call only.
+    When nothing wrote to a row's first map while its pairs were read (no
+    ungrouped product, no pair of one-term atoms), the row's key is the set
+    of its nonzero sums as ``(key - (i << shift), c)``: each pair of atoms
+    at its column relative to the row.  If an earlier row with the same key
+    was zero, the row is too, and it is not expanded.  That is exact: after
+    the pairs are read the first map is den * (row - w*e_i), columns
+    shifted by i, which those sums fix, with w at relative column 0 and the
+    same w for every row of the call; and whether it is zero does not
+    depend on den, which is left out of the key.  Every row of a Koszul
+    unit's P*Q holds the same sum of +-(x_i - x_i')*a_i at its diagonal,
+    so the unit expands it once, not once per row.
     """
     w_terms = packed[id(w)] if w is not None else ()
     w_den = w.den if w is not None else 1
     if grouping is not None:
         bits, order, shift = grouping
         mask = (1 << shift) - 1
+        zero_rows = set()  # the keys of the rows found zero, see above
     den = 1
     for i in range(len(products[0][0])):
         if not integral:
@@ -331,7 +348,13 @@ def _first_row_difference(products, w, packed: dict, width: int, integral: bool,
                 for key, sy in keys:
                     key += bx
                     groups[key] = add(key, 0) + s * sy
+        seen = None
         if grouping is not None:
+            if not acc:
+                shifted = i << shift
+                seen = frozenset([(key - shifted, c) for key, c in groups.items() if c])
+                if seen in zero_rows:
+                    continue
             for key, c in groups.items():
                 if not c:
                     continue
@@ -357,6 +380,8 @@ def _first_row_difference(products, w, packed: dict, width: int, integral: bool,
                 acc[m] = get(m, 0) - c * s
         if any(acc.values()):
             return i, min(m for m, c in acc.items() if c) >> width
+        if seen is not None:
+            zero_rows.add(seen)
     return None
 
 

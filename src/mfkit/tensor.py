@@ -17,11 +17,14 @@ The writer takes each factor as signed rows -- per row, its nonzero
 ``(column, atom, sign)`` -- and writes P's and Q's signed rows over the
 same atoms, each sign the factor's times the layout's.  It builds P and Q
 from them with one negation per atom and hands them, with the atoms, to
-``make_factorization``'s check: the product's zeros are never read, and
-the a*b - b*a pairs of the layout cancel there as atoms, before any term
-product is made.  ``yoshino`` lists each factor's entries as atoms of sign
-1; the unitors' collapsed product passes the unit's signed word maps
-through.
+the check of P*Q = w*I (``matfac._factorization_check``): the product's
+zeros are never read, and the a*b - b*a pairs of the layout cancel there
+as atoms, before any term product is made.  ``yoshino`` lists each
+factor's entries as atoms of sign 1 and decides that check alone;
+``tensor_morphisms`` decides it with the squares of the tensored
+morphism, in one zero test; the unitors' collapsed product passes the
+unit's signed word maps through.  A product's ``vars`` are the factors'
+declared ones with its atoms' and its potential's.
 
 All four are valid and pairwise distinct as matrix pairs; v1/v2/v3 arise
 from the standard pair by rotating P's blocks anticlockwise and Q's
@@ -44,8 +47,10 @@ from . import matrices as mx
 from .matfac import (
     MatrixFactorization,
     Morphism,
+    _decide,
+    _factorization_check,
+    _squares,
     make_factorization,
-    make_morphism,
 )
 from .poly import Polynomial, Variable, substitute
 
@@ -121,19 +126,40 @@ def _write_layout(variant: Variant, xp, xq, yp, yq) -> tuple:
     return p, q, p_rows, q_rows
 
 
+def _product_vars(declared, potential, atoms: dict) -> tuple:
+    """The sorted variables of a product written from ``atoms``: the
+    ``declared`` ones, its potential's and its atoms'."""
+    found = set(declared)
+    for a in (potential, *atoms.values()):
+        for m in a.terms:
+            for v, _ in m:
+                found.add(v)
+    return tuple(sorted(found))
+
+
+def _product(x: MatrixFactorization, y: MatrixFactorization, variant: Variant) -> tuple:
+    """``(product, its check)``: the Yoshino product of x and y in
+    ``variant``'s layout, unchecked, and the check (``matfac._decide``) of
+    its P*Q = w*I on the rows the writer hands over."""
+    _require_disjoint(x.vars, y.vars)
+    atoms: dict = {}
+    factors = [mx._signed_rows(m, atoms) for m in (x.p, x.q, y.p, y.q)]
+    p, q, p_rows, q_rows = _write_layout(variant, *factors)
+    w = x.potential + y.potential
+    product = MatrixFactorization(p=p, q=q, potential=w, size=len(p),
+                                  vars=_product_vars(x.vars + y.vars, w, atoms))
+    return product, _factorization_check(p, q, w, ({id(p): p_rows, id(q): q_rows}, atoms))
+
+
 def yoshino(
     x: MatrixFactorization,
     y: MatrixFactorization,
     variant: Variant = Variant.STANDARD,
 ) -> MatrixFactorization:
     """The tensor product factorization of f + g in the chosen layout."""
-    _require_disjoint(x.vars, y.vars)
-    atoms: dict = {}
-    factors = [mx._signed_rows(m, atoms) for m in (x.p, x.q, y.p, y.q)]
-    p, q, p_rows, q_rows = _write_layout(variant, *factors)
-    return make_factorization(p, q, x.potential + y.potential,
-                              extra_vars=x.vars + y.vars,
-                              _rows=(p_rows, q_rows, atoms))
+    product, check = _product(x, y, variant)
+    _decide(check)
+    return product
 
 
 def tensor_morphisms(b: Morphism, a: Morphism) -> Morphism:
@@ -146,37 +172,48 @@ def tensor_morphisms(b: Morphism, a: Morphism) -> Morphism:
         alpha = diag(alpha_a ⊗ beta_b,  beta_a ⊗ alpha_b)
         beta  = diag(beta_a  ⊗ beta_b,  alpha_a ⊗ alpha_b)
 
-    The products are built and checked once each: when both morphisms are
-    endomorphisms, the one product is source and target.  The result is
-    checked eagerly (``make_morphism``).
+    The products are built once each: when both morphisms are
+    endomorphisms, the one product is source and target.  Their P*Q = w*I
+    and the result's two squares are decided, in that order, in one exact
+    zero test (``matfac._decide``), and a failure raises what ``yoshino``
+    or ``make_morphism`` raises.
     """
     for xa in (a.source, a.target):
         for xb in (b.source, b.target):
             _require_disjoint(xa.vars, xb.vars)
-    src = yoshino(a.source, b.source)
+    src, check = _product(a.source, b.source, Variant.STANDARD)
+    checks = [check]
     if a.source is a.target and b.source is b.target:
         tgt = src
     else:
-        tgt = yoshino(a.target, b.target)
+        tgt, check = _product(a.target, b.target, Variant.STANDARD)
+        checks.append(check)
     alpha, beta = _tensor_blocks(a.alpha, a.beta, b.alpha, b.beta)
-    return make_morphism(alpha, beta, src, tgt)
+    m = Morphism(alpha=alpha, beta=beta, source=src, target=tgt)
+    _decide(*checks, _squares(m))
+    return m
 
 
 def _tensor_blocks(a_alpha, a_beta, b_alpha, b_beta) -> tuple:
     """``(alpha, beta)`` of the tensor of two even morphisms, by the block
-    formula in ``tensor_morphisms``."""
-    rows, cols = mx.shape(a_alpha)
-    b_rows, b_cols = mx.shape(b_alpha)
-    z_r = mx.zeros(rows * b_rows, cols * b_cols)
-    alpha = mx.block([
-        [mx.kron(a_alpha, b_beta), z_r],
-        [z_r, mx.kron(a_beta, b_alpha)],
-    ])
-    beta = mx.block([
-        [mx.kron(a_beta, b_beta), z_r],
-        [z_r, mx.kron(a_alpha, b_alpha)],
-    ])
-    return alpha, beta
+    formula in ``tensor_morphisms``, written row by row: row i*m + r of a
+    block A⊗B holds A[i][j]*B[r][s] at column j*m' + s, where B is m x m',
+    and the lower block starts after the upper one's rows and columns."""
+    zero = mx._ZERO
+
+    def diagonal(upper, lower):
+        widths = [len(a[0]) * len(b[0]) for a, b in (upper, lower)]
+        rows = []
+        for (a, b), left, right in zip((upper, lower), (0, widths[0]), (widths[1], 0)):
+            for row_a in a:
+                for row_b in b:
+                    rows.append((zero,) * left + tuple(
+                        x * y if x.terms and y.terms else zero
+                        for x in row_a for y in row_b) + (zero,) * right)
+        return tuple(rows)
+
+    return (diagonal((a_alpha, b_beta), (a_beta, b_alpha)),
+            diagonal((a_beta, b_beta), (a_alpha, b_alpha)))
 
 
 def _substituted(x: MatrixFactorization, var_map, declared) -> MatrixFactorization:

@@ -101,6 +101,7 @@ from .poly import (
 )
 from .tensor import (
     Variant,
+    _product_vars,
     _require_disjoint,
     _tensor_blocks,
     _write_layout,
@@ -258,8 +259,8 @@ def _collapsed_product(x: MatrixFactorization, f: Polynomial, fvars, side="right
                                          _word_matrix(even, odd, lin, dq),
                                          _word_matrix(odd, even, lin, dq))
     # Grading shift: swap the two matrices so the empty-word slice is even.
-    z = MatrixFactorization(p=q, q=p, potential=x.potential, size=len(p), vars=tuple(sorted(
-        set(x.vars + xs).union(x.potential.vars, *(a.vars for a in atoms.values())))))
+    z = MatrixFactorization(p=q, q=p, potential=x.potential, size=len(p),
+                            vars=_product_vars(x.vars + xs, x.potential, atoms))
     # X's rows are handed too: the squares of rho and psi read X.p and X.q.
     check = _factorization_check(q, p, x.potential, (
         {id(q): q_rows, id(p): p_rows, id(x.p): xp, id(x.q): xq}, atoms))

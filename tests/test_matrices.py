@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfkit import matrices as mx
-from mfkit import poly
+from mfkit import poly, unit
 from mfkit.matfac import make_factorization
-from mfkit.poly import Polynomial, Variable, sum_of_products
+from mfkit.poly import Polynomial, Variable, parse_poly, sum_of_products
 from mfkit.tensor import yoshino
 from mfkit.unit import koszul_unit
 
-from conftest import X, Y, Z, kernel_path, rand_poly, ref_sum_of_products
+from conftest import (X, Y, Z, kernel_path, rand_poly, record_factorizations,
+                      ref_sum_of_products)
 from zero_test_oracle import ref_first_difference
 
 SHAPES = [(1, 1), (1, 5), (5, 1), (3, 4), (4, 3), (6, 6)]
@@ -690,3 +691,127 @@ def test_zero_tests_do_not_read_the_pack_ratio(monkeypatch):
     assert mx.first_difference(*both_ways(p, p), w=w) is None
     assert mx.failure(*both_ways(p, p), w=w) is None
     assert make_factorization(p, p, w).size == 2
+
+
+# A grouped zero test (both factors handed, a multi-term atom among them)
+# expands a row only when no earlier row with the same pair sums, at the
+# same columns relative to the row, was zero.  Each test below hands a row
+# that repeats an earlier zero row's sums in some way but is not zero, and
+# must be refused where the naive oracle says.
+
+
+def handed_check(equation, w, rows, atoms):
+    """``first_difference`` of one equation on handed ``rows`` and ``atoms``,
+    which must equal the oracle's verdict; returns it."""
+    got = mx.first_difference(equation, w=w, rows=rows, atoms=atoms)
+    assert got == ref_first_difference((equation,), w)
+    return got
+
+
+def signed(rows, cols):
+    """The matrix written from ``rows``, with its rows, keyed by its id."""
+    m = mx._from_signed_rows(rows, cols, {})
+    return m, {id(m): rows}
+
+
+def row_denominators(p, q, w):
+    """Per row of p*q, its common denominator as the zero test forms it:
+    the lcm of w's and, over the row's entries x at column k, of x.den times
+    the lcm of the denominators of q's row k."""
+    r = [lcm(*(y.den for y in row)) for row in q]
+    return [lcm(w.den, *(x.den * r[k] for k, x in enumerate(row) if x)) for row in p]
+
+
+# (generators, potential): x^3/3 + 2/9*y^3 has partials over 3 and 9, so
+# a pair of them has a denominator over 27 that w's 9 does not cover, in
+# some rows and not others.
+KOSZUL_CASES = {
+    "integral-n3": ((X, Y, Z), "x^3 + 2*y^3 - x*y*z"),
+    "integral-n4": ((X, Y, Z, Variable("w")), "x^3 + 2*y^3 - x*y*z + w^3"),
+    "rational-n3": ((X, Y, Z), "1/3*x^3 + 2/9*y^3 - x*y*z"),
+}
+
+
+@pytest.mark.parametrize("case", list(KOSZUL_CASES))
+@pytest.mark.parametrize("change", ["none", "sign", "listed-term"])
+def test_a_koszul_unit_whose_last_row_differs_is_refused_there(monkeypatch, case, change):
+    """Every row of a unit's P*Q holds the same pair sums at its diagonal,
+    so all but the first are skipped.  The last row is made to differ: by
+    one entry of P's last row with its sign flipped, in the matrix and the
+    handed row alike, or by a listed product that adds a term at its
+    diagonal (a row the test writes to directly).  It is refused at the
+    oracle's entry, in that row."""
+    xs, text = KOSZUL_CASES[case]
+    calls = record_factorizations(monkeypatch, unit)
+    koszul_unit(parse_poly(text, [v.name for v in xs]), xs)
+    p, q, w, _, (p_rows, q_rows, atoms), _ = calls[0]
+    if case.startswith("rational"):
+        assert len(set(row_denominators(p, q, w))) > 1
+    last = len(p) - 1
+    equation = [(p, q, 1)]
+    if change == "sign":
+        j, atom, s = p_rows[last][0]
+        p_rows[last][0] = (j, atom, -s)
+        negs = {}
+        p = mx._from_signed_rows(p_rows, len(p), negs)
+        q = mx._from_signed_rows(q_rows, len(q), negs)
+        equation = [(p, q, 1)]
+    elif change == "listed-term":
+        term = Polynomial.var(xs[0]) * Fraction(1, 3)
+        e = mx.from_rows([[term if (i, j) == (last, 0) else 0 for j in range(len(p))]
+                          for i in range(len(p))])
+        one = mx.from_rows([[1 if (i, j) == (0, last) else 0 for j in range(len(p))]
+                            for i in range(len(p))])
+        equation.append((e, one, 1))
+    got = handed_check(equation, w, {id(p): p_rows, id(q): q_rows}, atoms)
+    if change == "none":
+        assert got is None
+    else:
+        assert got is not None and got[:2] == (0, last)
+
+
+def test_a_flipped_pair_sum_is_not_the_earlier_rows_key():
+    """diag(u, ..., u) * diag(a, ..., a) = u*a*I, with two-term atoms u and
+    a; the last row's u has its sign flipped, so its one pair sum is -1
+    where every earlier row's is 1."""
+    px, py = Polynomial.var(X), Polynomial.var(Y)
+    u, a = px - py, px + py
+    n = 4
+    for last_sign, want in ((1, None), (-1, (0, n - 1, n - 1))):
+        left, left_rows = signed([[(i, u, last_sign if i == n - 1 else 1)]
+                                  for i in range(n)], n)
+        right, right_rows = signed([[(i, a, 1)] for i in range(n)], n)
+        rows = {**left_rows, **right_rows}
+        assert handed_check([(left, right, 1)], u * a, rows,
+                            {id(u): u, id(a): a}) == want
+
+
+def test_a_row_with_a_direct_product_is_expanded():
+    """The rows of diag(u, ..., u) * diag(a, ..., a) repeat, and the last
+    row also pairs two one-term atoms, x and y, at its diagonal: that pair
+    is expanded as it is read, so the row is not skipped and is refused."""
+    px, py = Polynomial.var(X), Polynomial.var(Y)
+    u, a = px - py, px + py
+    n = 3
+    left, left_rows = signed([[(i, u, 1)] + ([(n, px, 1)] if i == n - 1 else [])
+                              for i in range(n)], n + 1)
+    right, right_rows = signed([[(i, a, 1)] for i in range(n)] + [[(n - 1, py, 1)]], n)
+    atoms = {id(e): e for e in (u, a, px, py)}
+    assert handed_check([(left, right, 1)], u * a, {**left_rows, **right_rows},
+                        atoms) == (0, n - 1, n - 1)
+
+
+def test_equal_pair_sums_at_different_relative_columns_are_different_rows():
+    """Both rows of A*B hold u*a at column 0, and w = u*a: row 0 is zero,
+    but row 1 holds u*a at column 0 and -w at its diagonal, column 1.  Its
+    pair sum is at relative column -1, not 0, so it is expanded and
+    refused at (1, 0)."""
+    px, py = Polynomial.var(X), Polynomial.var(Y)
+    u, a = px - py, px + py
+    left, left_rows = signed([[(0, u, 1)], [(0, u, 1)]], 2)
+    right, right_rows = signed([[(0, a, 1)], []], 2)
+    assert handed_check([(left, right, 1)], u * a, {**left_rows, **right_rows},
+                        {id(u): u, id(a): a}) == (0, 1, 0)
+    # The same rows over w = 0 repeat no zero row: row 0 is refused.
+    assert handed_check([(left, right, 1)], None, {**left_rows, **right_rows},
+                        {id(u): u, id(a): a}) == (0, 0, 0)

@@ -6,6 +6,8 @@ import pytest
 from mfkit import matrices as mx
 from mfkit import matfac, poly, tensor, unit
 from mfkit.matfac import (
+    MatrixFactorization,
+    Morphism,
     compose_morphisms,
     direct_sum,
     identity_morphism,
@@ -26,7 +28,7 @@ from mfkit.tensor import (
 )
 
 from conftest import (PX, PY, PZ, X, Y, Z, check_handed_rows, rand_factorization,
-                      rand_poly, record_factorizations)
+                      rand_poly, record_zero_tests)
 
 A1 = make_factorization([[1]], [[PX]], PX)
 B1 = make_factorization([[1]], [[PY]], PY)
@@ -172,15 +174,19 @@ def test_yoshino_matches_the_kronecker_oracle(variant, rx, ry):
 @pytest.mark.parametrize("ry", [1, 2, 3])
 def test_yoshino_hands_its_nonzero_rows_to_the_check(monkeypatch, variant, rx, ry):
     """The product is rebuilt from the layout writer's signed rows, over
-    rational factors with zero entries, and ``vars`` (from the zero test's
-    packing, plus the factors' declared variables) is the walked set."""
+    rational factors with zero entries; its one zero test decides P*Q =
+    w*I on those rows; and ``vars`` (the factors' declared variables, the
+    atoms' and the potential's) is the walked set."""
     rng = random.Random(500 + 10 * rx + ry)
     a = _of_rank(rng, (X,), rx, Fraction(1, 2))
     b = _of_rank(rng, (Y, Z), ry, Fraction(-2, 3))
-    calls = record_factorizations(monkeypatch, tensor)
+    calls = record_zero_tests(monkeypatch)
     got = yoshino(a, b, variant)
-    assert [c[-1] for c in calls] == [got]
-    check_handed_rows(calls)
+    [(equations, w, rows, atoms)] = calls
+    [[(p, q, sign)]] = equations
+    assert (p, q, sign, w) == (got.p, got.q, 1, got.potential)
+    assert p is got.p and q is got.q and rows.keys() == {id(p), id(q)}
+    check_handed_rows([(p, q, w, a.vars + b.vars, (rows[id(p)], rows[id(q)], atoms), got)])
 
 
 def test_handed_rows_spare_the_slot_by_slot_walks(monkeypatch):
@@ -313,12 +319,13 @@ def test_tensor_of_endomorphisms_builds_one_product(monkeypatch):
     apart = tensor_morphisms(make_morphism(b.alpha, b.beta, B1, b1_copy),
                              make_morphism(a.alpha, a.beta, m, m_copy))
     built = []
+    product = tensor._product
 
     def counted(*args):
         built.append(args)
-        return yoshino(*args)
+        return product(*args)
 
-    monkeypatch.setattr("mfkit.tensor.yoshino", counted)
+    monkeypatch.setattr(tensor, "_product", counted)
     got = tensor_morphisms(b, a)
     assert len(built) == 1
     assert got.source is got.target
@@ -326,6 +333,52 @@ def test_tensor_of_endomorphisms_builds_one_product(monkeypatch):
     built.clear()
     tensor_morphisms(b, make_morphism(a.alpha, a.beta, m, m_copy))
     assert len(built) == 2
+
+
+def _raised(build):
+    """The exception ``build()`` raises: its type and its message."""
+    with pytest.raises(Exception) as err:
+        build()
+    return type(err.value), str(err.value)
+
+
+def test_a_failing_tensor_of_morphisms_raises_what_its_check_raises():
+    """The products' checks and the squares are decided in one zero test,
+    and a failure raises what the failing check raises on its own: the
+    first product's, the second's, then ``make_morphism``'s."""
+    bad = MatrixFactorization(p=mx.from_rows([[1]]), q=mx.from_rows([[PX + 1]]),
+                              potential=PX, size=1, vars=(X,))
+    into_bad = Morphism(alpha=[[1]], beta=[[1]], source=A1, target=bad)
+    not_a_morphism = Morphism(alpha=[[PX]], beta=[[1]], source=A1, target=A1)
+    b = identity_morphism(B1)
+    for a, want in ((identity_morphism(bad), lambda: yoshino(bad, B1)),
+                    (into_bad, lambda: yoshino(bad, B1)),
+                    (not_a_morphism, lambda: make_morphism(
+                        *tensor._tensor_blocks(not_a_morphism.alpha, not_a_morphism.beta,
+                                               b.alpha, b.beta),
+                        yoshino(A1, B1), yoshino(A1, B1)))):
+        assert _raised(lambda: tensor_morphisms(b, a)) == _raised(want)
+    assert _raised(lambda: tensor_morphisms(b, into_bad))[0] is matfac.NotAFactorization
+    assert _raised(lambda: tensor_morphisms(b, not_a_morphism))[0] is matfac.NotAMorphism
+
+
+def test_tensor_blocks_equal_the_kronecker_blocks():
+    """``_tensor_blocks`` writes diag(A⊗B, C⊗D) row by row; the oracle
+    assembles it from ``kron`` and ``block``."""
+    rng = random.Random(61)
+    for shapes in (((1, 1), (1, 1)), ((2, 1), (1, 3)), ((2, 2), (3, 2))):
+        (r, c), (br, bc) = shapes
+        a_alpha, a_beta = (mx.from_rows([[rand_poly(rng, (X,)) for _ in range(c)]
+                                         for _ in range(r)]) for _ in range(2))
+        b_alpha, b_beta = (mx.from_rows([[rand_poly(rng, (Y,)) for _ in range(bc)]
+                                         for _ in range(br)]) for _ in range(2))
+        zero = mx.zeros(r * br, c * bc)
+        want = tuple(mx.block([[mx.kron(a, b), zero], [zero, mx.kron(c_, d)]])
+                     for (a, b), (c_, d) in (((a_alpha, b_beta), (a_beta, b_alpha)),
+                                             ((a_beta, b_beta), (a_alpha, b_alpha))))
+        got = tensor._tensor_blocks(a_alpha, a_beta, b_alpha, b_beta)
+        assert got == want
+        assert all(e is mx._ZERO for m in got for row in m for e in row if not e)
 
 
 def test_tensor_morphisms_interchange():

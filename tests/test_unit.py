@@ -27,6 +27,7 @@ from mfkit.tensor import (
     _write_layout,
     identify_vars,
     rename_vars,
+    tensor_morphisms,
     yoshino,
 )
 from mfkit.unit import (
@@ -617,7 +618,10 @@ def test_each_construction_makes_one_zero_test(monkeypatch, case):
                   lambda: naturality_check(identity_morphism(x), f, xs),
                   lambda: naturality_check(scalar_morphism(PX - 1, x), f, xs),
                   lambda: naturality_check(to_copy, f, xs),
-                  lambda: koszul_unit(f, xs), lambda: yoshino(x, U_SQUARED)):
+                  lambda: koszul_unit(f, xs), lambda: yoshino(x, U_SQUARED),
+                  lambda: tensor_morphisms(identity_morphism(U_SQUARED), to_copy),
+                  lambda: tensor_morphisms(scalar_morphism(2, U_SQUARED),
+                                           scalar_morphism(PX - 1, x))):
         calls.clear()
         build()
         assert len(calls) == 1
